@@ -9,7 +9,6 @@ package agave
 // one pass.
 
 import (
-	"runtime"
 	"testing"
 
 	"agave/internal/core"
@@ -150,16 +149,12 @@ func suitePlan() suite.Plan {
 	return suite.Plan{Benchmarks: benchSubset, Seeds: []uint64{1, 2}}
 }
 
-func runPlanBench(b *testing.B, parallel int) {
+func runPlanBench(b *testing.B, workers int) {
 	b.Helper()
 	plan := suitePlan()
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	b.ReportMetric(float64(workers), "workers")
 	for i := 0; i < b.N; i++ {
-		outs, err := core.RunPlan(benchConfig(), plan, parallel)
+		outs, err := core.RunPlan(benchConfig(), plan, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,12 +170,33 @@ func runPlanBench(b *testing.B, parallel int) {
 // core.RunSuite behavior.
 func BenchmarkSuiteSerial(b *testing.B) { runPlanBench(b, 1) }
 
-// BenchmarkSuiteParallel executes the identical plan sharded one worker per
-// core (the engine default); results are bit-identical to the serial run
-// (see internal/suite's determinism test), only the wall clock changes. The
-// simulation is CPU-bound, so the speedup on an N-core runner approaches N;
-// on a single-core runner the two benches coincide.
-func BenchmarkSuiteParallel(b *testing.B) { runPlanBench(b, 0) }
+// BenchmarkSuiteParallel executes the identical plan sharded over two
+// workers; results are bit-identical to the serial run (see internal/suite's
+// determinism test), only the wall clock changes. The worker count is pinned
+// so the baseline records the same speedup on every runner: the simulation
+// is CPU-bound, so on two or more idle cores it approaches 2x, and on a
+// single core the two benches coincide.
+func BenchmarkSuiteParallel(b *testing.B) { runPlanBench(b, 2) }
+
+// BenchmarkSPEC runs each SPEC baseline end to end, one core.RunSPEC per op.
+// These runs boot no Android stack, so their host time is almost all the
+// miniature kernels' own Go code. Reported: the checksum's low 32 bits and
+// total attributed references, which pin what the kernel computed and what
+// it charged.
+func BenchmarkSPEC(b *testing.B) {
+	for _, name := range core.SPECNames() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := core.RunSPEC(name, benchConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(uint32(r.Checksum)), "checksum_lo32")
+				b.ReportMetric(float64(r.Stats.Total()), "total_refs")
+			}
+		})
+	}
+}
 
 // BenchmarkScenario runs the scripted multi-app sessions end to end: the
 // lifecycle-heavy pair (4 concurrently-live apps; kill/relaunch churn) plus

@@ -26,6 +26,8 @@
 //	-bench a,b,c     restrict the benchmark set (default: full suite)
 //	-nojit           disable the trace JIT in the app under test
 //	-dirtyrect       SurfaceFlinger composes only posted surfaces
+//	-cpuprofile f    write a host CPU profile of the invocation to f
+//	-memprofile f    write a host heap profile to f when the invocation ends
 //
 // The suite subcommand executes the cross product of benchmarks × seeds ×
 // ablations on a bounded worker pool; results are emitted in plan order and
@@ -101,7 +103,7 @@ func main() {
 // Main is the testable entry point: it runs one CLI invocation against the
 // given streams and returns the process exit code (0 ok, 1 run failure,
 // 2 usage error).
-func Main(args []string, stdout, stderr io.Writer) int {
+func Main(args []string, stdout, stderr io.Writer) (code int) {
 	if len(args) < 1 {
 		usage(stderr)
 		return 2
@@ -137,6 +139,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	shardSize := fs.Int("shard-size", 8, "fleet plan specs per shard")
 	checkpoint := fs.String("checkpoint", "", "fleet checkpoint journal path (existing journals resume)")
 	workerMode := fs.Bool("worker", false, "internal: run one fleet shard from a stdin envelope")
+	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile of the invocation to `file`")
+	memProfile := fs.String("memprofile", "", "write a host heap profile to `file` when the invocation ends")
 
 	switch cmd {
 	case "list":
@@ -291,6 +295,19 @@ func Main(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	prof, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, "agave:", err)
+		return 1
+	}
+	defer func() {
+		if err := prof.stop(); err != nil {
+			fmt.Fprintln(stderr, "agave:", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 	if cmd == "scenario" {
 		return scenarioCmd(stdout, stderr, cfg, names, *parallel, *seedList, *ablations, *asJSON,
 			*listScenarios, *scenarioFile, *exportName)

@@ -109,6 +109,32 @@ func TestRunOneBenchmark(t *testing.T) {
 	}
 }
 
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	code, _, errOut := invoke(t, append([]string{"run", "999.specrand",
+		"-cpuprofile", cpu, "-memprofile", mem}, quick...)...)
+	if code != 0 {
+		t.Fatalf("code=%d stderr=%q", code, errOut)
+	}
+	for _, p := range []string{cpu, mem} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) { // pprof files are gzipped
+			t.Fatalf("%s is not a profile: % x", p, b[:min(len(b), 8)])
+		}
+	}
+	// An unwritable path fails before anything runs.
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		code, out, errOut := invoke(t, "run", "999.specrand", flag, filepath.Join(dir, "missing", "p.pprof"))
+		if code != 1 || out != "" || !strings.Contains(errOut, flag+":") {
+			t.Fatalf("%s: code=%d stdout=%q stderr=%q", flag, code, out, errOut)
+		}
+	}
+}
+
 func TestSuiteUnknownBenchmark(t *testing.T) {
 	code, _, errOut := invoke(t, "suite", "-bench", "countdown.main,bogus.bench")
 	if code != 1 || !strings.Contains(errOut, `unknown benchmark "bogus.bench"`) {

@@ -18,30 +18,45 @@ const (
 	mcfArcs  = 4 * mcfNodes
 )
 
+type mcfArc struct {
+	to, cost int32
+}
+
+// mcfGraph stores the arcs in CSR form: arcs[off[u]:off[u+1]] are u's
+// outgoing arcs, in the order mcf's linked adjacency list visits them.
 type mcfGraph struct {
-	head   [mcfArcs]int32
-	next   [mcfArcs]int32
-	cost   [mcfArcs]int32
-	first  [mcfNodes]int32
-	dist   [mcfNodes]int64
-	inited bool
+	off  [mcfNodes + 1]int32
+	arcs [mcfArcs]mcfArc
+	dist [mcfNodes]int64
 }
 
 func (g *mcfGraph) init(seed uint64) {
-	for i := range g.first {
-		g.first[i] = -1
+	// Build the linked adjacency list (each arc pushed onto the front of
+	// its tail node's list), then lay each list out contiguously.
+	first := make([]int32, mcfNodes)
+	next := make([]int32, mcfArcs)
+	arcs := make([]mcfArc, mcfArcs)
+	for i := range first {
+		first[i] = -1
 	}
 	for a := 0; a < mcfArcs; a++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		from := int32(seed % mcfNodes)
 		seed = seed*6364136223846793005 + 1442695040888963407
 		to := int32(seed % mcfNodes)
-		g.head[a] = to
-		g.cost[a] = int32(seed%97) - 16
-		g.next[a] = g.first[from]
-		g.first[from] = int32(a)
+		arcs[a] = mcfArc{to: to, cost: int32(seed%97) - 16}
+		next[a] = first[from]
+		first[from] = int32(a)
 	}
-	g.inited = true
+	n := int32(0)
+	for u := 0; u < mcfNodes; u++ {
+		g.off[u] = n
+		for a := first[u]; a >= 0; a = next[a] {
+			g.arcs[n] = arcs[a]
+			n++
+		}
+	}
+	g.off[mcfNodes] = n
 }
 
 func stepMCF(ex *kernel.Exec, env *Env) {
@@ -55,13 +70,13 @@ func stepMCF(ex *kernel.Exec, env *Env) {
 	}
 	g.dist[0] = 0
 	relaxed := 0
-	// Two Bellman-Ford rounds of genuine pointer chasing.
+	// Two Bellman-Ford rounds. dist[u] is reread per arc: a negative
+	// self-loop lowers it mid-list.
 	for round := 0; round < 2; round++ {
 		for u := 0; u < mcfNodes; u++ {
-			for a := g.first[u]; a >= 0; a = g.next[a] {
-				v := g.head[a]
-				if nd := g.dist[u] + int64(g.cost[a]); nd < g.dist[v] {
-					g.dist[v] = nd
+			for _, arc := range g.arcs[g.off[u]:g.off[u+1]] {
+				if nd := g.dist[u] + int64(arc.cost); nd < g.dist[arc.to] {
+					g.dist[arc.to] = nd
 					relaxed++
 				}
 			}
@@ -83,8 +98,10 @@ const (
 )
 
 func stepHmmer(ex *kernel.Exec, env *Env) {
-	// Genuine Viterbi pass: match/insert/delete recurrences.
-	var prev, cur [hmmStates]int32
+	// Genuine Viterbi pass: match/insert/delete recurrences over two row
+	// buffers that swap roles each position.
+	var rowA, rowB [hmmStates]int32
+	prev, cur := &rowA, &rowB
 	seed := env.iter*2862933555777941757 + 3037000493
 	for i := range prev {
 		prev[i] = int32(i % 7)
@@ -93,24 +110,16 @@ func stepHmmer(ex *kernel.Exec, env *Env) {
 	for pos := 0; pos < hmmSeqLen; pos++ {
 		seed = seed*6364136223846793005 + 1
 		emit := int32(seed % 31)
-		cur[0] = prev[0] + emit
+		half := emit / 2
+		del := prev[0] + emit // the delete state carries cur[s-1]
+		cur[0] = del
 		for s := 1; s < hmmStates; s++ {
-			m := prev[s-1] + emit   // match
-			ins := prev[s] + emit/2 // insert
-			del := cur[s-1] - 3     // delete
-			v := m
-			if ins > v {
-				v = ins
-			}
-			if del > v {
-				v = del
-			}
-			cur[s] = v
+			// match, insert, delete
+			del = max(prev[s-1]+emit, prev[s]+half, del-3)
+			cur[s] = del
 		}
-		prev = cur
-		if cur[hmmStates-1] > best {
-			best = cur[hmmStates-1]
-		}
+		prev, cur = cur, prev
+		best = max(best, del)
 	}
 	env.Checksum += uint64(uint32(best))
 	// The DP matrix traffic of the full-scale model (heap-resident).

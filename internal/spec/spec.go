@@ -10,7 +10,6 @@ package spec
 
 import (
 	"fmt"
-	"sort"
 
 	"agave/internal/kernel"
 	"agave/internal/mem"
@@ -135,35 +134,109 @@ func Bzip2Decompress(data []byte) ([]byte, error) {
 	return bwtInverse(bwt, idx)
 }
 
+// bwtForward returns the last column of the block's sorted cyclic rotations
+// and the row of rotation 0. It sorts the rotations by prefix doubling: once
+// class ranks every rotation by its first h bytes, one stable counting sort
+// by (class[r], class[r+h]) pairs orders them by their first 2h bytes.
+// Rotations still sharing a class after n bytes are identical (a periodic
+// block); they come out by index ascending.
 func bwtForward(s []byte) ([]byte, int) {
 	n := len(s)
-	rot := make([]int, n)
-	for i := range rot {
-		rot[i] = i
-	}
-	sort.Slice(rot, func(a, b int) bool {
-		ra, rb := rot[a], rot[b]
-		for k := 0; k < n; k++ {
-			ca, cb := s[(ra+k)%n], s[(rb+k)%n]
-			if ca != cb {
-				return ca < cb
-			}
-		}
-		return ra < rb
-	})
 	out := make([]byte, n)
+	if n == 0 {
+		return out, 0
+	}
+	order := make([]int32, n) // rotations sorted by class
+	shifted := make([]int32, n)
+	class := make([]int32, n)
+	nextClass := make([]int32, n)
+	count := make([]int32, max(n, 256))
+
+	for i, c := range s {
+		shifted[i] = int32(i)
+		class[i] = int32(c)
+	}
+	sortRotations(order, shifted, class, count[:256])
+	classes := rankRotations(nextClass, order, class, 0)
+	class, nextClass = nextClass, class
+	for h := int32(1); int(h) < n && int(classes) < n; h <<= 1 {
+		// order is sorted by the first h bytes, so stepping each
+		// rotation back by h lists the rotations by their second
+		// half; a stable sort by first-half class completes the order.
+		for i, r := range order {
+			if r -= h; r < 0 {
+				r += int32(n)
+			}
+			shifted[i] = r
+		}
+		sortRotations(order, shifted, class, count[:classes])
+		classes = rankRotations(nextClass, order, class, h)
+		class, nextClass = nextClass, class
+	}
+	if int(classes) < n {
+		// Identical rotations share a class: order them by index.
+		for i := range shifted {
+			shifted[i] = int32(i)
+		}
+		sortRotations(order, shifted, class, count[:classes])
+	}
+
 	primary := 0
-	for i, r := range rot {
-		out[i] = s[(r+n-1)%n]
+	for i, r := range order {
 		if r == 0 {
 			primary = i
+			r = int32(n)
 		}
+		out[i] = s[r-1]
 	}
 	return out, primary
 }
 
+// sortRotations stably counting-sorts the rotations listed in src by class
+// into dst. Every class is below len(count).
+func sortRotations(dst, src, class, count []int32) {
+	clear(count)
+	for _, r := range src {
+		count[class[r]]++
+	}
+	for c := 1; c < len(count); c++ {
+		count[c] += count[c-1]
+	}
+	for i := len(src) - 1; i >= 0; i-- {
+		r := src[i]
+		count[class[r]]--
+		dst[count[class[r]]] = r
+	}
+}
+
+// rankRotations numbers the runs of equal (class[r], class[r+h]) pairs along
+// order, which is sorted by those pairs, into rank, and returns the number of
+// runs.
+func rankRotations(rank, order, class []int32, h int32) int32 {
+	n := int32(len(order))
+	second := func(r int32) int32 {
+		if r += h; r >= n {
+			r -= n
+		}
+		return class[r]
+	}
+	runs := int32(1)
+	rank[order[0]] = 0
+	for i := 1; i < len(order); i++ {
+		cur, prev := order[i], order[i-1]
+		if class[cur] != class[prev] || second(cur) != second(prev) {
+			runs++
+		}
+		rank[cur] = runs - 1
+	}
+	return runs
+}
+
 func bwtInverse(l []byte, primary int) ([]byte, error) {
 	n := len(l)
+	if n == 0 && primary == 0 {
+		return []byte{}, nil // the empty block: no rotations
+	}
 	if primary < 0 || primary >= n {
 		return nil, fmt.Errorf("spec: bad BWT index %d", primary)
 	}
@@ -250,16 +323,23 @@ func rleDecode(s []byte) ([]byte, error) {
 	return out, nil
 }
 
-// stepBzip2 compresses one synthetic text block for real and accounts the
-// full-scale block volume.
-func stepBzip2(ex *kernel.Exec, env *Env) {
-	const realBlock = 2048
-	buf := env.Anon.Slice(0, realBlock)
-	seed := env.iter*2654435761 + 12345
+// bzip2BlockSize is the size of the block each bzip2 step compresses for real.
+const bzip2BlockSize = 2048
+
+// fillBzip2Block writes step iter's synthetic text block into buf.
+func fillBzip2Block(buf []byte, iter uint64) {
+	seed := iter*2654435761 + 12345
 	for i := range buf {
 		seed = seed*1103515245 + 12345
 		buf[i] = "the quick brown fox jumps over "[seed%31]
 	}
+}
+
+// stepBzip2 compresses one synthetic text block for real and accounts the
+// full-scale block volume.
+func stepBzip2(ex *kernel.Exec, env *Env) {
+	buf := env.Anon.Slice(0, bzip2BlockSize)
+	fillBzip2Block(buf, env.iter)
 	comp := Bzip2Compress(buf)
 	env.Checksum += uint64(len(comp))
 	// Account the full 256 KiB-block workload this miniature stands for:
@@ -268,11 +348,4 @@ func stepBzip2(ex *kernel.Exec, env *Env) {
 	ex.Do(kernel.Work{Fetch: 10, Reads: 2, Data: env.Anon}, 300_000)
 	ex.Do(kernel.Work{Fetch: 4, Reads: 1, Writes: 1, Data: heap}, 120_000)
 	ex.StackWork(40_000)
-}
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
