@@ -312,9 +312,10 @@ func BenchmarkScenarioDense(b *testing.B) {
 
 // BenchmarkInterpDispatch isolates the Dalvik interpreter's per-bytecode
 // dispatch loop from the rest of the stack: one thread executes sumLoop on a
-// bare kernel, in pure interpretation (JIT disabled) and in fully compiled
-// form (sumLoop force-promoted to the code cache). Mbytecodes/s is the
-// headline: it moves only when interpreter dispatch itself gets faster.
+// bare kernel, in pure interpretation (JIT disabled) and under the compiled
+// cost model (sumLoop force-promoted to the code cache). Both modes run the
+// same loop. Mbytecodes/s is the headline: it moves only when interpreter
+// dispatch itself gets faster.
 func BenchmarkInterpDispatch(b *testing.B) {
 	for _, mode := range []string{"interp", "jit"} {
 		b.Run(mode, func(b *testing.B) {

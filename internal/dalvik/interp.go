@@ -8,22 +8,14 @@ import (
 	"agave/internal/stats"
 )
 
-// This file is the Dalvik bytecode interpreter, organized as two dispatch
-// loops over pre-decoded code (see docs/ARCHITECTURE.md):
-//
-//   - runInterp: threaded dispatch through opTable, one handler per opcode,
-//     charging the interpreted cost model (libdvm.so fetches + a dex-image
-//     read per bytecode).
-//   - runCompiled: the "compiled" form of a method — per-method closure
-//     programs with pre-resolved register operands and fused ALU/ALU and
-//     ALU/branch superinstructions — charging the JIT cost model (code-cache
-//     fetches, no dex read).
-//
-// Both loops produce byte-identical attribution to the historical
-// switch-threaded interpreter: the per-bytecode accounting sequence (fetch
-// and stack counters, the flush boundary every interpFlush bytecodes, the
-// trace-discovery counter) is preserved exactly, so golden reports and the
-// determinism sweep do not move.
+// This file is the Dalvik bytecode interpreter: one threaded dispatch loop
+// over pre-decoded code (see docs/ARCHITECTURE.md), indexing opTable with
+// one handler per opcode. The trace JIT is a cost model, not a second
+// executor: an interpreted bytecode charges interpCost libdvm.so fetches and
+// one dex-image read, a compiled one charges jitCost dalvik-jit-code-cache
+// fetches and no dex read. The stack counters, the flush boundary every
+// interpFlush bytecodes and the trace-discovery counter are the same in
+// both modes, so golden reports and the determinism sweep do not move.
 
 // acct batches interpreter accounting so the per-bytecode hot path is plain
 // integer arithmetic; counters flush to the collector in quantum-sized
@@ -47,12 +39,16 @@ type frame struct {
 	ret        int64
 	returned   bool
 
+	// jit selects the compiled cost model for this activation. It starts as
+	// vm.compiled at entry and, once set, stays set until return.
+	jit bool
+
 	// yielded is set by any handler that may have released the simulated
 	// CPU (heap traffic, invokes, accounting flushes, compile-queue sends).
 	// The VM's compiled map can only change while another simulated thread
-	// runs, and the scheduler is strict-handoff, so the interpreter re-reads
-	// the map only after instructions that set this flag — replacing the
-	// historical per-bytecode map lookup without changing behavior.
+	// runs, and the scheduler is strict-handoff, so an interpreted
+	// activation re-reads the map only after instructions that set this
+	// flag; a read after every bytecode would see the same values.
 	yielded bool
 
 	vm    *VM
@@ -110,21 +106,19 @@ func (vm *VM) execMethod(ex *kernel.Exec, d *LoadedDex, mi int, args []int64, a 
 	key := methodKey{dex: d.File.Name, method: m.Name}
 	vm.noteHot(ex, d, mi, key, 1)
 
-	fr := &frame{vm: vm, ex: ex, d: d, a: a, m: m, mi: mi, key: key, depth: depth}
+	// The compiled read is not gated on JITEnabled: a VM with the JIT off
+	// still runs the methods it inherited compiled under the JIT costs.
+	fr := &frame{vm: vm, ex: ex, d: d, a: a, m: m, mi: mi, key: key, depth: depth, jit: vm.compiled[key]}
 	copy(fr.regs[:], args)
-
-	if vm.compiled[key] {
-		return vm.runCompiled(fr)
-	}
-	return vm.runInterp(fr)
+	return vm.run(fr)
 }
 
-// runInterp executes fr's method from fr.pc in interpreted mode: threaded
-// dispatch over the pre-decoded code, charging interpCost libdvm.so fetches
-// and one dex-image read per bytecode.
-func (vm *VM) runInterp(fr *frame) int64 {
+// run executes fr's method from fr.pc: threaded dispatch over the
+// pre-decoded code, charging each bytecode under the activation's cost
+// model.
+func (vm *VM) run(fr *frame) int64 {
 	code := fr.d.pre[fr.mi]
-	a, ex, d, key := fr.a, fr.ex, fr.d, fr.key
+	a, ex, d := fr.a, fr.ex, fr.d
 	for {
 		pc := fr.pc
 		if pc < 0 || pc >= len(code) {
@@ -132,8 +126,12 @@ func (vm *VM) runInterp(fr *frame) int64 {
 		}
 		ins := code[pc]
 
-		a.dvmFetch += interpCost
-		a.dexRead++
+		if fr.jit {
+			a.jitFetch += jitCost
+		} else {
+			a.dvmFetch += interpCost
+			a.dexRead++
+		}
 		a.stackRead += 2
 		a.stackWrite++
 		a.sinceFlushed++
@@ -147,7 +145,7 @@ func (vm *VM) runInterp(fr *frame) int64 {
 			vm.sinceTrace++
 			if vm.sinceTrace >= traceEvery {
 				vm.sinceTrace = 0
-				vm.sendTrace(ex, d, fr.mi, key)
+				vm.sendTrace(ex, d, fr.mi)
 				fr.yielded = true
 			}
 		}
@@ -157,64 +155,16 @@ func (vm *VM) runInterp(fr *frame) int64 {
 		if fr.returned {
 			return fr.ret
 		}
-		if fr.yielded {
+		if fr.yielded && !fr.jit {
 			fr.yielded = false
 			// A method compiled mid-execution switches attribution at the
 			// next loop head, like a real trace JIT entering compiled code.
-			if vm.compiled[key] {
-				return vm.runCompiled(fr)
-			}
+			fr.jit = vm.compiled[fr.key]
 		}
 	}
 }
 
-// runCompiled executes fr's method from fr.pc in compiled mode: each slot of
-// the method's closure program charges jitCost code-cache fetches per covered
-// bytecode and never reads the dex image. Entry is valid at any pc (the
-// program keeps a one-slot-per-bytecode identity mapping), so an interpreted
-// prefix can hand over mid-method.
-func (vm *VM) runCompiled(fr *frame) int64 {
-	prog := fr.d.prog(fr.mi)
-	for {
-		pc := fr.pc
-		if pc < 0 || pc >= len(prog) {
-			panic(fmt.Sprintf("dalvik: pc %d out of range in %s", pc, fr.m.Name))
-		}
-		prog[pc](fr)
-		if fr.returned {
-			return fr.ret
-		}
-	}
-}
-
-// chargeJIT is the compiled-mode per-bytecode accounting step. It mirrors
-// the interpreted step exactly, with the JIT cost model: jitCost code-cache
-// fetches, no dex read (any residue from an interpreted prefix still drains
-// at the flush boundary), and the same trace-discovery counter.
-func (fr *frame) chargeJIT() {
-	a := fr.a
-	a.jitFetch += jitCost
-	a.stackRead += 2
-	a.stackWrite++
-	a.sinceFlushed++
-	if a.sinceFlushed >= interpFlush {
-		if a.dexRead > 0 {
-			fr.ex.Read(fr.d.VMA, a.dexRead)
-			a.dexRead = 0
-		}
-		fr.vm.flush(fr.ex, a)
-	}
-	vm := fr.vm
-	if vm.JITEnabled {
-		vm.sinceTrace++
-		if vm.sinceTrace >= traceEvery {
-			vm.sinceTrace = 0
-			vm.sendTrace(fr.ex, fr.d, fr.mi, fr.key)
-		}
-	}
-}
-
-// --- interpreted dispatch table ---
+// --- dispatch table ---
 
 type opFn func(fr *frame, ins dex.Instr)
 
@@ -229,12 +179,13 @@ func opBad(fr *frame, ins dex.Instr) {
 
 // branch applies a taken branch: pc was already advanced past the
 // instruction, so off is relative to the successor, matching the assembler's
-// encoding. Taken backedges feed JIT hotness and may send a compile request
-// (hence yielded).
+// encoding. Taken backedges of an interpreted activation count as extra
+// hotness, as Dalvik's trace JIT did, and may send a compile request (hence
+// yielded); noteHot is a no-op for a compiled one, so it skips the call.
 func branch(fr *frame, off int) {
 	fr.pc += off
-	if off < 0 && fr.vm.JITEnabled {
-		fr.vm.noteBackedge(fr.ex, fr.d, fr.mi, fr.key, int16(off))
+	if off < 0 && fr.vm.JITEnabled && !fr.jit {
+		fr.vm.noteHot(fr.ex, fr.d, fr.mi, fr.key, 1)
 		fr.yielded = true
 	}
 }
@@ -353,188 +304,6 @@ func init() {
 	}
 }
 
-// --- compiled-form lowering ---
-
-// cop is one slot of a method's compiled program. Slot i covers execution
-// starting at bytecode i: usually that one bytecode, or a fused pair (i, i+1)
-// when the pair is eligible. Because the mapping is identity and every slot
-// remains individually enterable, branches and mid-method handover need no
-// pc translation.
-type cop func(*frame)
-
-// prog returns d's compiled program for method mi, lowering it on first use.
-// Programs capture only operand values and branch targets — never a VM or
-// frame — so zygote children share them via ForkVM.
-func (d *LoadedDex) prog(mi int) []cop {
-	if p := d.progs[mi]; p != nil {
-		return p
-	}
-	p := buildCompiled(d.pre[mi])
-	d.progs[mi] = p
-	return p
-}
-
-func buildCompiled(code []dex.Instr) []cop {
-	prog := make([]cop, len(code))
-	for pc := range code {
-		prog[pc] = compileSlot(code, pc)
-	}
-	return prog
-}
-
-// compileSlot lowers the instruction at pc. Pure ALU ops get pre-resolved
-// operand closures and fuse greedily with a following ALU op or branch
-// (cmp+branch, const+add, ...); each fused part still charges its own
-// per-bytecode accounting, so fusion saves dispatch work only. Everything
-// with side effects outside the register file (heap ops, invokes, returns)
-// reuses the interpreter's handler under JIT accounting.
-func compileSlot(code []dex.Instr, pc int) cop {
-	ins := code[pc]
-	next := pc + 1
-	if p1 := aluExec(ins); p1 != nil {
-		if next < len(code) {
-			if p2 := aluExec(code[next]); p2 != nil {
-				after := next + 1
-				return func(fr *frame) {
-					fr.chargeJIT()
-					p1(fr)
-					fr.chargeJIT()
-					p2(fr)
-					fr.pc = after
-				}
-			}
-			if p2 := branchExec(code[next], next); p2 != nil {
-				return func(fr *frame) {
-					fr.chargeJIT()
-					p1(fr)
-					fr.chargeJIT()
-					p2(fr)
-				}
-			}
-		}
-		return func(fr *frame) {
-			fr.chargeJIT()
-			p1(fr)
-			fr.pc = next
-		}
-	}
-	if p := branchExec(ins, pc); p != nil {
-		return func(fr *frame) {
-			fr.chargeJIT()
-			p(fr)
-		}
-	}
-	h := opTable[ins.Op]
-	return func(fr *frame) {
-		fr.chargeJIT()
-		fr.pc = next
-		h(fr, ins)
-	}
-}
-
-// aluExec lowers a pure register-file op (no branches, no heap, no yields)
-// into a closure with pre-resolved operands, or nil if ins is not one.
-func aluExec(ins dex.Instr) func(*frame) {
-	a, b, c := int(ins.A), int(ins.B), int(ins.C)
-	switch ins.Op {
-	case dex.OpNop:
-		return func(fr *frame) {}
-	case dex.OpConst:
-		imm := int64(ins.Imm())
-		return func(fr *frame) { fr.regs[a] = imm }
-	case dex.OpMove:
-		return func(fr *frame) { fr.regs[a] = fr.regs[b] }
-	case dex.OpAdd:
-		return func(fr *frame) { fr.regs[a] = fr.regs[b] + fr.regs[c] }
-	case dex.OpSub:
-		return func(fr *frame) { fr.regs[a] = fr.regs[b] - fr.regs[c] }
-	case dex.OpMul:
-		return func(fr *frame) { fr.regs[a] = fr.regs[b] * fr.regs[c] }
-	case dex.OpDiv:
-		return func(fr *frame) {
-			if fr.regs[c] == 0 {
-				fr.regs[a] = 0
-			} else {
-				fr.regs[a] = fr.regs[b] / fr.regs[c]
-			}
-		}
-	case dex.OpRem:
-		return func(fr *frame) {
-			if fr.regs[c] == 0 {
-				fr.regs[a] = 0
-			} else {
-				fr.regs[a] = fr.regs[b] % fr.regs[c]
-			}
-		}
-	case dex.OpAnd:
-		return func(fr *frame) { fr.regs[a] = fr.regs[b] & fr.regs[c] }
-	case dex.OpOr:
-		return func(fr *frame) { fr.regs[a] = fr.regs[b] | fr.regs[c] }
-	case dex.OpXor:
-		return func(fr *frame) { fr.regs[a] = fr.regs[b] ^ fr.regs[c] }
-	case dex.OpShl:
-		return func(fr *frame) { fr.regs[a] = fr.regs[b] << (uint64(fr.regs[c]) & 63) }
-	case dex.OpShr:
-		return func(fr *frame) { fr.regs[a] = fr.regs[b] >> (uint64(fr.regs[c]) & 63) }
-	case dex.OpAddI:
-		imm := int64(int8(ins.C))
-		return func(fr *frame) { fr.regs[a] = fr.regs[b] + imm }
-	case dex.OpMoveRes:
-		return func(fr *frame) { fr.regs[a] = fr.lastResult }
-	}
-	return nil
-}
-
-// branchExec lowers a branch at pc into a closure with the taken and
-// fall-through targets pre-resolved, or nil if ins is not a branch. Compiled
-// methods skip backedge hotness (noteHot is a no-op once compiled).
-func branchExec(ins dex.Instr, pc int) func(*frame) {
-	next := pc + 1
-	a, b := int(ins.A), int(ins.B)
-	switch ins.Op {
-	case dex.OpGoto:
-		target := next + int(ins.Imm())
-		return func(fr *frame) { fr.pc = target }
-	case dex.OpIfEq:
-		target := next + int(ins.BranchOff())
-		return func(fr *frame) {
-			if fr.regs[a] == fr.regs[b] {
-				fr.pc = target
-			} else {
-				fr.pc = next
-			}
-		}
-	case dex.OpIfNe:
-		target := next + int(ins.BranchOff())
-		return func(fr *frame) {
-			if fr.regs[a] != fr.regs[b] {
-				fr.pc = target
-			} else {
-				fr.pc = next
-			}
-		}
-	case dex.OpIfLt:
-		target := next + int(ins.BranchOff())
-		return func(fr *frame) {
-			if fr.regs[a] < fr.regs[b] {
-				fr.pc = target
-			} else {
-				fr.pc = next
-			}
-		}
-	case dex.OpIfGe:
-		target := next + int(ins.BranchOff())
-		return func(fr *frame) {
-			if fr.regs[a] >= fr.regs[b] {
-				fr.pc = target
-			} else {
-				fr.pc = next
-			}
-		}
-	}
-	return nil
-}
-
 // --- hotness and trace discovery ---
 
 // noteHot counts an invoke; crossing the threshold enqueues a compile.
@@ -549,21 +318,13 @@ func (vm *VM) noteHot(ex *kernel.Exec, d *LoadedDex, mi int, key methodKey, weig
 	}
 }
 
-// noteBackedge treats taken backward branches as extra hotness, as Dalvik's
-// trace JIT did.
-func (vm *VM) noteBackedge(ex *kernel.Exec, d *LoadedDex, mi int, key methodKey, rel int16) {
-	if rel < 0 {
-		vm.noteHot(ex, d, mi, key, 1)
-	}
-}
-
-// sendTrace enqueues the next discovered trace. It is the cold tail of the
-// per-bytecode trace counter inlined in both dispatch loops: sustained
-// interpretation keeps discovering hot traces (Gingerbread's trace JIT),
-// keeping the Compiler thread warm; the naming scheme matches InterpBulk's.
-func (vm *VM) sendTrace(ex *kernel.Exec, d *LoadedDex, mi int, key methodKey) {
+// sendTrace enqueues the next discovered trace, starting in method mi of d.
+// Sustained interpretation keeps discovering hot traces (Gingerbread's trace
+// JIT), keeping the Compiler thread warm. Both the dispatch loop's
+// per-bytecode counter and InterpBulk send through here.
+func (vm *VM) sendTrace(ex *kernel.Exec, d *LoadedDex, mi int) {
 	ex.Send(vm.compileQueue, compileReq{d: d, mi: mi, key: methodKey{
-		dex: d.File.Name, method: fmt.Sprintf("%s#trace%d", key.method, vm.compilesDone),
+		dex: d.File.Name, method: fmt.Sprintf("%s#trace%d", d.File.Methods[mi].Name, vm.compilesDone),
 	}})
 }
 
@@ -616,7 +377,7 @@ func (vm *VM) InterpBulk(ex *kernel.Exec, d *LoadedDex, bytecodes uint64, heavyA
 	for vm.allocSinceGC >= gcThreshold {
 		vm.allocSinceGC -= gcThreshold
 		vm.heapTop = 16 + (vm.heapTop+allocBytes)%(vm.HeapVMA.Size()-16)
-		ex.Send(vm.gcQueue, gcReq{used: maxU64(vm.heapTop, gcThreshold)})
+		ex.Send(vm.gcQueue, gcReq{used: max(vm.heapTop, gcThreshold)})
 	}
 
 	// Sustained interpretation keeps discovering hot traces (Gingerbread's
@@ -628,16 +389,7 @@ func (vm *VM) InterpBulk(ex *kernel.Exec, d *LoadedDex, bytecodes uint64, heavyA
 		vm.sinceTrace += bytecodes
 		for vm.sinceTrace >= traceEvery {
 			vm.sinceTrace -= traceEvery
-			mi := int(vm.sinceTrace/977) % len(d.File.Methods)
-			key := methodKey{dex: d.File.Name, method: fmt.Sprintf("%s#trace%d", d.File.Methods[mi].Name, vm.compilesDone)}
-			ex.Send(vm.compileQueue, compileReq{d: d, mi: mi, key: key})
+			vm.sendTrace(ex, d, int(vm.sinceTrace/977)%len(d.File.Methods))
 		}
 	}
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -10,10 +10,10 @@ import (
 	"agave/internal/stats"
 )
 
-// These tests pin the interpreter edge cases the threaded-dispatch rewrite
-// must preserve: div/rem-by-zero semantics, invoke argument-window snapshot
-// semantics, the recursion-depth guard, and mid-execution promotion to the
-// JIT code cache.
+// These tests pin the interpreter edge cases any dispatch rewrite must
+// preserve: div/rem-by-zero semantics, invoke argument-window snapshot
+// semantics, the recursion-depth guard, mid-execution promotion to the JIT
+// code cache, and the attribution of every interpreted/compiled mix.
 
 const divRemSource = `
 .method divZero 2
@@ -28,8 +28,8 @@ const divRemSource = `
 
 // TestDivRemByZeroYieldsZero locks the documented divergence from real
 // Dalvik (see internal/dex/isa.go): a zero divisor yields 0 instead of
-// throwing ArithmeticException — on the interpreted path and on the
-// pre-decoded compiled path alike.
+// throwing ArithmeticException — in interpreted and compiled activations
+// alike.
 func TestDivRemByZeroYieldsZero(t *testing.T) {
 	harness(t, false, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
 		f, err := Assemble("divrem", divRemSource)
@@ -189,6 +189,108 @@ func TestCompiledElidesDexReads(t *testing.T) {
 	// compiled method must add nothing on top of that.
 	if reads := k.Stats.ByRegion(stats.DataRead)["benchmark@classes.dex"]; reads >= 1000 {
 		t.Errorf("dex reads = %d, want < 1000: compiled execution should elide the per-bytecode dex read", reads)
+	}
+}
+
+// runStock executes every stock method once, on inputs large enough to
+// cross the accounting flush boundary many times and the trace-discovery
+// counter at least once.
+func runStock(ex *kernel.Exec, vm *VM, d *LoadedDex) {
+	vm.Exec(ex, d, "sumLoop", 3000)
+	a := vm.Exec(ex, d, "fillArray", 600)
+	b := vm.Exec(ex, d, "fillArray", 600)
+	vm.Exec(ex, d, "scanArray", a)
+	vm.Exec(ex, d, "blend", a, b)
+	chain := vm.Exec(ex, d, "objectChurn", 500)
+	vm.Exec(ex, d, "chainWalk", chain)
+	vm.Exec(ex, d, "callHeavy", 400)
+	vm.Exec(ex, d, "helper", 9)
+}
+
+// dispatchGolden pins the full attribution (stats fingerprint and total
+// reference count) of the dispatch loop under each mix of interpreted and
+// compiled execution. The table was recorded before the interpreted and
+// compiled executors were merged into one loop; a dispatch rewrite must
+// reproduce it unchanged. Never regenerate it to make a rewrite pass.
+var dispatchGolden = []struct {
+	name        string
+	services    bool
+	body        func(ex *kernel.Exec, vm *VM, d *LoadedDex)
+	fingerprint uint64
+	total       uint64
+}{
+	{
+		name: "interp-jit-off",
+		body: func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
+			vm.JITEnabled = false
+			runStock(ex, vm, d)
+		},
+		fingerprint: 0xbf9ceac773caa606,
+		total:       916612,
+	},
+	{
+		name: "all-compiled",
+		body: func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
+			for _, m := range d.File.Methods {
+				vm.ForceCompile(d, m.Name)
+			}
+			runStock(ex, vm, d)
+		},
+		fingerprint: 0x8d582514898cf56,
+		total:       580899,
+	},
+	{
+		name: "compiled-calls-interpreted",
+		body: func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
+			vm.ForceCompile(d, "callHeavy")
+			vm.Exec(ex, d, "callHeavy", 400)
+			vm.ForceCompile(d, "helper")
+			vm.Exec(ex, d, "callHeavy", 400)
+		},
+		fingerprint: 0x31131cc2d974dbf4,
+		total:       388083,
+	},
+	{
+		name: "compiled-jit-off",
+		body: func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
+			vm.ForceCompile(d, "sumLoop")
+			vm.JITEnabled = false
+			vm.Exec(ex, d, "sumLoop", 5000)
+		},
+		fingerprint: 0xf693576c600258cf,
+		total:       447013,
+	},
+	{
+		name:     "switchover-services",
+		services: true,
+		body: func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
+			vm.Exec(ex, d, "sumLoop", 40_000)
+			vm.Exec(ex, d, "objectChurn", 2000)
+			vm.Exec(ex, d, "callHeavy", 300)
+		},
+		fingerprint: 0xa2f5ad45a72ad5ac,
+		total:       36243476,
+	},
+}
+
+// TestDispatchAttributionGolden holds every interpreted/compiled mix to
+// its recorded attribution: which regions each bytecode charges (libdvm.so
+// and a dex read when interpreted, the JIT code cache and no dex read when
+// compiled), where mid-method promotion happens, and when trace requests
+// are sent.
+func TestDispatchAttributionGolden(t *testing.T) {
+	for _, g := range dispatchGolden {
+		done := false
+		k := harness(t, g.services, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
+			g.body(ex, vm, d)
+			done = true
+		})
+		if !done {
+			t.Fatalf("%s: body did not finish within the simulated run", g.name)
+		}
+		if fp, total := k.Stats.Fingerprint(), k.Stats.Total(); fp != g.fingerprint || total != g.total {
+			t.Errorf("%s: fingerprint %#x total %d, want %#x %d", g.name, fp, total, g.fingerprint, g.total)
+		}
 	}
 }
 

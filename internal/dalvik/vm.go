@@ -60,17 +60,12 @@ type LoadedDex struct {
 	File *dex.File
 	VMA  *mem.VMA
 
-	codeOff []uint64 // per-method byte offset of code within the image
-
 	// pre caches each method's code pre-decoded from the serialized image
 	// (images are immutable once mapped), so the interpreter's dispatch
-	// loop never re-decodes instruction words. codeOff and pre come from
-	// the per-file decodedImage cache and are shared read-only by every VM
-	// loading the file; progs lazily holds the per-method compiled closure
-	// programs (see interp.go) and is shared only within one kernel's
-	// zygote lineage by ForkVM.
-	pre   [][]dex.Instr
-	progs [][]cop
+	// loop never re-decodes instruction words. It comes from the per-file
+	// decodedImage cache and is shared read-only by every VM loading the
+	// file; interpreted and compiled activations both dispatch over it.
+	pre [][]dex.Instr
 }
 
 // decodedImage is the immutable, shareable part of a loaded dex: the
@@ -80,9 +75,8 @@ type LoadedDex struct {
 // loads it; re-serializing and re-decoding per process load dominated
 // scenario allocations.
 type decodedImage struct {
-	img     []byte
-	codeOff []uint64
-	pre     [][]dex.Instr
+	img []byte
+	pre [][]dex.Instr
 }
 
 var decodedImages sync.Map // *dex.File -> *decodedImage
@@ -92,13 +86,11 @@ func decodeImage(f *dex.File) *decodedImage {
 		return d.(*decodedImage)
 	}
 	dec := &decodedImage{
-		img:     f.Serialize(),
-		codeOff: make([]uint64, len(f.Methods)),
-		pre:     make([][]dex.Instr, len(f.Methods)),
+		img: f.Serialize(),
+		pre: make([][]dex.Instr, len(f.Methods)),
 	}
 	for i, m := range f.Methods {
 		off := f.CodeOffset(i)
-		dec.codeOff[i] = off
 		dec.pre[i] = dex.DecodeCode(dec.img[off : off+uint64(4*len(m.Code))])
 	}
 	got, _ := decodedImages.LoadOrStore(f, dec)
@@ -224,8 +216,7 @@ func (vm *VM) LoadDex(ex *kernel.Exec, file *dex.File) *LoadedDex {
 	v := vm.Proc.AS.MapAnywhere(mem.MmapBase, uint64(len(img)), name,
 		mem.PermRead, mem.ClassData)
 	copy(v.Bytes(), img)
-	d := &LoadedDex{File: file, VMA: v, codeOff: dec.codeOff, pre: dec.pre,
-		progs: make([][]cop, len(file.Methods))}
+	d := &LoadedDex{File: file, VMA: v, pre: dec.pre}
 	vm.dexes[file.Name] = d
 
 	// Class loading: walk the image (reads) and populate LinearAlloc
@@ -256,8 +247,7 @@ func (vm *VM) Adopt(file *dex.File, v *mem.VMA) *LoadedDex {
 		panic(fmt.Sprintf("dalvik: image %s (%d bytes) larger than mapping %s", file.Name, len(img), v.Name))
 	}
 	copy(v.Slice(0, uint64(len(img))), img)
-	d := &LoadedDex{File: file, VMA: v, codeOff: dec.codeOff, pre: dec.pre,
-		progs: make([][]cop, len(file.Methods))}
+	d := &LoadedDex{File: file, VMA: v, pre: dec.pre}
 	vm.dexes[file.Name] = d
 	return d
 }
@@ -300,13 +290,7 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 	for name, d := range parent.dexes {
 		nd := &dexSlab[di]
 		di++
-		*nd = LoadedDex{
-			File:    d.File,
-			VMA:     find(d.VMA.Name),
-			codeOff: d.codeOff,
-			pre:     d.pre,
-			progs:   d.progs,
-		}
+		*nd = LoadedDex{File: d.File, VMA: find(d.VMA.Name), pre: d.pre}
 		vm.dexes[name] = nd
 	}
 	vm.heapCommit = vm.HeapVMA.ResidentBytes()
@@ -362,8 +346,8 @@ func (vm *VM) TrimMemory(ex *kernel.Exec) uint64 {
 func (vm *VM) CompilesDone() uint64 { return vm.compilesDone }
 
 // ForceCompile marks method in d as JIT-compiled without charging any
-// compiler work, so tests and benchmarks can drive the compiled dispatch
-// path deterministically. Real promotion goes through the Compiler thread.
+// compiler work, so tests and benchmarks can drive the compiled cost model
+// deterministically. Real promotion goes through the Compiler thread.
 func (vm *VM) ForceCompile(d *LoadedDex, method string) {
 	vm.compiled[methodKey{dex: d.File.Name, method: method}] = true
 }

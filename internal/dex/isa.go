@@ -26,8 +26,8 @@ const (
 	// divisor yields 0 instead of throwing ArithmeticException. The
 	// simulator has no exception machinery (a throw would abort the
 	// workload model anyway), so "caught exception, result 0" is the
-	// modelled behaviour. Both interpreter dispatch paths (switch-threaded
-	// and the pre-decoded compiled form) implement exactly this, and
+	// modelled behaviour. The interpreter implements exactly this, in
+	// interpreted and compiled activations alike, and
 	// TestDivRemByZeroYieldsZero in internal/dalvik locks it down.
 	OpDiv      // vA := vB / vC (0 divisor yields 0; see above)
 	OpRem      // vA := vB % vC (0 divisor yields 0; see above)
