@@ -77,18 +77,11 @@ func fleetCmd(stdout, stderr io.Writer, cfg core.Config, ff fleetFlags, pf planF
 	if !ok {
 		return code
 	}
-	wirePlan, err := fleet.NewWirePlan(plan)
+	spec, err := report.FleetSpec(cfg, plan, ff.shardSize)
 	if err != nil {
 		fmt.Fprintln(stderr, "agave fleet:", err)
 		return 1
 	}
-	cfgRaw, err := json.Marshal(cfg)
-	if err != nil {
-		fmt.Fprintln(stderr, "agave fleet:", err)
-		return 1
-	}
-	spec := &fleet.Spec{Config: cfgRaw, Plan: wirePlan, ShardSize: ff.shardSize}
-
 	var rep *fleet.Report
 	if ff.workers == 0 {
 		rep, err = fleet.RunSerial(spec, fleet.SerialOptions{

@@ -41,7 +41,11 @@
 //	-gen-scenarios N   add N generated scenarios (seeds -gen-seed..+N-1);
 //	                   -gen-apps/-gen-events/-gen-pressure/-gen-inputs/
 //	                   -gen-faults set the knobs
-//	-json              emit plan, per-run rows, and summaries as JSON
+//	-json              emit plan, per-run rows, and the fleet report as JSON
+//
+// The cross-seed summary a suite prints after its matrix (and carries as
+// "report" under -json) is the fleet report of the same job: byte-identical
+// to what `agave fleet` prints for the same flags.
 //
 // The fleet subcommand executes the same matrix sharded across worker
 // subprocesses with constant-memory streaming aggregation — the
@@ -326,7 +330,9 @@ func Main(args []string, stdout, stderr io.Writer) (code int) {
 				asJSON:     *asJSON,
 			}, pf)
 		}
-		return suiteCmd(stdout, stderr, cfg, pf, *parallel, *asJSON)
+		// suite rejects -shard-size, so its summary folds at fleet's
+		// default shard size and matches `agave fleet` byte for byte.
+		return suiteCmd(stdout, stderr, cfg, pf, *parallel, *asJSON, *shardSize)
 	}
 
 	results, err := core.RunSuite(cfg, names...)
@@ -549,19 +555,29 @@ func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (sui
 // suiteCmd executes the suite subcommand: build the run matrix — benchmarks,
 // named scenarios, directory-loaded scenario files, and generated scenarios
 // are all plan axes — execute it on the worker pool, and render per-run rows
-// plus cross-seed summaries.
-func suiteCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags, parallel int, asJSON bool) int {
+// plus the cross-seed summary, which is the fleet report of the same job.
+func suiteCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags, parallel int, asJSON bool, shardSize int) int {
 	plan, code, ok := buildPlan(stderr, "suite", cfg, pf)
 	if !ok {
 		return code
+	}
+	spec, err := report.FleetSpec(cfg, plan, shardSize)
+	if err != nil {
+		fmt.Fprintln(stderr, "agave suite:", err)
+		return 1
 	}
 	outputs, err := core.RunPlan(cfg, plan, parallel)
 	if err != nil {
 		fmt.Fprintln(stderr, "agave suite:", err)
 		return 1
 	}
+	rep, err := report.Summarize(spec, outputs)
+	if err != nil {
+		fmt.Fprintln(stderr, "agave suite:", err)
+		return 1
+	}
 	if asJSON {
-		if err := report.WriteSuiteJSON(stdout, plan, parallel, outputs); err != nil {
+		if err := report.WriteSuiteJSON(stdout, plan, parallel, outputs, rep); err != nil {
 			fmt.Fprintln(stderr, "agave suite:", err)
 			return 1
 		}
@@ -576,7 +592,7 @@ func suiteCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags, parallel 
 	report.WriteMatrix(stdout, outputs)
 	if len(plan.Seeds) > 1 || len(plan.Ablations) > 1 {
 		fmt.Fprintln(stdout)
-		report.WriteSummaries(stdout, outputs)
+		report.WriteFleetText(stdout, rep)
 	}
 	return 0
 }

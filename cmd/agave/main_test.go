@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"agave/internal/fleet"
 )
 
 // invoke runs one CLI invocation and returns (exit code, stdout, stderr).
@@ -210,11 +213,7 @@ func TestSuiteJSON(t *testing.T) {
 			Fingerprint uint64  `json:"fingerprint"`
 			WallMS      float64 `json:"wall_ms"`
 		} `json:"runs"`
-		Summaries []struct {
-			Benchmark string                        `json:"benchmark"`
-			Ablation  string                        `json:"ablation"`
-			Metrics   map[string]map[string]float64 `json:"metrics"`
-		} `json:"summaries"`
+		Report *fleet.Report `json:"report"`
 	}
 	if err := json.Unmarshal([]byte(out), &doc); err != nil {
 		t.Fatalf("suite -json is not valid JSON: %v\n%s", err, out)
@@ -225,25 +224,80 @@ func TestSuiteJSON(t *testing.T) {
 	if doc.Plan.Parallel != 8 || len(doc.Plan.Ablations) != 3 {
 		t.Fatalf("JSON plan malformed: %+v", doc.Plan)
 	}
-	if len(doc.Summaries) != 2*3 {
-		t.Fatalf("JSON has %d summaries, want 6 (benchmark × ablation cells)", len(doc.Summaries))
+	if doc.Report == nil || doc.Report.Runs != 12 || len(doc.Report.Cells) != 2*3 {
+		t.Fatalf("JSON report malformed, want 12 runs in 6 (benchmark × ablation) cells: %+v", doc.Report)
 	}
 	for _, r := range doc.Runs {
 		if r.TotalRefs == 0 || r.Fingerprint == 0 {
 			t.Fatalf("run %s/seed=%d/%s carries empty stats", r.Benchmark, r.Seed, r.Ablation)
 		}
 	}
-	for _, s := range doc.Summaries {
-		if s.Metrics["total_refs"]["mean"] <= 0 {
-			t.Fatalf("summary %s/%s missing total_refs agg", s.Benchmark, s.Ablation)
+	for _, c := range doc.Report.Cells {
+		folded := false
+		for _, m := range c.Metrics {
+			folded = folded || (m.Name == "total_refs" && m.Agg.N == 2 && m.Agg.Mean() > 0)
 		}
+		if c.Runs != 2 || !folded {
+			t.Fatalf("report cell %s/%s missing its 2-seed total_refs agg: %+v", c.Unit, c.Ablation, c)
+		}
+	}
+}
+
+// summaryBlock returns a suite's cross-seed summary: its output from the
+// fleet report header on.
+func summaryBlock(t *testing.T, out string) string {
+	t.Helper()
+	i := strings.Index(out, "\nfleet: ")
+	if i < 0 {
+		t.Fatalf("suite output has no summary block:\n%s", out)
+	}
+	return out[i+1:]
+}
+
+// TestSuiteSummaryIsFleetReport pins the one seed-fold: the summary block
+// of `agave suite` is byte-identical to `agave fleet` stdout for the same
+// flags, serial and subprocess alike, and the report in `agave suite -json`
+// decodes equal to `agave fleet -json`.
+func TestSuiteSummaryIsFleetReport(t *testing.T) {
+	plan := append([]string{"-bench", "countdown.main,999.specrand", "-scenarios", "commute",
+		"-seeds", "1,2", "-ablations"}, quick...)
+	run := func(args ...string) string {
+		t.Helper()
+		code, out, errOut := invoke(t, append(args, plan...)...)
+		if code != 0 {
+			t.Fatalf("%v: code=%d stderr=%q", args, code, errOut)
+		}
+		return out
+	}
+	summary := summaryBlock(t, run("suite"))
+	if !strings.HasPrefix(summary, "fleet: 18 runs in 3 shards of 8\n") {
+		t.Fatalf("suite summary is not the 18-run report:\n%s", summary)
+	}
+	for _, workers := range []string{"0", "2"} {
+		if out := run("fleet", "-workers", workers); out != summary {
+			t.Errorf("fleet -workers %s differs from the suite summary:\n%s\nwant:\n%s", workers, out, summary)
+		}
+	}
+	var suiteDoc struct {
+		Report *fleet.Report `json:"report"`
+	}
+	if err := json.Unmarshal([]byte(run("suite", "-json")), &suiteDoc); err != nil {
+		t.Fatal(err)
+	}
+	var fleetRep fleet.Report
+	if err := json.Unmarshal([]byte(run("fleet", "-json")), &fleetRep); err != nil {
+		t.Fatal(err)
+	}
+	if suiteDoc.Report == nil || !reflect.DeepEqual(*suiteDoc.Report, fleetRep) {
+		t.Fatalf("suite -json report differs from fleet -json:\n%+v\nwant:\n%+v", suiteDoc.Report, fleetRep)
 	}
 }
 
 // TestSuiteSerialAndParallelSameStdout is the CLI-level determinism check:
 // identical plans at -parallel 1 and -parallel 8 must render byte-identical
 // matrix output (wall-clock columns are excluded from the comparison since
-// real time is not deterministic).
+// real time is not deterministic) and a byte-identical summary block, which
+// carries no wall clock at all.
 func TestSuiteSerialAndParallelSameStdout(t *testing.T) {
 	run := func(parallel string) string {
 		args := append([]string{"suite", "-bench",
@@ -257,7 +311,8 @@ func TestSuiteSerialAndParallelSameStdout(t *testing.T) {
 	}
 	stripWall := func(out string) []string {
 		var rows []string
-		for _, line := range strings.Split(out, "\n") {
+		matrix, _, _ := strings.Cut(out, "\nfleet: ")
+		for _, line := range strings.Split(matrix, "\n") {
 			f := strings.Fields(line)
 			if len(f) == 8 && f[0] != "benchmark" { // matrix row: drop wall ms + Mticks/s
 				rows = append(rows, strings.Join(f[:6], " "))
@@ -265,7 +320,8 @@ func TestSuiteSerialAndParallelSameStdout(t *testing.T) {
 		}
 		return rows
 	}
-	serial, par := stripWall(run("1")), stripWall(run("8"))
+	serialOut, parOut := run("1"), run("8")
+	serial, par := stripWall(serialOut), stripWall(parOut)
 	if len(serial) != 6 {
 		t.Fatalf("expected 6 matrix rows, got %d", len(serial))
 	}
@@ -273,6 +329,9 @@ func TestSuiteSerialAndParallelSameStdout(t *testing.T) {
 		if serial[i] != par[i] {
 			t.Fatalf("row %d diverged:\nserial:   %s\nparallel: %s", i, serial[i], par[i])
 		}
+	}
+	if s, p := summaryBlock(t, serialOut), summaryBlock(t, parOut); s != p {
+		t.Fatalf("summary block diverged:\nserial:\n%s\nparallel:\n%s", s, p)
 	}
 }
 

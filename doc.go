@@ -15,9 +15,11 @@
 //
 // Suite sweeps — the cross product of benchmarks × seeds × ablations — run
 // on the parallel execution engine in internal/suite: runs are sharded
-// across a bounded worker pool (each run boots its own simulated machine),
-// collected in deterministic plan order, and folded into mean/min/max
-// summaries across seeds. Results are bit-identical to a serial run of the
-// same plan; `agave suite -parallel N` and core.RunSuiteParallel expose the
-// engine, and core.RunSuite delegates to it with one worker.
+// across a bounded worker pool (each run boots its own simulated machine)
+// and collected in deterministic plan order. Results are bit-identical to
+// a serial run of the same plan; `agave suite -parallel N` and
+// core.RunPlan expose the engine, and core.RunSuite is its serial
+// results-slice wrapper. The mean/min/max summary across seeds is the
+// fleet report of internal/fleet, whose aggregator is the one seed-fold:
+// `agave suite` and `agave fleet` print the same report for the same plan.
 package agave

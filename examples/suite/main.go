@@ -1,6 +1,7 @@
 // Suite: execute a run matrix — benchmarks × seeds × ablations — on the
-// parallel suite engine, stream results in deterministic plan order as they
-// complete, and fold the repeated seeds into mean/min/max summaries.
+// parallel suite engine, print its runs in deterministic plan order, and
+// fold the repeated seeds into the fleet report: mean/min/max per
+// (benchmark, ablation) cell plus a fingerprint over every run.
 package main
 
 import (
@@ -35,22 +36,25 @@ func main() {
 		},
 	}
 
-	// The engine shards runs across one worker per core; the ordered
-	// collector still emits them in plan order, so this stream — and every
-	// result below — is bit-identical to a serial run.
-	eng := core.NewEngine(cfg, 0)
-	eng.OnResult = func(o suite.RunOutput[*core.Result]) {
-		fmt.Printf("done %-40s %8.1f ms wall, %6.0f Mticks/s\n",
-			o.Spec, float64(o.Wall.Microseconds())/1000, o.TicksPerSecond()/1e6)
-	}
-	outputs, err := eng.Execute(plan.Specs())
+	// The engine shards runs across one worker per core and still returns
+	// them in plan order, so every result below is bit-identical to a
+	// serial run.
+	outputs, err := core.RunPlan(cfg, plan, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Println()
 	report.WriteMatrix(os.Stdout, outputs)
 
+	// The seed-fold is the fleet aggregator: a fleet run of this same job
+	// reports these bytes exactly.
+	spec, err := report.FleetSpec(cfg, plan, 8)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := report.Summarize(spec, outputs)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
-	report.WriteSummaries(os.Stdout, outputs)
+	report.WriteFleetText(os.Stdout, rep)
 }

@@ -257,28 +257,23 @@ func RunOne(base Config, s suite.RunSpec) (*Result, sim.Ticks, error) {
 	return r, ticks, nil
 }
 
-// NewEngine builds a suite engine that executes core benchmarks and
-// scenarios: each run boots a fresh simulated machine configured from base
-// plus the spec's seed and ablation. parallel bounds the worker pool (<= 0
-// means GOMAXPROCS).
-func NewEngine(base Config, parallel int) suite.Engine[*Result] {
+// RunPlan executes a full run matrix on the suite engine — each run boots
+// a fresh simulated machine configured from base plus the spec's seed and
+// ablation — and returns the outputs in plan order. parallel bounds the
+// worker pool (<= 0 means GOMAXPROCS); the outputs are bit-identical at any
+// value. It is the one executor entry point of this package.
+func RunPlan(base Config, p suite.Plan, parallel int) ([]suite.RunOutput[*Result], error) {
 	return suite.Engine[*Result]{
 		Parallel: parallel,
 		Run: func(s suite.RunSpec) (*Result, sim.Ticks, error) {
 			return RunOne(base, s)
 		},
-	}
+	}.Execute(p.Specs())
 }
 
-// RunPlan executes a full run matrix through the suite engine and returns
-// the outputs in plan order.
-func RunPlan(base Config, p suite.Plan, parallel int) ([]suite.RunOutput[*Result], error) {
-	return NewEngine(base, parallel).Execute(p.Specs())
-}
-
-// SuiteMetrics extracts the scalar metrics the suite summaries aggregate
-// across seeds: total references, census counts, and (SPEC only) the
-// fold-proof checksum.
+// SuiteMetrics extracts the scalar metrics of one run's fleet line, which
+// the fleet aggregator folds across seeds: total references, census counts,
+// and (SPEC only) the fold-proof checksum.
 func SuiteMetrics(r *Result) map[string]float64 {
 	m := map[string]float64{
 		"total_refs":   float64(r.Stats.Total()),
@@ -304,24 +299,14 @@ func SuiteMetrics(r *Result) map[string]float64 {
 	return m
 }
 
-// RunSuite runs the named benchmarks (all of them when names is empty) and
-// returns results in order. Each run uses a fresh simulated machine. It
-// delegates to the suite engine with one worker, so behavior is exactly the
-// historical serial loop; use RunSuiteParallel to fan out.
+// RunSuite runs the named benchmarks (all of them when names is empty) at
+// cfg.Seed, serially through RunPlan, and returns the results in name order:
+// the results slice the figure and table builders fold.
 func RunSuite(cfg Config, names ...string) ([]*Result, error) {
-	return RunSuiteParallel(cfg, 1, names...)
-}
-
-// RunSuiteParallel runs the named benchmarks (all of them when names is
-// empty) across up to parallel workers and returns results in name order —
-// bit-identical to the serial run, since every run is share-nothing and
-// seeded. parallel <= 0 uses GOMAXPROCS.
-func RunSuiteParallel(cfg Config, parallel int, names ...string) ([]*Result, error) {
 	if len(names) == 0 {
 		names = SuiteNames()
 	}
-	plan := suite.Plan{Benchmarks: names, Seeds: []uint64{cfg.Seed}}
-	outputs, err := RunPlan(cfg, plan, parallel)
+	outputs, err := RunPlan(cfg, suite.Plan{Benchmarks: names, Seeds: []uint64{cfg.Seed}}, 1)
 	if err != nil {
 		var re *suite.RunError
 		if errors.As(err, &re) {

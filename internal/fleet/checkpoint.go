@@ -97,6 +97,11 @@ func OpenCheckpoint(path string, want Header) ([]*ShardResult, *Checkpoint, erro
 		if seen[p.Shard] {
 			return nil, nil, fmt.Errorf("checkpoint %s: corrupt record at line %d: shard %d recorded twice", path, i+2, p.Shard)
 		}
+		for _, c := range p.Cells {
+			if c == nil {
+				return nil, nil, fmt.Errorf("checkpoint %s: corrupt record at line %d: null cell", path, i+2)
+			}
+		}
 		seen[p.Shard] = true
 		partials = append(partials, p)
 	}

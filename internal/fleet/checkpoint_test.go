@@ -43,31 +43,31 @@ func TestCheckpointStalePlanHash(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorrupt pins the corrupt-header and corrupt-record error
-// prefixes.
+// nullCellRecord parses as a record but names a null cell, which resuming
+// would dereference.
+const nullCellRecord = `{"shard":0,"lines":5,"digest":"` +
+	"0000000000000000000000000000000000000000000000000000000000000000" + `","cells":[null]}` + "\n"
+
+// TestCheckpointCorrupt pins the corrupt-header and corrupt-record errors.
 func TestCheckpointCorrupt(t *testing.T) {
-	path := writeCheckpoint(t, "not json\n")
-	_, _, err := OpenCheckpoint(path, wantHeader("h"))
-	if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("checkpoint %s: corrupt header:", path)) {
-		t.Fatalf("corrupt header error = %v", err)
+	cases := []struct {
+		name  string
+		lines []string
+		want  string // error prefix after "checkpoint <path>: "
+	}{
+		{"header", []string{"not json\n"}, "corrupt header:"},
+		{"record", []string{header("h"), "garbage record\n"}, "corrupt record at line 2:"},
+		{"duplicate", []string{header("h"), goodRecord, goodRecord}, "corrupt record at line 3: shard 0 recorded twice"},
+		{"out of range", []string{header("h"), `{"shard":9,"lines":5,"digest":"00","cells":[]}` + "\n"},
+			"corrupt record at line 2: shard 9 out of range"},
+		{"null cell", []string{header("h"), nullCellRecord}, "corrupt record at line 2: null cell"},
 	}
-
-	path = writeCheckpoint(t, header("h"), "garbage record\n")
-	_, _, err = OpenCheckpoint(path, wantHeader("h"))
-	if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("checkpoint %s: corrupt record at line 2:", path)) {
-		t.Fatalf("corrupt record error = %v", err)
-	}
-
-	path = writeCheckpoint(t, header("h"), goodRecord, goodRecord)
-	_, _, err = OpenCheckpoint(path, wantHeader("h"))
-	if err == nil || !strings.Contains(err.Error(), "shard 0 recorded twice") {
-		t.Fatalf("duplicate record error = %v", err)
-	}
-
-	path = writeCheckpoint(t, header("h"), `{"shard":9,"lines":5,"digest":"00","cells":[]}`+"\n")
-	_, _, err = OpenCheckpoint(path, wantHeader("h"))
-	if err == nil || !strings.Contains(err.Error(), "shard 9 out of range") {
-		t.Fatalf("out-of-range record error = %v", err)
+	for _, tc := range cases {
+		path := writeCheckpoint(t, tc.lines...)
+		_, _, err := OpenCheckpoint(path, wantHeader("h"))
+		if want := fmt.Sprintf("checkpoint %s: %s", path, tc.want); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: error = %v, want prefix %q", tc.name, err, want)
+		}
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"agave/internal/suite"
 )
 
 // Options configures a fleet coordinator run.
@@ -68,59 +70,38 @@ func (b *cappedBuffer) String() string {
 var trailerPrefix = []byte(`{"done":true`)
 
 // Run executes the fleet: it shards the spec's plan, dispatches shards to
-// worker subprocesses in shard order, folds their streamed result lines
-// through the aggregator, and returns the final report. On any worker
-// failure it stops dispatching, lets in-flight shards finish (their
-// partials still checkpoint), and returns the error of the smallest failed
-// shard id — the same shard a serial run would have failed at first.
+// worker subprocesses in shard order through suite.Each, folds their
+// streamed result lines through the aggregator, and returns the final
+// report. On any worker failure it stops dispatching, lets in-flight shards
+// finish (their partials still checkpoint), and returns the error of the
+// smallest failed shard id — the same shard a serial run would have failed
+// at first.
 func Run(spec *Spec, opts Options) (*Report, error) {
-	hash, err := spec.Hash()
-	if err != nil {
-		return nil, err
-	}
-	plan, err := spec.Plan.SuitePlan()
-	if err != nil {
-		return nil, err
-	}
-	total := plan.Size()
-	agg := NewAggregator(total, spec.ShardSize, hash)
-
-	cp, restored, err := prepareCheckpoint(opts.Checkpoint, hash, total, spec.ShardSize, agg)
+	_, agg, cp, err := prepare(spec, opts.Checkpoint, opts.Progress)
 	if err != nil {
 		return nil, err
 	}
 	if cp != nil {
 		defer cp.Close()
 	}
-	if restored > 0 && opts.Progress != nil {
-		fmt.Fprintf(opts.Progress, "fleet: resumed %d of %d shards from %s\n", restored, agg.shards, opts.Checkpoint)
-	}
 
-	envBase := Envelope{PlanHash: hash, Spec: *spec}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > agg.shards {
-		workers = agg.shards
-	}
-
+	envBase := Envelope{PlanHash: agg.planHash, Spec: *spec}
 	start := time.Now() //agave:allow walltime coordinator progress reporting is operator-facing; nothing derived from it enters the report or the fingerprint
-	var (
-		mu       sync.Mutex
-		next     int
-		failed   bool
-		errs     = map[int]error{}
-		wg       sync.WaitGroup
-		progress = func(done int) {
-			if opts.Progress == nil {
-				return
-			}
-			elapsed := time.Since(start).Round(time.Millisecond) //agave:allow walltime same display-only measurement as the paired time.Now above
-			fmt.Fprintf(opts.Progress, "fleet: %d/%d shards (%s)\n", done, agg.shards, elapsed)
+	var mu sync.Mutex
+	progress := func(done int) {
+		if opts.Progress == nil {
+			return
 		}
-	)
+		elapsed := time.Since(start).Round(time.Millisecond) //agave:allow walltime same display-only measurement as the paired time.Now above
+		fmt.Fprintf(opts.Progress, "fleet: %d/%d shards (%s)\n", done, agg.shards, elapsed)
+	}
 	runShard := func(shard int) error {
+		mu.Lock()
+		restored := agg.Restored(shard)
+		mu.Unlock()
+		if restored {
+			return nil
+		}
 		env := envBase
 		env.Shard = shard
 		envData, err := json.Marshal(env)
@@ -206,71 +187,54 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 		progress(agg.done + len(agg.pending))
 		return nil
 	}
-
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for next < agg.shards && agg.Restored(next) {
-					next++
-				}
-				if failed || next >= agg.shards {
-					mu.Unlock()
-					return
-				}
-				shard := next
-				next++
-				mu.Unlock()
-				if err := runShard(shard); err != nil {
-					mu.Lock()
-					failed = true
-					errs[shard] = err
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	if len(errs) > 0 {
-		shards := make([]int, 0, len(errs))
-		for s := range errs {
-			shards = append(shards, s)
-		}
-		sort.Ints(shards)
-		return nil, errs[shards[0]]
+	if err := suite.Each(opts.Workers, agg.shards, runShard); err != nil {
+		return nil, err
 	}
 	return agg.Report()
 }
 
-// prepareCheckpoint opens or creates the journal at path (empty path means
-// no checkpointing) and restores any journaled shards into agg. It reports
-// how many shards were restored.
-func prepareCheckpoint(path, hash string, total, shardSize int, agg *Aggregator) (*Checkpoint, int, error) {
-	if path == "" {
-		return nil, 0, nil
+// prepare is the preamble Run and RunSerial share: it validates the spec,
+// builds its aggregator, and opens the journal at checkpoint (empty means
+// no checkpointing), restoring any journaled shards into the aggregator
+// and noting the resume on progress.
+func prepare(spec *Spec, checkpoint string, progress io.Writer) (suite.Plan, *Aggregator, *Checkpoint, error) {
+	if spec.ShardSize <= 0 {
+		return suite.Plan{}, nil, nil, fmt.Errorf("fleet: shard size must be positive (got %d)", spec.ShardSize)
 	}
-	want := Header{PlanHash: hash, Runs: total, Shards: agg.shards, ShardSize: shardSize}
-	if _, err := os.Stat(path); err != nil {
-		if !os.IsNotExist(err) {
-			return nil, 0, fmt.Errorf("checkpoint %s: %w", path, err)
-		}
-		cp, err := CreateCheckpoint(path, want)
-		return cp, 0, err
-	}
-	partials, cp, err := OpenCheckpoint(path, want)
+	hash, err := spec.Hash()
 	if err != nil {
-		return nil, 0, err
+		return suite.Plan{}, nil, nil, err
+	}
+	plan, err := spec.Plan.SuitePlan()
+	if err != nil {
+		return suite.Plan{}, nil, nil, err
+	}
+	total := plan.Size()
+	agg := NewAggregator(total, spec.ShardSize, hash)
+	if checkpoint == "" {
+		return plan, agg, nil, nil
+	}
+	want := Header{PlanHash: hash, Runs: total, Shards: agg.shards, ShardSize: spec.ShardSize}
+	if _, err := os.Stat(checkpoint); err != nil {
+		if !os.IsNotExist(err) {
+			return suite.Plan{}, nil, nil, fmt.Errorf("checkpoint %s: %w", checkpoint, err)
+		}
+		cp, err := CreateCheckpoint(checkpoint, want)
+		return plan, agg, cp, err
+	}
+	partials, cp, err := OpenCheckpoint(checkpoint, want)
+	if err != nil {
+		return suite.Plan{}, nil, nil, err
 	}
 	sort.Slice(partials, func(i, j int) bool { return partials[i].Shard < partials[j].Shard })
 	for _, p := range partials {
 		if err := agg.Restore(p); err != nil {
 			cp.Close()
-			return nil, 0, err
+			return suite.Plan{}, nil, nil, err
 		}
 	}
-	return cp, len(partials), nil
+	if len(partials) > 0 && progress != nil {
+		fmt.Fprintf(progress, "fleet: resumed %d of %d shards from %s\n", len(partials), agg.shards, checkpoint)
+	}
+	return plan, agg, cp, nil
 }

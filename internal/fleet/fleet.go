@@ -21,7 +21,9 @@
 //
 // The package is engine-agnostic: the run config travels as opaque JSON and
 // a RunFunc supplied by the caller executes each spec, so fleet depends on
-// the suite geometry and scenario codec but not on the core simulator.
+// the suite geometry and dispatch loop (suite.Each) and the scenario codec
+// but not on the core simulator. Its aggregator is the one seed-fold: a
+// suite sweep's summary is a RunSerial replay of its outputs.
 package fleet
 
 import (

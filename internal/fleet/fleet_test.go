@@ -3,11 +3,14 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"agave/internal/scenario"
 	"agave/internal/suite"
@@ -17,8 +20,12 @@ import (
 // re-exec this test binary with AGAVE_FLEET_FAKE_WORKER=1, it behaves as a
 // worker subprocess running the synthetic engine instead of running tests.
 func TestMain(m *testing.M) {
-	if os.Getenv("AGAVE_FLEET_FAKE_WORKER") == "1" {
-		if err := RunWorker(os.Stdin, os.Stdout, syntheticRun); err != nil {
+	if mode := os.Getenv("AGAVE_FLEET_FAKE_WORKER"); mode != "" {
+		run := syntheticRun
+		if mode == "fail-shards-1-3" {
+			run = failShards13
+		}
+		if err := RunWorker(os.Stdin, os.Stdout, run); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -48,7 +55,21 @@ func syntheticRun(_ json.RawMessage, s suite.RunSpec) (Line, error) {
 	return l, nil
 }
 
-func testPlan(t *testing.T) WirePlan {
+// failShards13 fails the first spec of shards 1 and 3 of the size-5 test
+// spec: shard 3 at once, shard 1 only after a pause, so a coordinator with
+// several workers sees the larger shard id fail first.
+func failShards13(cfg json.RawMessage, s suite.RunSpec) (Line, error) {
+	switch s.Index {
+	case 5:
+		time.Sleep(300 * time.Millisecond)
+		return Line{}, errors.New("injected failure in shard 1")
+	case 15:
+		return Line{}, errors.New("injected failure in shard 3")
+	}
+	return syntheticRun(cfg, s)
+}
+
+func testPlan(t testing.TB) WirePlan {
 	t.Helper()
 	sc, err := scenario.ByName("memory-storm")
 	if err != nil {
@@ -67,7 +88,7 @@ func testPlan(t *testing.T) WirePlan {
 	return wp
 }
 
-func testSpec(t *testing.T, shardSize int) *Spec {
+func testSpec(t testing.TB, shardSize int) *Spec {
 	t.Helper()
 	return &Spec{
 		Config:    json.RawMessage(`{"synthetic":true}`),
@@ -206,6 +227,58 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 		}
 		if data := reportJSON(t, got); !bytes.Equal(data, want) {
 			t.Errorf("workers=%d report differs from serial:\n%s\nwant:\n%s", workers, data, want)
+		}
+	}
+}
+
+// TestCoordinatorSmallestFailedShardWins pins which error a failing fleet
+// returns: with shards 1 and 3 failing, every worker count reports shard
+// 1 — the shard a serial run stops at — even when shard 3 fails first.
+func TestCoordinatorSmallestFailedShardWins(t *testing.T) {
+	spec := testSpec(t, 5)
+	failing := func() (*exec.Cmd, error) {
+		cmd, err := fakeWorkerCommand()
+		if err == nil {
+			cmd.Env = append(cmd.Env, "AGAVE_FLEET_FAKE_WORKER=fail-shards-1-3")
+		}
+		return cmd, err
+	}
+	for _, workers := range []int{1, 2, 8} {
+		_, err := Run(spec, Options{Workers: workers, Command: failing})
+		if err == nil {
+			t.Fatalf("workers=%d: failing fleet succeeded", workers)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "fleet: shard 1: ") || !strings.Contains(msg, "injected failure in shard 1") {
+			t.Errorf("workers=%d: error is not shard 1's: %v", workers, err)
+		}
+	}
+}
+
+// TestShardSizeMustBePositive pins that a non-positive shard size is an
+// error from both executors before anything runs — no worker started, no
+// spec run, no journal created — not an empty report.
+func TestShardSizeMustBePositive(t *testing.T) {
+	for _, size := range []int{0, -3} {
+		spec := testSpec(t, size)
+		cp := filepath.Join(t.TempDir(), "fleet.ckpt")
+		started := 0
+		_, err := Run(spec, Options{Workers: 2, Checkpoint: cp, Command: func() (*exec.Cmd, error) {
+			started++
+			return fakeWorkerCommand()
+		}})
+		if err == nil || !strings.Contains(err.Error(), "shard size must be positive") || started != 0 {
+			t.Errorf("Run at shard size %d: err=%v, %d workers started", size, err, started)
+		}
+		ran := 0
+		_, err = RunSerial(spec, SerialOptions{Checkpoint: cp, Run: func(cfg json.RawMessage, s suite.RunSpec) (Line, error) {
+			ran++
+			return syntheticRun(cfg, s)
+		}})
+		if err == nil || !strings.Contains(err.Error(), "shard size must be positive") || ran != 0 {
+			t.Errorf("RunSerial at shard size %d: err=%v, %d specs ran", size, err, ran)
+		}
+		if _, err := os.Stat(cp); !os.IsNotExist(err) {
+			t.Errorf("shard size %d created a journal: %v", size, err)
 		}
 	}
 }

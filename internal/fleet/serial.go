@@ -24,35 +24,20 @@ type SerialOptions struct {
 // conformance tests compare fleets against: any worker count must reproduce
 // its report byte for byte.
 func RunSerial(spec *Spec, opts SerialOptions) (*Report, error) {
-	hash, err := spec.Hash()
-	if err != nil {
-		return nil, err
-	}
-	plan, err := spec.Plan.SuitePlan()
-	if err != nil {
-		return nil, err
-	}
-	specs := plan.Specs()
-	total := len(specs)
-	agg := NewAggregator(total, spec.ShardSize, hash)
-
-	cp, restored, err := prepareCheckpoint(opts.Checkpoint, hash, total, spec.ShardSize, agg)
+	plan, agg, cp, err := prepare(spec, opts.Checkpoint, opts.Progress)
 	if err != nil {
 		return nil, err
 	}
 	if cp != nil {
 		defer cp.Close()
 	}
-	if restored > 0 && opts.Progress != nil {
-		fmt.Fprintf(opts.Progress, "fleet: resumed %d of %d shards from %s\n", restored, agg.shards, opts.Checkpoint)
-	}
-
+	specs := plan.Specs()
 	var line Line
 	for shard := 0; shard < agg.shards; shard++ {
 		if agg.Restored(shard) {
 			continue
 		}
-		lo, hi := suite.ShardRange(total, spec.ShardSize, shard)
+		lo, hi := suite.ShardRange(len(specs), spec.ShardSize, shard)
 		for _, s := range specs[lo:hi] {
 			line, err = opts.Run(spec.Config, s)
 			if err != nil {

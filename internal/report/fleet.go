@@ -31,6 +31,42 @@ func FleetLine(spec suite.RunSpec, r *core.Result) fleet.Line {
 	return line
 }
 
+// FleetSpec builds the fleet job of plan run on base: the config travels
+// as its JSON encoding and the plan in wire form. `agave fleet` and `agave
+// suite` both build their job here, so equal flags name the same job and
+// fold to the same report.
+func FleetSpec(base core.Config, plan suite.Plan, shardSize int) (*fleet.Spec, error) {
+	wire, err := fleet.NewWirePlan(plan)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := json.Marshal(base)
+	if err != nil {
+		return nil, err
+	}
+	return &fleet.Spec{Config: cfg, Plan: wire, ShardSize: shardSize}, nil
+}
+
+// Summarize folds a finished sweep — the plan-order outputs of spec's plan,
+// all successful — into its fleet report by replaying each output as its
+// FleetLine through fleet.RunSerial. The fleet aggregator is the one
+// seed-fold, so a suite's summary is byte-identical to the report `agave
+// fleet` prints for the same job.
+func Summarize(spec *fleet.Spec, outputs []suite.RunOutput[*core.Result]) (*fleet.Report, error) {
+	return fleet.RunSerial(spec, fleet.SerialOptions{
+		Run: func(_ json.RawMessage, s suite.RunSpec) (fleet.Line, error) {
+			if s.Index >= len(outputs) || outputs[s.Index].Spec.String() != s.String() {
+				return fleet.Line{}, fmt.Errorf("no output for plan spec %d", s.Index)
+			}
+			o := outputs[s.Index]
+			if o.Err != nil {
+				return fleet.Line{}, o.Err
+			}
+			return FleetLine(s, o.Result), nil
+		},
+	})
+}
+
 // WriteFleetText renders the fleet report as the operator-facing table: one
 // line per (unit, ablation) cell plus the run fingerprint. Everything
 // printed derives from the report alone, so serial, fleet, and resumed runs

@@ -1,7 +1,7 @@
 // Matrix-shaped output for suite-engine sweeps: per-run rows for every
-// (benchmark, seed, ablation) cell of a plan, mean/min/max summaries across
-// seeds, and a JSON export carrying both plus the per-run counter
-// fingerprints the determinism harness compares.
+// (benchmark, seed, ablation) cell of a plan, and a JSON export carrying
+// them — per-run counter fingerprints included — beside the sweep's fleet
+// report, its mean/min/max fold across seeds.
 
 package report
 
@@ -11,6 +11,7 @@ import (
 	"io"
 
 	"agave/internal/core"
+	"agave/internal/fleet"
 	"agave/internal/suite"
 )
 
@@ -67,28 +68,11 @@ func WriteMatrix(w io.Writer, outputs []suite.RunOutput[*core.Result]) {
 	}
 }
 
-// aggJSON is the JSON shape of a stats.Agg fold.
-type aggJSON struct {
-	Mean float64 `json:"mean"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-}
-
-// summaryJSON is the JSON shape of one (benchmark, ablation) summary.
-type summaryJSON struct {
-	Benchmark   string             `json:"benchmark"`
-	Ablation    string             `json:"ablation"`
-	Seeds       []uint64           `json:"seeds"`
-	WallMS      aggJSON            `json:"wall_ms"`
-	TicksPerSec aggJSON            `json:"ticks_per_sec"`
-	Metrics     map[string]aggJSON `json:"metrics"`
-}
-
 // suiteJSON is the top-level JSON document of a suite sweep.
 type suiteJSON struct {
-	Plan      planJSON      `json:"plan"`
-	Runs      []MatrixRow   `json:"runs"`
-	Summaries []summaryJSON `json:"summaries"`
+	Plan   planJSON      `json:"plan"`
+	Runs   []MatrixRow   `json:"runs"`
+	Report *fleet.Report `json:"report"`
 }
 
 type planJSON struct {
@@ -99,48 +83,20 @@ type planJSON struct {
 	Parallel   int      `json:"parallel"`
 }
 
-// WriteSuiteJSON emits the full sweep — plan, per-run rows, and summaries —
-// as one indented JSON document.
+// WriteSuiteJSON emits the full sweep — plan, per-run rows, and the fleet
+// report Summarize folded from them — as one indented JSON document.
 func WriteSuiteJSON(w io.Writer, p suite.Plan, parallel int,
-	outputs []suite.RunOutput[*core.Result]) error {
+	outputs []suite.RunOutput[*core.Result], rep *fleet.Report) error {
 	doc := suiteJSON{
 		Plan: planJSON{Benchmarks: p.Benchmarks, Scenarios: p.ScenarioNames(),
 			Seeds: p.Seeds, Parallel: parallel},
-		Runs: MatrixRows(outputs),
+		Runs:   MatrixRows(outputs),
+		Report: rep,
 	}
 	for _, a := range p.Ablations {
 		doc.Plan.Ablations = append(doc.Plan.Ablations, a.Label())
 	}
-	for _, s := range suite.Summarize(outputs, core.SuiteMetrics) {
-		sj := summaryJSON{
-			Benchmark:   s.Benchmark,
-			Ablation:    s.Ablation,
-			Seeds:       s.Seeds,
-			WallMS:      aggJSON{s.Wall.Mean(), s.Wall.Min(), s.Wall.Max()},
-			TicksPerSec: aggJSON{s.Throughput.Mean(), s.Throughput.Min(), s.Throughput.Max()},
-			Metrics:     make(map[string]aggJSON, len(s.Metrics)),
-		}
-		for _, name := range s.MetricNames() {
-			a := s.Metrics[name]
-			sj.Metrics[name] = aggJSON{a.Mean(), a.Min(), a.Max()}
-		}
-		doc.Summaries = append(doc.Summaries, sj)
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// WriteSummaries renders the mean/min/max fold of a sweep: one line per
-// (benchmark, ablation) cell, aggregated across that cell's seeds.
-func WriteSummaries(w io.Writer, outputs []suite.RunOutput[*core.Result]) {
-	summaries := suite.Summarize(outputs, core.SuiteMetrics)
-	fmt.Fprintf(w, "%-24s %-10s %5s %36s %22s\n",
-		"benchmark", "ablation", "seeds", "total refs mean [min, max]", "wall ms mean")
-	for _, s := range summaries {
-		refs := s.Metrics["total_refs"]
-		fmt.Fprintf(w, "%-24s %-10s %5d %20.0f [%.0f, %.0f] %15.1f\n",
-			s.Benchmark, s.Ablation, len(s.Seeds), refs.Mean(), refs.Min(), refs.Max(),
-			s.Wall.Mean())
-	}
 }

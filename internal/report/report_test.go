@@ -3,7 +3,9 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -229,38 +231,69 @@ func TestMatrixRows(t *testing.T) {
 
 var errFake = fmt.Errorf("fake failure")
 
+// fakeSpec builds the fleet job of the fake outputs' plan.
+func fakeSpec(t *testing.T, plan suite.Plan) *fleet.Spec {
+	t.Helper()
+	spec, err := FleetSpec(core.DefaultConfig(), plan, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
 func TestWriteMatrixAndSummaries(t *testing.T) {
-	_, outs := fakeOutputs()
+	plan, outs := fakeOutputs()
 	var buf bytes.Buffer
 	WriteMatrix(&buf, outs)
 	out := buf.String()
 	if !strings.Contains(out, "frozenbubble.main") || !strings.Contains(out, "401.bzip2") {
 		t.Fatalf("matrix missing rows:\n%s", out)
 	}
+	spec := fakeSpec(t, plan)
+	rep, err := Summarize(spec, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Runs != 2 || len(rep.Cells) != 2 || rep.Cells[0].Unit != "frozenbubble.main" || rep.Cells[1].Unit != "401.bzip2" {
+		t.Fatalf("summary cells wrong: %d runs, %+v", rep.Runs, rep.Cells)
+	}
 	buf.Reset()
-	WriteSummaries(&buf, outs)
-	if !strings.Contains(buf.String(), "total refs mean") {
+	WriteFleetText(&buf, rep)
+	if !strings.Contains(buf.String(), "total refs mean") || !strings.Contains(buf.String(), "fingerprint: ") {
 		t.Fatalf("summaries malformed:\n%s", buf.String())
+	}
+	// The summary folds only a whole, successful sweep of its own plan.
+	if _, err := Summarize(spec, outs[:1]); err == nil || !strings.Contains(err.Error(), "no output for plan spec 1") {
+		t.Fatalf("short sweep summarized: %v", err)
+	}
+	outs[1].Err = errFake
+	if _, err := Summarize(spec, outs); !errors.Is(err, errFake) {
+		t.Fatalf("failed run summarized: %v", err)
 	}
 }
 
 func TestWriteSuiteJSONRoundTrip(t *testing.T) {
 	plan, outs := fakeOutputs()
-	var buf bytes.Buffer
-	if err := WriteSuiteJSON(&buf, plan, 4, outs); err != nil {
+	rep, err := Summarize(fakeSpec(t, plan), outs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]any
+	var buf bytes.Buffer
+	if err := WriteSuiteJSON(&buf, plan, 4, outs, rep); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Runs   []MatrixRow   `json:"runs"`
+		Report *fleet.Report `json:"report"`
+	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
 	}
-	runs, ok := doc["runs"].([]any)
-	if !ok || len(runs) != 2 {
-		t.Fatalf("JSON runs wrong: %v", doc["runs"])
+	if len(doc.Runs) != 2 {
+		t.Fatalf("JSON runs wrong: %v", doc.Runs)
 	}
-	sums, ok := doc["summaries"].([]any)
-	if !ok || len(sums) != 2 {
-		t.Fatalf("JSON summaries wrong: %v", doc["summaries"])
+	if doc.Report == nil || !reflect.DeepEqual(*doc.Report, *rep) {
+		t.Fatalf("JSON report does not round-trip: %+v", doc.Report)
 	}
 }
 

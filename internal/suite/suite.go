@@ -2,28 +2,29 @@
 // reproduction. It shards benchmark runs across a bounded pool of worker
 // goroutines — each run boots its own simulated machine, so runs are
 // share-nothing — while preserving the determinism guarantee of serial
-// execution: results are collected and emitted in plan order, bit-identical
-// to a one-worker run, regardless of completion order.
+// execution: results are collected in plan order, bit-identical to a
+// one-worker run, regardless of completion order.
 //
 // A sweep is expressed as a Plan: the cross product of benchmark names ×
 // seeds × ablation configurations, expanded into an ordered []RunSpec. The
 // generic Engine executes specs through a caller-supplied run function (the
-// core package adapts core.Run; this package deliberately does not import
-// core so core.RunSuite can delegate here without an import cycle) and
-// reports per-run wall clock plus simulated-tick throughput. Summarize folds
-// repeated-seed runs into mean/min/max aggregates via internal/stats.
+// core package adapts core.RunOne; this package deliberately does not
+// import core so core.RunPlan can delegate here without an import cycle)
+// and reports per-run wall clock plus simulated-tick throughput. Each is
+// the bounded, in-order, stop-on-failure dispatch loop under both the
+// Engine and the fleet coordinator. Cross-seed summaries are not folded
+// here: report.Summarize replays a sweep through the fleet aggregator, the
+// one seed-fold.
 package suite
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"agave/internal/scenario"
 	"agave/internal/sim"
-	"agave/internal/stats"
 )
 
 // Ablation is one configuration axis of a plan: a named set of overrides
@@ -229,6 +230,50 @@ func (e *RunError) Error() string { return fmt.Sprintf("%s: %v", e.Spec, e.Err) 
 // Unwrap exposes the underlying run error.
 func (e *RunError) Unwrap() error { return e.Err }
 
+// Each calls fn(0), ..., fn(n-1) on at most workers goroutines (< 1 means
+// one), dispatching indexes in ascending order. After a call fails no
+// further index is dispatched, and calls already running finish. Each
+// returns the error of the smallest failed index: every smaller index was
+// dispatched before it and has run, so that is the error a serial loop
+// would have stopped at. It is the one dispatch loop of the suite engine
+// and the fleet coordinator.
+func Each(workers, n int, fn func(i int) error) error {
+	var (
+		mu     sync.Mutex
+		next   int
+		failed = n // smallest failed index; n while none has failed
+		err    error
+		wg     sync.WaitGroup
+	)
+	workers = min(max(workers, 1), n)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				if err != nil || next >= n {
+					mu.Unlock()
+					return
+				}
+				i := next
+				next++
+				mu.Unlock()
+				if e := fn(i); e != nil {
+					mu.Lock()
+					if i < failed {
+						failed, err = i, e
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return err
+}
+
 // Engine executes run specs across a bounded worker pool. Each worker calls
 // Run, which must boot a fresh simulated machine per call (runs share
 // nothing); Run returns the result payload and how many simulated ticks the
@@ -240,176 +285,36 @@ type Engine[R any] struct {
 	Parallel int
 	// Run executes one spec. It must be safe for concurrent calls.
 	Run func(RunSpec) (R, sim.Ticks, error)
-	// OnResult, when non-nil, observes completed runs strictly in plan
-	// order (the ordered collector buffers out-of-order completions). It
-	// is called from Execute's goroutine pool; calls never overlap.
-	OnResult func(RunOutput[R])
 }
 
-// Execute runs every spec and returns outputs in plan order. Workers pull
-// specs in plan order, so with Parallel=1 execution is exactly the serial
-// loop. If any run fails, dispatch of not-yet-started specs stops and the
-// first error in plan order is returned as a *RunError alongside the outputs
+// Execute runs the specs on Each — dispatched in plan order, so with
+// Parallel=1 execution is exactly the serial loop — and returns their
+// outputs in plan order. If any run fails, dispatch stops and the first
+// error in plan order is returned as a *RunError alongside the outputs
 // gathered so far (failed or skipped entries keep their Err / zero Result).
 func (e Engine[R]) Execute(specs []RunSpec) ([]RunOutput[R], error) {
 	workers := e.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
 	outputs := make([]RunOutput[R], len(specs))
 	for i, s := range specs {
 		outputs[i].Spec = s
 	}
-	if len(specs) == 0 {
-		return outputs, nil
-	}
-
-	var (
-		mu     sync.Mutex
-		next   int  // next spec index to dispatch
-		failed bool // stop dispatching new specs after any error
-		wg     sync.WaitGroup
-	)
-	collector := newOrderedCollector(e.OnResult, outputs)
-	runOne := func(i int) bool {
+	err := Each(workers, len(specs), func(i int) error {
 		start := time.Now() //agave:allow walltime Wall is operator-facing elapsed time, reported alongside the deterministic tick count, never fed back into the simulation
 		res, ticks, err := e.Run(specs[i])
-		out := RunOutput[R]{
+		outputs[i] = RunOutput[R]{
 			Spec:   specs[i],
 			Result: res,
 			Err:    err,
 			Wall:   time.Since(start), //agave:allow walltime same display-only measurement as the paired time.Now above
 			Ticks:  ticks,
 		}
-		mu.Lock()
-		outputs[i] = out
 		if err != nil {
-			failed = true
+			return &RunError{Spec: specs[i], Err: err}
 		}
-		mu.Unlock()
-		collector.done(i)
-		return err == nil
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if failed || next >= len(specs) {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-				if !runOne(i) {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Workers dispatch in plan order, so every spec preceding a failed one
-	// was dispatched and has completed: the first Err in output order is
-	// the same error a serial run would have stopped at.
-	for i := range outputs {
-		if outputs[i].Err != nil {
-			return outputs, &RunError{Spec: outputs[i].Spec, Err: outputs[i].Err}
-		}
-	}
-	return outputs, nil
-}
-
-// orderedCollector re-serializes out-of-order completions: done(i) marks spec
-// i complete, and the emit callback fires for each spec exactly once, in
-// index order, as soon as all of its predecessors have completed.
-type orderedCollector[R any] struct {
-	mu      sync.Mutex
-	emit    func(RunOutput[R])
-	outputs []RunOutput[R]
-	ready   map[int]bool
-	next    int
-}
-
-func newOrderedCollector[R any](emit func(RunOutput[R]), outputs []RunOutput[R]) *orderedCollector[R] {
-	return &orderedCollector[R]{emit: emit, outputs: outputs, ready: make(map[int]bool)}
-}
-
-func (c *orderedCollector[R]) done(i int) {
-	if c.emit == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ready[i] = true
-	for c.ready[c.next] {
-		delete(c.ready, c.next)
-		c.emit(c.outputs[c.next])
-		c.next++
-	}
-}
-
-// Summary aggregates the repeated-seed runs of one (benchmark, ablation)
-// cell: every metric is folded into a mean/min/max stats.Agg across seeds.
-type Summary struct {
-	Benchmark string
-	Ablation  string
-	Seeds     []uint64
-	// Wall aggregates per-run wall-clock milliseconds.
-	Wall stats.Agg
-	// Throughput aggregates simulated ticks per real second.
-	Throughput stats.Agg
-	// Metrics aggregates the caller-extracted per-run metrics.
-	Metrics map[string]stats.Agg
-}
-
-// MetricNames reports the summary's metric keys in sorted order.
-func (s Summary) MetricNames() []string {
-	names := make([]string, 0, len(s.Metrics))
-	for n := range s.Metrics {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Summarize groups outputs by (benchmark, ablation) — in first-appearance
-// (plan) order — and folds each group's per-seed runs into mean/min/max
-// aggregates. The metrics function extracts the scalar metrics of one result;
-// failed runs are skipped.
-func Summarize[R any](outputs []RunOutput[R], metrics func(R) map[string]float64) []Summary {
-	type cell struct{ bench, abl string }
-	index := make(map[cell]int)
-	var summaries []Summary
-	for _, o := range outputs {
-		if o.Err != nil {
-			continue
-		}
-		c := cell{o.Spec.UnitName(), o.Spec.Ablation.Label()}
-		i, ok := index[c]
-		if !ok {
-			i = len(summaries)
-			index[c] = i
-			summaries = append(summaries, Summary{
-				Benchmark: c.bench,
-				Ablation:  c.abl,
-				Metrics:   make(map[string]stats.Agg),
-			})
-		}
-		s := &summaries[i]
-		s.Seeds = append(s.Seeds, o.Spec.Seed)
-		s.Wall.Observe(float64(o.Wall) / float64(time.Millisecond))
-		s.Throughput.Observe(o.TicksPerSecond())
-		for name, v := range metrics(o.Result) {
-			agg := s.Metrics[name]
-			agg.Observe(v)
-			s.Metrics[name] = agg
-		}
-	}
-	return summaries
+		return nil
+	})
+	return outputs, err
 }

@@ -3,7 +3,6 @@ package suite
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -62,35 +61,6 @@ func TestEngineOutputsInPlanOrder(t *testing.T) {
 		}
 		if o.Ticks != 100 || o.Wall <= 0 {
 			t.Fatalf("output %d missing measurements: %+v", i, o)
-		}
-	}
-}
-
-func TestEngineOrderedCollectorStreamsInOrder(t *testing.T) {
-	specs := Plan{Benchmarks: []string{"b0", "b1", "b2", "b3", "b4", "b5", "b6", "b7"}}.Specs()
-	var mu sync.Mutex
-	var emitted []int
-	eng := Engine[int]{
-		Parallel: 4,
-		Run: func(s RunSpec) (int, sim.Ticks, error) {
-			time.Sleep(time.Duration((s.Index*3)%5) * time.Millisecond)
-			return s.Index, 1, nil
-		},
-		OnResult: func(o RunOutput[int]) {
-			mu.Lock()
-			emitted = append(emitted, o.Spec.Index)
-			mu.Unlock()
-		},
-	}
-	if _, err := eng.Execute(specs); err != nil {
-		t.Fatal(err)
-	}
-	if len(emitted) != len(specs) {
-		t.Fatalf("collector emitted %d results, want %d", len(emitted), len(specs))
-	}
-	for i, idx := range emitted {
-		if idx != i {
-			t.Fatalf("collector emitted out of order: %v", emitted)
 		}
 	}
 }
@@ -181,41 +151,28 @@ func TestEngineEmptyPlan(t *testing.T) {
 	}
 }
 
-func TestSummarizeFoldsSeeds(t *testing.T) {
-	plan := Plan{
-		Benchmarks: []string{"a", "b"},
-		Seeds:      []uint64{1, 2, 3},
-	}
-	eng := Engine[float64]{
-		Parallel: 2,
-		Run: func(s RunSpec) (float64, sim.Ticks, error) {
-			return float64(s.Seed * 10), 1000, nil
-		},
-	}
-	outs, err := eng.Execute(plan.Specs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := Summarize(outs, func(v float64) map[string]float64 {
-		return map[string]float64{"value": v}
+// TestEachReturnsSmallestFailedIndex pins the dispatch loop's error
+// precedence: when index 3 fails at once and index 1 fails later, Each
+// still returns index 1's error — the one a serial loop stops at — and
+// dispatches nothing after the first failure.
+func TestEachReturnsSmallestFailedIndex(t *testing.T) {
+	var ran atomic.Int32
+	err := Each(4, 100, func(i int) error {
+		ran.Add(1)
+		switch i {
+		case 1:
+			time.Sleep(20 * time.Millisecond)
+			return fmt.Errorf("fail %d", i)
+		case 3:
+			return fmt.Errorf("fail %d", i)
+		}
+		return nil
 	})
-	if len(sums) != 2 {
-		t.Fatalf("got %d summaries, want 2 (one per benchmark)", len(sums))
+	if err == nil || err.Error() != "fail 1" {
+		t.Fatalf("Each returned %v, want fail 1", err)
 	}
-	if sums[0].Benchmark != "a" || sums[1].Benchmark != "b" {
-		t.Fatalf("summaries out of plan order: %+v", sums)
-	}
-	for _, s := range sums {
-		if len(s.Seeds) != 3 {
-			t.Fatalf("%s: folded %d seeds, want 3", s.Benchmark, len(s.Seeds))
-		}
-		v := s.Metrics["value"]
-		if v.Mean() != 20 || v.Min() != 10 || v.Max() != 30 {
-			t.Fatalf("%s: value agg = mean %.1f min %.1f max %.1f", s.Benchmark, v.Mean(), v.Min(), v.Max())
-		}
-		if got := s.MetricNames(); len(got) != 1 || got[0] != "value" {
-			t.Fatalf("metric names = %v", got)
-		}
+	if n := ran.Load(); n >= 100 {
+		t.Fatalf("Each dispatched all %d indexes after a failure", n)
 	}
 }
 
