@@ -94,6 +94,9 @@ type App struct {
 	// anrFlagged latches one ANR per blocked-looper episode; the watchdog
 	// re-arms it when the looper drains.
 	anrFlagged bool
+	// lruIndex is the app's position in the cached-app LRU, 0 when it is
+	// not cached; updateOomAdj refreshes it.
+	lruIndex int
 }
 
 // sharedAssets are system-wide files every app maps; the names are shared

@@ -2,12 +2,14 @@
 // (foreground / visible / perceptible / home / cached-LRU), onTrimMemory
 // delivery to background apps when free pages run low, and the userspace
 // half of a lowmemorykiller process death (binder teardown, media session
-// stop, surface removal) — the pieces that make a kill under pressure an
+// stop, hiding the surface) — the pieces that make a kill under pressure an
 // emergent whole-stack event rather than a scripted one.
 
 package android
 
 import (
+	"slices"
+
 	"agave/internal/kernel"
 	"agave/internal/sim"
 )
@@ -75,6 +77,12 @@ func (sys *System) noteDead(a *App) {
 		sys.amForeground = nil
 	}
 	sys.uncacheApp(a)
+	if i := slices.Index(sys.amApps, a); i >= 0 {
+		// Into a fresh slice, not in place: deliverTrims and the ANR scan
+		// yield mid-walk and must keep ranging over the records they
+		// started with.
+		sys.amApps = slices.Concat(sys.amApps[:i], sys.amApps[i+1:])
+	}
 	sys.updateOomAdj()
 }
 
@@ -88,6 +96,7 @@ func (sys *System) uncacheApp(a *App) {
 	for i, c := range sys.amCached {
 		if c == a {
 			sys.amCached = append(sys.amCached[:i], sys.amCached[i+1:]...)
+			a.lruIndex = 0
 			return
 		}
 	}
@@ -98,6 +107,9 @@ func (sys *System) uncacheApp(a *App) {
 // perceptible, launcher home, everything else cached with a score that grows
 // as the app ages down the LRU. Helper processes share their app's score.
 func (sys *System) updateOomAdj() {
+	for i, c := range sys.amCached {
+		c.lruIndex = i
+	}
 	for _, a := range sys.amApps {
 		if a.Dead {
 			continue
@@ -111,25 +123,13 @@ func (sys *System) updateOomAdj() {
 		case a == sys.amForeground:
 			adj = kernel.OomForeground
 		case a.Cfg.Foreground:
-			adj = kernel.OomCachedMin + sys.cachedIndex(a)
-			if adj > kernel.OomCachedMax {
-				adj = kernel.OomCachedMax
-			}
+			adj = min(kernel.OomCachedMin+a.lruIndex, kernel.OomCachedMax)
 		}
 		a.Proc.OomAdj = adj
 		for _, h := range a.HelperProcs {
 			h.OomAdj = adj
 		}
 	}
-}
-
-func (sys *System) cachedIndex(a *App) int {
-	for i, c := range sys.amCached {
-		if c == a {
-			return i
-		}
-	}
-	return 0
 }
 
 // startMemoryManagement spawns the two system_server threads the pressure

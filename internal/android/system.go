@@ -51,9 +51,10 @@ type System struct {
 	// before the launcher has finished creating its surface.
 	launcherHidden bool
 
-	// ActivityManager process records: every app ever created, the
-	// current foreground activity, and the cached-app LRU (most recent
-	// first) the oom_adj ladder is computed from.
+	// ActivityManager process records: every app not yet reaped, in
+	// creation order (noteDead removes the dead), the current foreground
+	// activity, and the cached-app LRU (most recent first) the oom_adj
+	// ladder is computed from.
 	amApps       []*App
 	amForeground *App
 	amCached     []*App

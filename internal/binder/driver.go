@@ -197,12 +197,13 @@ func (t *Transaction) Sender() *kernel.Thread { return t.sender }
 
 func (d *Driver) serveLoop(ex *kernel.Exec, s *Service) {
 	buf := d.bufferFor(s.Proc)
+	kv := s.Proc.Layout.Kernel
 	for {
 		txn := ex.Recv(s.queue).(*Transaction)
 		// Kernel copies the parcel into this process's binder buffer;
 		// the service thread then reads it out.
 		ex.Syscall(ioctlFetch/2, ioctlData/2)
-		ex.InCode(kernelText(s.Proc), func() {
+		ex.InCode(kv, func() {
 			ex.Do(kernel.Work{Fetch: 2, Writes: 1, Data: buf}, txn.Data.Words())
 		})
 		ex.Read(buf, txn.Data.Words())
@@ -315,13 +316,4 @@ func (d *Driver) AbortPending(s *Service) int {
 		n++
 	}
 	return n
-}
-
-// kernelText resolves the kernel region of p (every process maps one).
-func kernelText(p *kernel.Process) *mem.VMA {
-	v := p.AS.FindByName(mem.RegionKernel)
-	if v == nil {
-		panic("binder: process has no kernel region")
-	}
-	return v
 }

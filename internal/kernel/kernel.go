@@ -52,6 +52,10 @@ type Kernel struct {
 	nextTID int
 	procs   []*Process
 	threads []*Thread
+	// live indexes the processes whose memory has not been released, in
+	// creation order: what the killer scans. procs stays the census of
+	// everything ever created.
+	live []*Process
 
 	// runq is a head-indexed ring: dequeue pops runq[runqHead] (nilling the
 	// slot so exited threads are not retained) and append reuses the slack

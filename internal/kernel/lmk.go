@@ -93,8 +93,9 @@ func (k *Kernel) LMKVictims() []string { return k.lmk.victims }
 
 // DeathQueue is the mailbox LMK victims are announced on. The framework's
 // ActivityManager model consumes it to perform the userspace half of a
-// process death (binder teardown, media session stop, surface removal).
-// Non-nil only when the killer is enabled.
+// process death (binder teardown, media session stop, hiding the surface;
+// the surface itself stays in the compositor's list). Non-nil only when
+// the killer is enabled.
 func (k *Kernel) DeathQueue() *MsgQueue { return k.lmk.deaths }
 
 // startLMK brings up the kswapd0 kernel thread and the death queue.
@@ -139,11 +140,12 @@ func (k *Kernel) lmkScan(ex *Exec) {
 
 // selectVictim picks the process the killer frees: among live processes with
 // OomAdj >= minAdj, the highest adj wins; ties go to the largest resident
-// set, then the lowest PID, so selection is fully deterministic.
+// set, then the lowest PID, so selection is fully deterministic. It scans
+// the live index, so its cost does not grow with processes already dead.
 func (k *Kernel) selectVictim(minAdj int) *Process {
 	var victim *Process
-	for _, p := range k.procs {
-		if p.OomAdj < minAdj || p.memReleased || p.LiveThreads() == 0 {
+	for _, p := range k.live {
+		if p.OomAdj < minAdj || p.LiveThreads() == 0 {
 			continue
 		}
 		if victim == nil ||

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"agave/internal/mem"
@@ -166,5 +167,98 @@ func TestNoLMKWithoutConfig(t *testing.T) {
 	}
 	if k.DeathQueue() != nil {
 		t.Fatal("death queue exists without the killer")
+	}
+}
+
+// refSelectVictim is the full scan selectVictim replaced: every process ever
+// created, skipping the released and the threadless.
+func refSelectVictim(k *Kernel, minAdj int) *Process {
+	var victim *Process
+	for _, p := range k.procs {
+		if p.OomAdj < minAdj || p.memReleased || p.LiveThreads() == 0 {
+			continue
+		}
+		if victim == nil ||
+			p.OomAdj > victim.OomAdj ||
+			(p.OomAdj == victim.OomAdj && p.AS.ResidentPages() > victim.AS.ResidentPages()) {
+			victim = p
+		}
+	}
+	return victim
+}
+
+// checkLiveIndex asserts live is procs filtered by !memReleased, in creation
+// order, and that selectVictim agrees with the full scan at every rung.
+func checkLiveIndex(t *testing.T, k *Kernel) {
+	t.Helper()
+	var want []*Process
+	for _, p := range k.procs {
+		if !p.memReleased {
+			want = append(want, p)
+		}
+	}
+	if len(k.live) != len(want) {
+		t.Fatalf("live holds %d processes, want %d", len(k.live), len(want))
+	}
+	for i := range want {
+		if k.live[i] != want[i] {
+			t.Fatalf("live[%d] = pid %d, want pid %d (creation order)", i, k.live[i].PID, want[i].PID)
+		}
+	}
+	for _, rung := range k.Cfg.MinFree {
+		if got, ref := k.selectVictim(rung.Adj), refSelectVictim(k, rung.Adj); got != ref {
+			t.Fatalf("selectVictim(%d) = %v, full scan %v", rung.Adj, got, ref)
+		}
+	}
+}
+
+// TestLiveIndexMatchesFullScan forks 40 children with tied adj scores and
+// tied resident sets, kills a seeded subset (a double kill and a child that
+// never started a thread among them), then kills victim after victim: the
+// live index must stay procs minus the released, in creation order, and the
+// killer's choice must match the scan over every process ever created.
+func TestLiveIndexMatchesFullScan(t *testing.T) {
+	k := New(pressureConfig(1 << 20))
+	defer k.Shutdown()
+	rng := sim.NewRNG(7)
+	zygote := k.NewProcess("zygote", 64<<10, 256<<10)
+	adjs := []int{OomNeverKill, OomForeground, OomVisible, OomPerceptible, OomHome, OomCachedMin, OomCachedMin + 1}
+	var kids []*Process
+	for i := 0; i < 40; i++ {
+		c := k.Fork(zygote, fmt.Sprintf("app%d", i))
+		c.OomAdj = adjs[rng.Intn(len(adjs))]
+		if n := rng.Intn(3); n > 0 {
+			c.Layout.MapAnon(c.AS, uint64(n)*64*mem.PageSize)
+		}
+		if i != 5 && i != 6 { // 5 and 6 never start a thread
+			k.SpawnThread(c, "main", "main", func(ex *Exec) {
+				ex.Wait(k.NewWaitQueue(c.Name + ".park"))
+			})
+		}
+		kids = append(kids, c)
+	}
+	k.Run(k.Clock.Now() + 5*sim.Millisecond)
+	checkLiveIndex(t, k)
+
+	k.KillProcess(kids[5]) // never started
+	k.KillProcess(kids[9])
+	k.KillProcess(kids[9]) // double kill
+	for _, c := range kids {
+		if rng.Bool(0.3) {
+			k.KillProcess(c)
+		}
+	}
+	checkLiveIndex(t, k)
+
+	for kills := 0; ; kills++ {
+		v := k.selectVictim(OomForeground)
+		if v == nil {
+			if kills == 0 {
+				t.Fatal("no victim left after the seeded kills; the test kills too much")
+			}
+			break
+		}
+		k.KillProcess(v)
+		checkLiveIndex(t, k)
 	}
 }

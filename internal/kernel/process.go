@@ -7,6 +7,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"agave/internal/cpu"
 	"agave/internal/mem"
@@ -143,6 +144,7 @@ func (k *Kernel) newBareProcess(name string) *Process {
 	p.AS.OnResident = k.addResidentPages
 	k.nextPID++
 	k.procs = append(k.procs, p)
+	k.live = append(k.live, p)
 	return p
 }
 
@@ -184,6 +186,7 @@ func (k *Kernel) Fork(parent *Process, name string) *Process {
 		NextLib: parent.Layout.NextLib,
 	}
 	k.procs = append(k.procs, child)
+	k.live = append(k.live, child)
 	return child
 }
 
@@ -210,8 +213,8 @@ func (k *Kernel) KillProcess(p *Process) {
 }
 
 // releaseProcessMemory returns a dead process's resident pages to the
-// machine-wide budget, once. The address space stays inspectable but stops
-// feeding the budget.
+// machine-wide budget, once, and drops the process from the live index. The
+// address space stays inspectable but stops feeding the budget.
 func (k *Kernel) releaseProcessMemory(p *Process) {
 	if p.memReleased {
 		return
@@ -219,6 +222,11 @@ func (k *Kernel) releaseProcessMemory(p *Process) {
 	p.memReleased = true
 	p.AS.OnResident = nil
 	k.addResidentPages(-int64(p.AS.ResidentPages()))
+	// Order-preserving: selectVictim breaks ties toward the earliest-created
+	// process.
+	if i := slices.Index(k.live, p); i >= 0 {
+		k.live = slices.Delete(k.live, i, i+1)
+	}
 }
 
 // LiveProcessCount counts processes that still have at least one live

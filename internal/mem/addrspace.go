@@ -106,7 +106,7 @@ func (as *AddressSpace) Map(start Addr, size uint64, name string, perms Perm, cl
 		return nil, fmt.Errorf("mem: zero-size mapping %q", name)
 	}
 	end := start + size
-	if i := as.overlapIndex(start, end); i >= 0 {
+	if i := as.overlapIndexExcept(start, end, nil); i >= 0 {
 		return nil, fmt.Errorf("mem: mapping %q [%#x,%#x) overlaps %s", name, start, end, as.vmas[i])
 	}
 	v := as.newVMA()
@@ -154,15 +154,14 @@ func (as *AddressSpace) MapShared(hint Addr, src *VMA, perms Perm) *VMA {
 
 // Unmap removes the VMA. It is an error to unmap a VMA not in this space.
 func (as *AddressSpace) Unmap(v *VMA) error {
-	for i, w := range as.vmas {
-		if w == v {
-			as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
-			as.invalidate(v.Start, v.End)
-			as.addResident(v, -int64(v.resident))
-			return nil
-		}
+	i := as.search(v.Start)
+	if i == len(as.vmas) || as.vmas[i] != v {
+		return fmt.Errorf("mem: unmap of unknown VMA %s", v)
 	}
-	return fmt.Errorf("mem: unmap of unknown VMA %s", v)
+	as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
+	as.invalidate(v.Start, v.End)
+	as.addResident(v, -int64(v.resident))
+	return nil
 }
 
 // Discard releases up to bytes of v's resident pages without unmapping it —
@@ -201,7 +200,7 @@ func (as *AddressSpace) Find(addr Addr) *VMA {
 	if as.last != nil && as.last.Contains(addr) {
 		return as.last
 	}
-	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > addr })
+	i := as.search(addr)
 	if i < len(as.vmas) && as.vmas[i].Contains(addr) {
 		as.last = as.vmas[i]
 		return as.vmas[i]
@@ -241,6 +240,8 @@ func (as *AddressSpace) Brk(newBrk Addr) Addr {
 	if newBrk <= heap.Start {
 		return as.brk
 	}
+	// Refusing every collision is what keeps the slice sorted and disjoint,
+	// which the binary searches and findGap's forward walk rely on.
 	if i := as.overlapIndexExcept(heap.Start, newBrk, heap); i >= 0 {
 		return as.brk
 	}
@@ -332,13 +333,18 @@ func (as *AddressSpace) insert(v *VMA) {
 	as.vmas[i] = v
 }
 
-func (as *AddressSpace) overlapIndex(start, end Addr) int {
-	return as.overlapIndexExcept(start, end, nil)
+// search returns the index of the first VMA ending above addr: the one
+// containing addr if any, else the first one after it. The slice is sorted
+// and disjoint, so End increases with the index.
+func (as *AddressSpace) search(addr Addr) int {
+	return sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > addr })
 }
 
+// overlapIndexExcept returns the lowest index of a VMA other than skip that
+// overlaps [start, end), or -1.
 func (as *AddressSpace) overlapIndexExcept(start, end Addr, skip *VMA) int {
-	for i, v := range as.vmas {
-		if v != skip && v.Start < end && start < v.End {
+	for i := as.search(start); i < len(as.vmas) && as.vmas[i].Start < end; i++ {
+		if as.vmas[i] != skip {
 			return i
 		}
 	}
@@ -346,16 +352,15 @@ func (as *AddressSpace) overlapIndexExcept(start, end Addr, skip *VMA) int {
 }
 
 // findGap locates the lowest page-aligned start ≥ hint such that
-// [start, start+size) is unmapped.
+// [start, start+size) is unmapped: from the first VMA ending above the
+// rounded hint, it steps past each mapping the candidate range still
+// overlaps.
 func (as *AddressSpace) findGap(hint Addr, size uint64) Addr {
 	start := roundUp(hint)
-	for {
-		i := as.overlapIndex(start, start+size)
-		if i < 0 {
-			return start
-		}
+	for i := as.search(start); i < len(as.vmas) && as.vmas[i].Start < start+size; i++ {
 		start = as.vmas[i].End
 	}
+	return start
 }
 
 func roundUp(n uint64) uint64 {

@@ -1,9 +1,11 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"agave/internal/sim"
 	"agave/internal/stats"
 )
 
@@ -471,4 +473,189 @@ func mustMapPerm(t *testing.T, as *AddressSpace, start Addr, size uint64, name s
 		t.Fatal(err)
 	}
 	return v
+}
+
+// refOverlapIndexExcept is the linear overlap scan the address space used
+// before its lookups became binary searches: the lowest index of a VMA other
+// than skip that overlaps [start, end), or -1.
+func refOverlapIndexExcept(vmas []*VMA, start, end Addr, skip *VMA) int {
+	for i, v := range vmas {
+		if v != skip && v.Start < end && start < v.End {
+			return i
+		}
+	}
+	return -1
+}
+
+// refFindGap is the restart loop findGap replaced: after every collision,
+// rescan from the lowest VMA.
+func refFindGap(vmas []*VMA, hint Addr, size uint64) Addr {
+	start := roundUp(hint)
+	for {
+		i := refOverlapIndexExcept(vmas, start, start+size, nil)
+		if i < 0 {
+			return start
+		}
+		start = vmas[i].End
+	}
+}
+
+// refBrk is the break Brk must return, decided against the linear scan.
+func refBrk(as *AddressSpace, newBrk Addr) Addr {
+	heap := as.FindByName(RegionHeap)
+	if heap == nil || newBrk == 0 {
+		return as.brk
+	}
+	newBrk = roundUp(newBrk)
+	if newBrk <= heap.Start || refOverlapIndexExcept(as.vmas, heap.Start, newBrk, heap) >= 0 {
+		return as.brk
+	}
+	return newBrk
+}
+
+// TestAddressSpaceMatchesLinearReference drives random Map, MapAnywhere,
+// Unmap and Brk sequences on a NewLayout space and checks every answer
+// against the linear reference scans: the lowest gap at or above the hint,
+// the same overlap error, the same break. After every op the map must be
+// sorted and disjoint and the resident counters must equal the sum over
+// countable VMAs.
+func TestAddressSpaceMatchesLinearReference(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := sim.NewRNG(seed)
+		as := newAS()
+		l := NewLayout(as, 0x10000, 0x10000)
+		layout := map[*VMA]bool{l.Text: true, l.Heap: true, l.Stack: true, l.Kernel: true}
+		lo, hi := HeapBase-64*PageSize, HeapBase+512*PageSize
+		randAddr := func(from, to Addr) Addr {
+			if to <= from {
+				return from
+			}
+			return from + Addr(rng.Intn(int(to-from)))
+		}
+		randSize := func() uint64 {
+			if rng.Bool(0.3) {
+				return uint64(rng.Range(1, 8*PageSize)) // rounded up by the space
+			}
+			return uint64(rng.Range(1, 8)) * PageSize
+		}
+		// gaps lists the holes between consecutive mappings.
+		gaps := func() (g [][2]Addr) {
+			vs := as.VMAs()
+			for i := 1; i < len(vs); i++ {
+				if vs[i-1].End < vs[i].Start {
+					g = append(g, [2]Addr{vs[i-1].End, vs[i].Start})
+				}
+			}
+			return g
+		}
+
+		for op := 0; op < 1500; op++ {
+			vs := as.VMAs()
+			switch r := rng.Intn(100); {
+			case r < 35: // MapAnywhere
+				var hint Addr
+				size := randSize()
+				switch rng.Intn(5) {
+				case 0: // below every mapping
+					hint = randAddr(0, vs[0].Start)
+				case 1: // inside a mapping
+					v := vs[rng.Intn(len(vs))]
+					hint = randAddr(v.Start, v.End)
+				case 2: // between mappings
+					if g := gaps(); len(g) > 0 {
+						h := g[rng.Intn(len(g))]
+						hint = randAddr(h[0], h[1])
+					}
+				case 3: // above every mapping
+					hint = vs[len(vs)-1].End + Addr(rng.Intn(16))*PageSize
+				case 4: // a gap's exact size, or one page too large
+					if g := gaps(); len(g) > 0 {
+						h := g[rng.Intn(len(g))]
+						hint = randAddr(h[0]-min(h[0], 64*PageSize), h[0]+1)
+						size = h[1] - h[0]
+						if rng.Bool(0.5) {
+							size += PageSize
+						}
+					}
+				}
+				want := refFindGap(vs, hint, roundUp(size))
+				v := as.MapAnywhere(hint, size, "anywhere", PermRead|PermWrite, ClassAnon)
+				if v.Start != want {
+					t.Fatalf("seed %d op %d: MapAnywhere(%#x, %#x) at %#x, reference %#x", seed, op, hint, size, v.Start, want)
+				}
+			case r < 60: // Map at a fixed address
+				start := randAddr(lo, hi) &^ (PageSize - 1)
+				size := randSize()
+				end := start + roundUp(size)
+				ref := refOverlapIndexExcept(vs, start, end, nil)
+				var wantErr string
+				if ref >= 0 {
+					wantErr = fmt.Sprintf("mem: mapping %q [%#x,%#x) overlaps %s", "fixed", start, end, vs[ref])
+				}
+				_, err := as.Map(start, size, "fixed", PermRead|PermWrite, ClassData)
+				switch {
+				case ref < 0 && err != nil:
+					t.Fatalf("seed %d op %d: Map [%#x,%#x) failed with no reference overlap: %v", seed, op, start, end, err)
+				case ref >= 0 && (err == nil || err.Error() != wantErr):
+					t.Fatalf("seed %d op %d: Map [%#x,%#x) error %v, want %q", seed, op, start, end, err, wantErr)
+				}
+			case r < 80 || len(vs) > 160: // Unmap
+				var cands []*VMA
+				for _, v := range vs {
+					if !layout[v] {
+						cands = append(cands, v)
+					}
+				}
+				if len(cands) == 0 {
+					continue
+				}
+				v := cands[rng.Intn(len(cands))]
+				if err := as.Unmap(&VMA{Start: v.Start, End: v.End, Name: v.Name}); err == nil {
+					t.Fatalf("seed %d op %d: Unmap of a foreign VMA at %#x succeeded", seed, op, v.Start)
+				}
+				if err := as.Unmap(v); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+				if as.Find(v.Start) == v {
+					t.Fatalf("seed %d op %d: unmapped %s still found", seed, op, v)
+				}
+			default: // Brk
+				var newBrk Addr
+				if !rng.Bool(0.05) {
+					newBrk = randAddr(l.Heap.Start-2*PageSize, l.Heap.End+16*PageSize)
+				}
+				want := refBrk(as, newBrk)
+				if got := as.Brk(newBrk); got != want {
+					t.Fatalf("seed %d op %d: Brk(%#x) = %#x, reference %#x", seed, op, newBrk, got, want)
+				}
+			}
+			checkAddressSpace(t, as)
+		}
+	}
+}
+
+// checkAddressSpace asserts the map is sorted and disjoint and that the
+// resident counters equal the sum over countable VMAs.
+func checkAddressSpace(t *testing.T, as *AddressSpace) {
+	t.Helper()
+	var total uint64
+	var byClass [ClassRuntime + 1]uint64
+	vs := as.VMAs()
+	for i, v := range vs {
+		if v.Start >= v.End || (i > 0 && vs[i-1].End > v.Start) {
+			t.Fatalf("map not sorted and disjoint at %d: %v", i, vs)
+		}
+		if countable(v) {
+			total += v.resident / PageSize
+			byClass[v.Class] += v.resident / PageSize
+		}
+	}
+	if got := as.ResidentPages(); got != total {
+		t.Fatalf("ResidentPages = %d, sum over VMAs %d", got, total)
+	}
+	for c := range byClass {
+		if got := as.ResidentPagesByClass(Class(c)); got != byClass[c] {
+			t.Fatalf("ResidentPagesByClass(%d) = %d, sum over VMAs %d", c, got, byClass[c])
+		}
+	}
 }
