@@ -4,15 +4,17 @@
 // generate these statistics"). Every operation retires in one tick; there is
 // no cache or memory timing.
 //
-// Simulated threads are Go goroutines coupled to the scheduler by strict
-// channel handoff: exactly one simulated thread runs at any moment, and a
-// thread runs only while holding a quantum grant. This makes whole-system
-// runs bit-deterministic while letting workload models be written as plain
-// straight-line Go code instead of resumable state machines.
+// Simulated threads are coroutines (iter.Pull) that the scheduler switches to
+// directly: Run resumes a thread for one quantum and the thread switches back
+// when it yields, so exactly one simulated thread runs at any moment. This
+// makes whole-system runs bit-deterministic while letting workload models be
+// written as plain straight-line Go code instead of resumable state machines.
 package cpu
 
 import (
 	"fmt"
+	"iter"
+	"sync"
 
 	"agave/internal/sim"
 )
@@ -63,44 +65,116 @@ func (r Reason) String() string {
 
 // Yield is the report a thread hands the scheduler when it stops running.
 type Yield struct {
-	Used   sim.Ticks // ticks consumed since the grant
+	Used   sim.Ticks // ticks consumed since Run resumed the thread
 	Reason Reason
 	WakeAt sim.Ticks // valid for YieldSleep
-}
-
-type grant struct {
-	quantum sim.Ticks
-	kill    bool
 }
 
 // killed is the panic sentinel used to unwind a killed thread body.
 type killed struct{}
 
-// Context is one simulated thread's execution context.
+// Context is one simulated thread's execution context. It owns one
+// coroutine that runs thread bodies one after another: when a body returns
+// or is killed, the coroutine parks until Release hands the context to
+// NewContext and the next Start supplies another body.
 type Context struct {
-	grantCh chan grant
-	yieldCh chan Yield
+	next  func() (Yield, bool)
+	yield func(Yield) bool // the coroutine's side of next
 
-	// thread-side state (touched only while holding the grant)
+	body func(any)
+	arg  any
+
+	// thread-side state, written by Run before it resumes the body
 	quantum sim.Ticks
 	used    sim.Ticks
+	kill    bool
 
 	// scheduler-side state
-	exited  bool
 	started bool
+	ran     bool // the body has been resumed at least once
+	exited  bool
+	// dead marks a coroutine that ended because a body panicked (or called
+	// runtime.Goexit); it can never run another body. A dead context is
+	// also exited.
+	dead bool
 }
 
-// NewContext returns a context ready for Start.
+// free is the process-wide context pool. It outlives kernels, because every
+// run boots a fresh kernel and a new coroutine costs about 14 allocations.
+// It is not a sync.Pool: that drops entries at GC, and a dropped context's
+// parked goroutine could never be collected. It needs no cap: it never holds
+// more contexts than the most simulated threads ever live at once.
+var free struct {
+	sync.Mutex
+	list []*Context
+}
+
+// NewContext returns a context ready for Start: a released one if the pool
+// has any, else a new one.
 func NewContext() *Context {
-	return &Context{
-		grantCh: make(chan grant),
-		yieldCh: make(chan Yield),
+	free.Lock()
+	if n := len(free.list); n > 0 {
+		c := free.list[n-1]
+		free.list[n-1] = nil
+		free.list = free.list[:n-1]
+		free.Unlock()
+		return c
+	}
+	free.Unlock()
+	c := &Context{}
+	// The coroutine is never stopped: a pooled context parks it for reuse.
+	c.next, _ = iter.Pull(c.loop)
+	return c
+}
+
+// Release returns an exited context to the pool for a later NewContext. A
+// dead context is dropped instead. Panics on a live context — pooling one
+// would hand its coroutine to two threads at once.
+func Release(c *Context) {
+	if c.dead {
+		return
+	}
+	if c.started && !c.exited {
+		panic("cpu: release of live context")
+	}
+	c.body, c.arg = nil, nil
+	c.started, c.ran, c.exited = false, false, false
+	c.quantum, c.used = 0, 0
+	free.Lock()
+	free.list = append(free.list, c)
+	free.Unlock()
+}
+
+// loop is the coroutine: it runs each started body and reports its exit.
+// It returns only if a body panics or calls runtime.Goexit, and iter.Pull
+// then re-raises either in whoever called next.
+func (c *Context) loop(yield func(Yield) bool) {
+	defer func() { c.dead, c.exited = true, true }()
+	c.yield = yield
+	for {
+		c.runBody()
+		if !yield(Yield{Used: c.used, Reason: YieldExit}) {
+			return
+		}
 	}
 }
 
-// Start launches body(arg) as the thread's code. The body does not run until
-// the scheduler grants a quantum with Run. When body returns (or the thread
-// is killed) the context reports YieldExit.
+// runBody runs the current body, absorbing the unwind of a kill.
+func (c *Context) runBody() {
+	c.ran = true
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); !ok {
+				panic(r)
+			}
+		}
+	}()
+	c.body(c.arg)
+}
+
+// Start sets body(arg) as the thread's code. The body does not run until
+// the scheduler calls Run. When body returns (or the thread is killed) the
+// context reports YieldExit.
 //
 // The explicit arg exists so hot spawn paths can pass a package-level
 // function plus a pointer argument instead of allocating a capturing closure
@@ -110,34 +184,23 @@ func (c *Context) Start(body func(arg any), arg any) {
 		panic("cpu: context started twice")
 	}
 	c.started = true
-	go func() {
-		g := <-c.grantCh
-		if g.kill {
-			c.yieldCh <- Yield{Reason: YieldExit}
-			return
-		}
-		c.quantum = g.quantum
-		c.used = 0
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killed); !ok {
-					panic(r)
-				}
-			}
-			c.yieldCh <- Yield{Used: c.used, Reason: YieldExit}
-		}()
-		body(arg)
-	}()
+	c.body, c.arg = body, arg
 }
 
-// Run grants the thread a quantum and blocks until it yields. It must only
-// be called by the scheduler, for a started, non-exited context.
+// Run resumes the thread for one quantum and returns when it yields. It
+// must only be called by the scheduler, for a started, non-exited context.
+// A panic in the body re-raises here, on the caller's goroutine, and leaves
+// the context dead.
 func (c *Context) Run(quantum sim.Ticks) Yield {
 	if c.exited {
+		if c.dead {
+			panic("cpu: Run on dead context")
+		}
 		panic("cpu: Run on exited context")
 	}
-	c.grantCh <- grant{quantum: quantum}
-	y := <-c.yieldCh
+	c.quantum = quantum
+	c.used = 0
+	y, _ := c.next()
 	if y.Reason == YieldExit {
 		c.exited = true
 	}
@@ -145,38 +208,32 @@ func (c *Context) Run(quantum sim.Ticks) Yield {
 }
 
 // Kill unwinds the thread body and retires the context. Safe to call on a
-// blocked or sleeping thread; a no-op on an exited one.
+// blocked or sleeping thread; a no-op on an exited one. A body that never
+// ran is retired without a switch. A killed body's deferred calls must not
+// charge, block or sleep.
 func (c *Context) Kill() {
-	if c.exited || !c.started {
-		c.exited = true
+	if c.exited {
+		if c.dead {
+			panic("cpu: Kill on dead context")
+		}
 		return
 	}
-	c.grantCh <- grant{kill: true}
-	<-c.yieldCh
 	c.exited = true
+	if !c.ran {
+		return
+	}
+	c.kill = true
+	c.next()
+	c.kill = false
 }
 
 // Exited reports whether the thread will never run again.
 func (c *Context) Exited() bool { return c.exited }
 
-// Recycle returns an exited context to like-new state so it can serve a new
-// thread: the old goroutine has exited and both handoff channels are empty,
-// so Start may be called again. Panics on a live context — recycling one
-// would hand its channels to two goroutines at once.
-func (c *Context) Recycle() {
-	if c.started && !c.exited {
-		panic("cpu: recycle of live context")
-	}
-	c.started = false
-	c.exited = false
-	c.quantum = 0
-	c.used = 0
-}
-
 // --- thread-side API (call only from inside the body) ---
 
 // Charge consumes n ticks of the current quantum. If the quantum is
-// exhausted, the thread yields and resumes transparently on its next grant.
+// exhausted, the thread yields and resumes transparently on its next Run.
 // Large charges are allowed to overrun the quantum (atomic ops are not
 // preemptable mid-instruction); bulk helpers chunk their charges.
 func (c *Context) Charge(n sim.Ticks) {
@@ -186,7 +243,7 @@ func (c *Context) Charge(n sim.Ticks) {
 	}
 }
 
-// Used reports ticks consumed under the current grant.
+// Used reports ticks consumed since Run resumed the thread.
 func (c *Context) Used() sim.Ticks { return c.used }
 
 // YieldNow ends the quantum early without consuming extra ticks; the thread
@@ -195,8 +252,8 @@ func (c *Context) YieldNow() {
 	c.yieldWait(Yield{Used: c.used, Reason: YieldQuantum})
 }
 
-// Block yields with YieldBlocked and returns once the scheduler wakes the
-// thread with a fresh grant.
+// Block yields with YieldBlocked and returns once the scheduler runs the
+// thread again.
 func (c *Context) Block() {
 	c.yieldWait(Yield{Used: c.used, Reason: YieldBlocked})
 }
@@ -207,11 +264,8 @@ func (c *Context) Sleep(wakeAt sim.Ticks) {
 }
 
 func (c *Context) yieldWait(y Yield) {
-	c.yieldCh <- y
-	g := <-c.grantCh
-	if g.kill {
+	c.yield(y)
+	if c.kill {
 		panic(killed{})
 	}
-	c.quantum = g.quantum
-	c.used = 0
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"agave/internal/sim"
@@ -212,4 +213,137 @@ func TestReasonString(t *testing.T) {
 			t.Fatalf("Reason(%d).String() = %q, want %q", r, r.String(), want)
 		}
 	}
+}
+
+// twoQuanta charges through two 10-tick quanta and exits on the third Run.
+func twoQuanta(arg any) {
+	c := arg.(*Context)
+	c.Charge(10)
+	c.Charge(10)
+}
+
+// parkForever blocks until killed.
+func parkForever(arg any) {
+	c := arg.(*Context)
+	for {
+		c.Block()
+	}
+}
+
+func TestReleasedContextServesNextBody(t *testing.T) {
+	c := NewContext()
+	c.Start(twoQuanta, c)
+	for i := 0; i < 2; i++ {
+		if y := c.Run(10); y.Reason != YieldQuantum {
+			t.Fatalf("quantum %d: %+v", i, y)
+		}
+	}
+	if y := c.Run(10); y.Reason != YieldExit {
+		t.Fatalf("exit: %+v", y)
+	}
+	Release(c)
+	if got := NewContext(); got != c {
+		t.Fatal("released context was not reused")
+	}
+
+	// The reused coroutine runs a second body, which is then killed.
+	c.Start(parkForever, c)
+	if y := c.Run(10); y.Reason != YieldBlocked {
+		t.Fatalf("reused body: %+v", y)
+	}
+	c.Kill()
+	Release(c)
+	if got := NewContext(); got != c {
+		t.Fatal("killed context was not reused")
+	}
+
+	// A body that never ran is retired without running, and the
+	// coroutine still serves the body after it.
+	c.Start(func(any) { t.Error("killed before running, yet ran") }, nil)
+	c.Kill()
+	Release(c)
+	if got := NewContext(); got != c {
+		t.Fatal("never-run context was not reused")
+	}
+	ran := false
+	c.Start(func(any) { ran = true }, nil)
+	if y := c.Run(10); y.Reason != YieldExit || !ran {
+		t.Fatalf("body after a never-run kill: %+v ran=%v", y, ran)
+	}
+	Release(c)
+}
+
+func TestReleaseOfLiveContextPanics(t *testing.T) {
+	c := NewContext()
+	c.Start(parkForever, c)
+	c.Run(10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing a blocked context did not panic")
+		}
+		c.Kill()
+	}()
+	Release(c)
+}
+
+func TestWarmPoolSwitchesWithoutAllocating(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		c := NewContext()
+		c.Start(twoQuanta, c)
+		c.Run(10)
+		c.Run(10)
+		if y := c.Run(10); y.Reason != YieldExit {
+			t.Fatalf("yield = %+v", y)
+		}
+		Release(c)
+	}); n != 0 {
+		t.Fatalf("spawn, two quanta, exit, release: %.1f allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c := NewContext()
+		c.Start(parkForever, c)
+		c.Run(10)
+		c.Kill()
+		Release(c)
+	}); n != 0 {
+		t.Fatalf("kill of a blocked body, release: %.1f allocs, want 0", n)
+	}
+}
+
+// TestBodyPanicLeavesContextDead pins the fault path: a body's panic
+// re-raises at Run with its original value, and the context whose coroutine
+// it ended never reaches the pool or runs again.
+func TestBodyPanicLeavesContextDead(t *testing.T) {
+	type fault struct{ pc int }
+	c := NewContext()
+	c.Start(func(any) {
+		c.Charge(1)
+		panic(fault{pc: 7})
+	}, nil)
+	func() {
+		defer func() {
+			if r := recover(); r != (fault{pc: 7}) {
+				t.Fatalf("recovered %v, want the body's own panic value", r)
+			}
+		}()
+		c.Run(10)
+		t.Fatal("Run returned after the body panicked")
+	}()
+	if !c.Exited() {
+		t.Fatal("dead context not exited")
+	}
+	Release(c)
+	if got := NewContext(); got == c {
+		t.Fatal("dead context entered the pool")
+	}
+	mustPanic := func(name string, call func()) {
+		defer func() {
+			if msg, _ := recover().(string); !strings.HasPrefix(msg, "cpu: ") {
+				t.Fatalf("%s on a dead context: recovered %q, want a cpu: panic", name, msg)
+			}
+		}()
+		call()
+	}
+	mustPanic("Run", func() { c.Run(10) })
+	mustPanic("Kill", c.Kill)
 }

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,6 +74,65 @@ func FuzzDecodeLine(f *testing.F) {
 		}
 		if agg.Observe(shard, data, &line) == nil {
 			t.Fatal("one line was accepted twice")
+		}
+	})
+}
+
+// FuzzRunWorker feeds arbitrary stdin bytes to RunWorker with the synthetic
+// engine. Bytes that decode as a Spec are also wrapped in an envelope with
+// their true hash and the fuzzed shard id, so mutations reach past the hash
+// check into plan decoding and shard slicing. Every input must come back as
+// an error or as a clean stream: result lines, then a trailer that counts
+// and digests them.
+func FuzzRunWorker(f *testing.F) {
+	spec := testSpec(f, 5)
+	hash, err := spec.Hash()
+	if err != nil {
+		f.Fatal(err)
+	}
+	env, err := json.Marshal(Envelope{PlanHash: hash, Shard: 1, Spec: *spec})
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(env, 0)
+	f.Add(raw, 4)
+	f.Add(raw, -1)
+	f.Add([]byte(`{"config":null,"plan":{"seeds":[1,2]},"shard_size":0}`), 0)
+	f.Fuzz(func(t *testing.T, data []byte, shard int) {
+		stdins := [][]byte{data}
+		var s Spec
+		if json.Unmarshal(data, &s) == nil {
+			if hash, err := s.Hash(); err == nil {
+				if env, err := json.Marshal(Envelope{PlanHash: hash, Shard: shard, Spec: s}); err == nil {
+					stdins = append(stdins, env)
+				}
+			}
+		}
+		for _, stdin := range stdins {
+			var out bytes.Buffer
+			if RunWorker(bytes.NewReader(stdin), &out, syntheticRun) != nil {
+				continue
+			}
+			lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+			var digest Digest
+			var line Line
+			for _, l := range lines[:len(lines)-1] {
+				if err := DecodeLine([]byte(l), &line); err != nil {
+					t.Fatalf("result line %q: %v", l, err)
+				}
+				digest.AddLine([]byte(l))
+			}
+			var tr Trailer
+			if err := json.Unmarshal([]byte(lines[len(lines)-1]), &tr); err != nil {
+				t.Fatalf("trailer %q: %v", lines[len(lines)-1], err)
+			}
+			if !tr.Done || tr.Lines != len(lines)-1 || tr.Digest != digest.Hex() {
+				t.Fatalf("trailer %+v does not seal its %d lines", tr, len(lines)-1)
+			}
 		}
 	})
 }

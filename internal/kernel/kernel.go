@@ -65,12 +65,6 @@ type Kernel struct {
 	runq     []*Thread
 	runqHead int
 
-	// ctxFree recycles the cpu contexts of exited threads: the goroutine is
-	// gone and both handoff channels are empty, so the struct and channels
-	// can serve the next SpawnThread. Exited threads have ctx set to nil
-	// when their context is reclaimed.
-	ctxFree []*cpu.Context
-
 	// msgqSlab and wqSlab chunk-allocate mailbox and wait-queue structs:
 	// every process spawn creates several of each, and one allocation per
 	// chunk beats one per queue. Handed-out entries are never reclaimed, so
@@ -222,16 +216,17 @@ func (k *Kernel) dequeue() *Thread {
 	return nil
 }
 
-// reclaimCtx returns an exited thread's cpu context to the free list for the
-// next SpawnThread. The thread keeps State == StateExited and a nil ctx.
+// reclaimCtx releases an exited thread's cpu context to the process-wide
+// pool, where its parked coroutine serves a later spawn, possibly in another
+// kernel. The thread keeps State == StateExited and a nil ctx, in its Exec
+// too, so no stale handle reaches a context that now serves another thread.
 func (k *Kernel) reclaimCtx(t *Thread) {
 	if t.ctx == nil || !t.ctx.Exited() {
 		return
 	}
-	c := t.ctx
+	cpu.Release(t.ctx)
 	t.ctx = nil
-	c.Recycle()
-	k.ctxFree = append(k.ctxFree, c)
+	t.exec.ctx = nil
 }
 
 // Wake moves a blocked thread back onto the run queue. Waking a runnable or
@@ -305,15 +300,21 @@ func (k *Kernel) idle(deadline sim.Ticks) {
 	k.Clock.Set(next)
 }
 
-// Shutdown kills every live thread so their goroutines exit. The kernel must
-// not be Run again afterwards. Tests and benchmarks call this to avoid
-// leaking goroutines between runs.
+// Shutdown kills every live thread and releases every context to the
+// process-wide pool, leaving each thread's ctx nil; a context whose body
+// panicked is dead and is dropped instead. The kernel must not be Run again
+// afterwards. Every run path defers it, so the pool gets its contexts back
+// even when a run panics.
 func (k *Kernel) Shutdown() {
 	k.stopping = true
 	for _, t := range k.threads {
-		if t.ctx != nil {
-			t.ctx.Kill()
-			t.State = StateExited
+		if t.ctx == nil {
+			continue
 		}
+		if !t.ctx.Exited() {
+			t.ctx.Kill()
+		}
+		t.State = StateExited
+		k.reclaimCtx(t)
 	}
 }

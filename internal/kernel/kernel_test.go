@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"strings"
 	"testing"
 
+	"agave/internal/cpu"
 	"agave/internal/mem"
 	"agave/internal/sim"
 	"agave/internal/stats"
@@ -405,5 +407,144 @@ func TestKillProcessWakeOnDeadThreadIsNoop(t *testing.T) {
 	k.Run(200 * sim.Microsecond)
 	if p.LiveThreads() != 0 {
 		t.Fatal("dead thread came back to life")
+	}
+}
+
+// TestRunAfterBodyPanicIsClean runs the way every run path does, with a
+// deferred Shutdown. A thread body's panic must reach Kernel.Run's caller
+// with its own value, and the context it killed must not be handed to the
+// next kernel: a clean run afterwards matches a clean run before.
+func TestRunAfterBodyPanicIsClean(t *testing.T) {
+	run := func(fail bool) uint64 {
+		k := newTestKernel()
+		defer k.Shutdown()
+		p := k.NewProcess("benchmark", 1<<20, 1<<20)
+		wq := k.NewWaitQueue("test.park")
+		k.SpawnThread(p, "parked", "parked", func(ex *Exec) {
+			ex.PushCode(p.Layout.Text)
+			ex.Fetch(100)
+			ex.Wait(wq)
+		})
+		k.SpawnThread(p, "sleeper", "sleeper", func(ex *Exec) {
+			ex.PushCode(p.Layout.Text)
+			for {
+				ex.Fetch(200)
+				ex.SleepFor(300 * sim.Microsecond)
+			}
+		})
+		// Spawned last, so a context it left in the pool would be the
+		// first one the next kernel takes.
+		k.SpawnThread(p, "faulty", "faulty", func(ex *Exec) {
+			ex.PushCode(p.Layout.Text)
+			ex.Fetch(500)
+			if fail {
+				panic("thread body fault")
+			}
+			ex.Fetch(500)
+		})
+		k.Run(2 * sim.Millisecond)
+		return k.Stats.Fingerprint()
+	}
+	first := run(false)
+	func() {
+		defer func() {
+			if r := recover(); r != "thread body fault" {
+				t.Fatalf("recovered %v, want the thread body's panic", r)
+			}
+		}()
+		run(true)
+		t.Fatal("the body's panic did not reach Kernel.Run's caller")
+	}()
+	if third := run(false); third != first {
+		t.Fatalf("clean run after a panicked one: fingerprint %#x, want %#x", third, first)
+	}
+}
+
+func TestKillProcessFromItsOwnThreadPanics(t *testing.T) {
+	k := newTestKernel()
+	defer k.Shutdown()
+	p := k.NewProcess("victim", 1<<20, 1<<20)
+	th := k.SpawnThread(p, "main", "main", func(ex *Exec) {
+		ex.PushCode(p.Layout.Text)
+		ex.Fetch(10)
+		k.KillProcess(p)
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "kernel: ") || !strings.Contains(msg, th.String()) {
+			t.Fatalf("recovered %q, want a kernel: panic naming %s", msg, th)
+		}
+	}()
+	k.Run(1 * sim.Millisecond)
+	t.Fatal("self-kill did not panic")
+}
+
+// TestKillFromAnotherThreadFreesContexts has a running thread kill a process
+// whose threads are blocked, sleeping and never run; the contexts that frees
+// serve the killer's next spawns.
+func TestKillFromAnotherThreadFreesContexts(t *testing.T) {
+	k := newTestKernel()
+	defer k.Shutdown()
+	victim := k.NewProcess("victim", 1<<20, 1<<20)
+	wq := k.NewWaitQueue("test.park")
+	k.SpawnThread(victim, "parked", "parked", func(ex *Exec) {
+		ex.PushCode(victim.Layout.Text)
+		ex.Wait(wq)
+	})
+	k.SpawnThread(victim, "sleeper", "sleeper", func(ex *Exec) {
+		ex.PushCode(victim.Layout.Text)
+		ex.SleepFor(10 * sim.Millisecond)
+	})
+	killer := k.NewProcess("killer", 1<<20, 1<<20)
+	reused, ran := 0, 0
+	k.SpawnThread(killer, "main", "main", func(ex *Exec) {
+		ex.PushCode(killer.Layout.Text)
+		ex.SleepFor(100 * sim.Microsecond)
+		k.SpawnThread(victim, "unborn", "unborn", func(*Exec) {
+			t.Error("a thread killed before its first quantum ran")
+		})
+		freed := map[*cpu.Context]bool{}
+		for _, vt := range victim.Threads {
+			freed[vt.ctx] = true
+		}
+		k.KillProcess(victim)
+		for range victim.Threads {
+			nt := k.SpawnThread(killer, "reuse", "reuse", func(ex *Exec) {
+				ex.Fetch(10)
+				ran++
+			})
+			if freed[nt.ctx] {
+				reused++
+			}
+		}
+	})
+	k.Run(1 * sim.Millisecond)
+	if victim.LiveThreads() != 0 {
+		t.Fatalf("victim live threads = %d, want 0", victim.LiveThreads())
+	}
+	if n := len(victim.Threads); reused != n || ran != n {
+		t.Fatalf("%d of %d spawns reused a freed context and %d ran", reused, n, ran)
+	}
+}
+
+func TestShutdownReleasesEveryContext(t *testing.T) {
+	k := newTestKernel()
+	p := k.NewProcess("benchmark", 1<<20, 1<<20)
+	wq := k.NewWaitQueue("test.park")
+	k.SpawnThread(p, "exits", "exits", func(ex *Exec) { ex.Fetch(10) })
+	k.SpawnThread(p, "parked", "parked", func(ex *Exec) { ex.Wait(wq) })
+	k.SpawnThread(p, "sleeper", "sleeper", func(ex *Exec) { ex.SleepFor(sim.Second) })
+	k.SpawnThread(p, "spinner", "spinner", func(ex *Exec) {
+		for {
+			ex.Fetch(1000)
+		}
+	})
+	k.Run(100 * sim.Microsecond)
+	k.SpawnThread(p, "unborn", "unborn", func(*Exec) {})
+	k.Shutdown()
+	for _, th := range k.Threads() {
+		if th.ctx != nil || th.State != StateExited {
+			t.Fatalf("%s after Shutdown: ctx %p, state %d", th, th.ctx, th.State)
+		}
 	}
 }

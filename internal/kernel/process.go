@@ -199,8 +199,14 @@ func (k *Kernel) Fork(parent *Process, name string) *Process {
 // stay in the tables, so census counts — which track everything ever
 // created, as the paper's do — are unaffected. Safe to call both from the
 // host between Run calls and from a running simulated thread (as the
-// scenario driver does); a process may not kill itself.
+// scenario driver does); a process may not kill itself, and trying panics.
 func (k *Kernel) KillProcess(p *Process) {
+	for _, t := range p.Threads {
+		// Only the thread on the CPU is StateRunning, so this is the caller.
+		if t.State == StateRunning {
+			panic(fmt.Sprintf("kernel: %v called KillProcess on its own process", t))
+		}
+	}
 	for _, t := range p.Threads {
 		if t.ctx == nil || t.ctx.Exited() {
 			continue
@@ -245,14 +251,6 @@ func (k *Kernel) LiveProcessCount() int {
 // thread of a process uses the main "stack" region; later threads get
 // anonymous mmap stacks. group is the Table-I accounting name.
 func (k *Kernel) SpawnThread(p *Process, name, group string, body func(ex *Exec)) *Thread {
-	var ctx *cpu.Context
-	if n := len(k.ctxFree); n > 0 {
-		ctx = k.ctxFree[n-1]
-		k.ctxFree[n-1] = nil
-		k.ctxFree = k.ctxFree[:n-1]
-	} else {
-		ctx = cpu.NewContext()
-	}
 	t := &Thread{
 		TID:    k.nextTID,
 		Name:   name,
@@ -260,7 +258,7 @@ func (k *Kernel) SpawnThread(p *Process, name, group string, body func(ex *Exec)
 		Proc:   p,
 		State:  StateRunnable,
 		StatID: k.Stats.Thread(group),
-		ctx:    ctx,
+		ctx:    cpu.NewContext(),
 	}
 	t.sleepTimer.Target = t
 	k.nextTID++
@@ -289,7 +287,7 @@ func (k *Kernel) SpawnThread(p *Process, name, group string, body func(ex *Exec)
 	return t
 }
 
-// threadMain is the goroutine entry for every simulated thread. A shared
+// threadMain is the body every simulated thread's coroutine runs. A shared
 // trampoline taking the thread through Start's any-typed argument means a
 // spawn allocates no per-thread closure (a *Thread in an interface is
 // pointer-shaped and allocation-free).
