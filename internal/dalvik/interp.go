@@ -5,7 +5,6 @@ import (
 
 	"agave/internal/dex"
 	"agave/internal/kernel"
-	"agave/internal/stats"
 )
 
 // This file is the Dalvik bytecode interpreter: one threaded dispatch loop
@@ -88,11 +87,9 @@ func (vm *VM) flush(ex *kernel.Exec, a *acct) {
 		ex.InCode(vm.JITVMA, func() { ex.Fetch(a.jitFetch) })
 	}
 	// Note: a.dexRead is flushed at its call sites, which know the dex VMA.
-	st := ex.T.Stack
-	c := ex.K.Stats
-	if st != nil {
-		c.Add(ex.P.StatID, ex.T.StatID, st.Region, stats.DataRead, a.stackRead)
-		c.Add(ex.P.StatID, ex.T.StatID, st.Region, stats.DataWrite, a.stackWrite)
+	if st := ex.T.Stack; st != nil {
+		ex.Read(st, a.stackRead)
+		ex.Write(st, a.stackWrite)
 	}
 	a.dvmFetch, a.jitFetch, a.stackRead, a.stackWrite = 0, 0, 0, 0
 	a.sinceFlushed = 0

@@ -9,8 +9,12 @@ import (
 	"agave/internal/stats"
 )
 
-// chunk bounds how far a single bulk operation may overrun its quantum; bulk
-// helpers charge in slices of at most this many ticks.
+// chunk fixes where a bulk operation yields: Do, Copy and charge behave as if
+// they accounted and charged one chunk of at most this many ticks at a time,
+// so a thread yields after the first chunk whose charge reaches the end of
+// its quantum and overruns the quantum by less than one chunk. It does not
+// fix how often their loops run: each retires every chunk up to that one as
+// one step (see slice).
 const chunk = 4096
 
 // Exec is a thread's handle on the machine: every instruction fetch and data
@@ -29,6 +33,8 @@ type Exec struct {
 
 	ctx  *cpu.Context
 	code []*mem.VMA
+	// row is the collector row of (P, T), interned once at spawn.
+	row stats.RowID
 
 	// codeBuf is the inline backing for code: real code stacks are a few
 	// frames deep (kernel, app text, one or two libraries), so the stack
@@ -68,7 +74,7 @@ func (ex *Exec) account(region stats.RegionID, kind stats.Kind, n uint64) {
 		return
 	}
 	if ex.K.Stats.Tap != nil {
-		ex.K.Stats.Add(ex.P.StatID, ex.T.StatID, region, kind, n)
+		ex.K.Stats.AddRow(ex.row, region, kind, n)
 		return
 	}
 	for i := 0; i < ex.pendN; i++ {
@@ -90,21 +96,57 @@ func (ex *Exec) account(region stats.RegionID, kind stats.Kind, n uint64) {
 func (ex *Exec) FlushStats() {
 	for i := 0; i < ex.pendN; i++ {
 		e := &ex.pend[i]
-		ex.K.Stats.Add(ex.P.StatID, ex.T.StatID, e.region, e.kind, e.n)
+		ex.K.Stats.AddRow(ex.row, e.region, e.kind, e.n)
 		*e = pendEntry{}
 	}
 	ex.pendN = 0
 }
 
+// charge consumes n ticks as whole chunks followed by a remainder of at
+// most one chunk. The whole chunks before the one that reaches the end of
+// the quantum ride along with it in one Charge, so the thread yields on the
+// same tick as when charging one chunk at a time.
 func (ex *Exec) charge(n uint64) {
 	for n > chunk {
-		ex.ctx.Charge(chunk)
-		n -= chunk
+		whole := min((n-1)/chunk, ceilDiv(uint64(ex.ctx.Left()), chunk))
+		ex.ctx.Charge(sim.Ticks(whole * chunk))
+		n -= whole * chunk
 	}
 	if n > 0 {
 		ex.ctx.Charge(sim.Ticks(n))
 	}
 }
+
+// slice picks the next step of a bulk loop with rest iterations left, in
+// chunks of step iterations that charge t ticks each. While a whole chunk is
+// left it returns n = step and the number j of whole chunks to retire as one
+// step: every chunk up to and including the first whose charge reaches the
+// end of the quantum, or all of them when t is 0. With less than a chunk
+// left it returns the tail, n = rest and j = 1. While Collector.Tap is set
+// j is 1, so the trace sees every chunk as its own events.
+func (ex *Exec) slice(rest, step, t uint64) (n, j uint64) {
+	switch {
+	case rest < step:
+		return rest, 1
+	case ex.K.Stats.Tap != nil:
+		return step, 1
+	case t == 0:
+		return step, rest / step
+	}
+	return step, min(rest/step, ceilDiv(uint64(ex.ctx.Left()), t))
+}
+
+// retire charges j chunks of t ticks each: all but the last in one Charge,
+// which slice guarantees cannot reach the end of the quantum, and the last
+// through charge, where the thread may yield.
+func (ex *Exec) retire(j, t uint64) {
+	if j > 1 && t > 0 {
+		ex.ctx.Charge(sim.Ticks((j - 1) * t))
+	}
+	ex.charge(t)
+}
+
+func ceilDiv(a, b uint64) uint64 { return (a + b - 1) / b }
 
 // CurrentCode returns the VMA instruction fetches currently attribute to.
 func (ex *Exec) CurrentCode() *mem.VMA {
@@ -193,8 +235,11 @@ type Work struct {
 	Data2 *mem.VMA
 }
 
-// Do executes iters iterations of w, interleaving accounting and charging in
-// quantum-sized slices so long loops remain preemptable.
+// Do executes iters iterations of w, accounting and charging them as chunks
+// of step iterations so long loops remain preemptable. Each pass of the loop
+// accounts a whole slice of chunks (see slice) and then charges it (see
+// retire), so the thread yields on the same tick with the same counts as
+// when retiring one chunk at a time.
 func (ex *Exec) Do(w Work, iters uint64) {
 	if iters == 0 {
 		return
@@ -209,32 +254,35 @@ func (ex *Exec) Do(w Work, iters uint64) {
 		step = 1
 	}
 	for done := uint64(0); done < iters; {
-		n := min(step, iters-done)
-		ex.account(code, stats.IFetch, n*w.Fetch)
+		n, j := ex.slice(iters-done, step, step*w.Fetch)
+		m := j * n
+		ex.account(code, stats.IFetch, m*w.Fetch)
 		if w.Data != nil {
-			ex.account(w.Data.Region, stats.DataRead, n*w.Reads)
-			ex.account(w.Data.Region, stats.DataWrite, n*w.Writes)
+			ex.account(w.Data.Region, stats.DataRead, m*w.Reads)
+			ex.account(w.Data.Region, stats.DataWrite, m*w.Writes)
 		}
 		if w.Data2 != nil {
-			ex.account(w.Data2.Region, stats.DataRead, n*w.Reads)
-			ex.account(w.Data2.Region, stats.DataWrite, n*w.Writes)
+			ex.account(w.Data2.Region, stats.DataRead, m*w.Reads)
+			ex.account(w.Data2.Region, stats.DataWrite, m*w.Writes)
 		}
-		ex.charge(n * w.Fetch)
-		done += n
+		ex.retire(j, n*w.Fetch)
+		done += m
 	}
 }
 
 // Copy models a word-at-a-time copy loop of n words from src to dst:
 // fetchPerWord instructions, one read of src and one write of dst per word.
+// It retires chunks of chunk words in slices, as Do does.
 func (ex *Exec) Copy(dst, src *mem.VMA, words, fetchPerWord uint64) {
 	code := ex.CurrentCode().Region
 	for done := uint64(0); done < words; {
-		n := min(uint64(chunk), words-done)
-		ex.account(code, stats.IFetch, n*fetchPerWord)
-		ex.account(src.Region, stats.DataRead, n)
-		ex.account(dst.Region, stats.DataWrite, n)
-		ex.charge(n * fetchPerWord)
-		done += n
+		n, j := ex.slice(words-done, chunk, chunk*fetchPerWord)
+		m := j * n
+		ex.account(code, stats.IFetch, m*fetchPerWord)
+		ex.account(src.Region, stats.DataRead, m)
+		ex.account(dst.Region, stats.DataWrite, m)
+		ex.retire(j, n*fetchPerWord)
+		done += m
 	}
 }
 

@@ -275,6 +275,7 @@ func (k *Kernel) SpawnThread(p *Process, name, group string, body func(ex *Exec)
 	ex.P = p
 	ex.T = t
 	ex.ctx = t.ctx
+	ex.row = k.Stats.Row(p.StatID, t.StatID)
 	ex.code = ex.codeBuf[:0]
 	if p.Layout != nil && p.Layout.Kernel != nil {
 		// The bottom of every code stack is the kernel region: a thread

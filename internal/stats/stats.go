@@ -5,10 +5,11 @@
 // figures and tables of the evaluation are folds over the resulting counter
 // matrix.
 //
-// Names are interned to small integer IDs so the hot accounting path is a
-// single map update. Thread names are registered by *group* name (for
-// example, all "AsyncTask #N" pool workers account as "AsyncTask"), matching
-// how the paper's Table I ranks threads.
+// Names are interned to small integer IDs, and each (process, thread group)
+// pair to a row, so a counter cell's key is one packed uint64 and the hot
+// accounting path is one integer-keyed map update. Thread names are
+// registered by *group* name (for example, all "AsyncTask #N" pool workers
+// account as "AsyncTask"), matching how the paper's Table I ranks threads.
 package stats
 
 import (
@@ -90,6 +91,10 @@ type ThreadID int32
 // RegionID identifies an interned VMA region name.
 type RegionID int32
 
+// RowID identifies an interned (process, thread group) pair: one row of the
+// counter matrix.
+type RowID int32
+
 // interner maps names to dense int32 IDs, preserving registration order.
 type interner struct {
 	ids   map[string]int32
@@ -129,20 +134,39 @@ type Collector struct {
 	procs   *interner
 	threads *interner
 	regions *interner
-	counts  map[ckey]uint64
 
-	// Tap, when non-nil, observes every Add after interning. It is the
+	// rows interns (process, thread group) pairs; rowKeys[id] unpacks one.
+	// Rows outlive Reset, so a row cached before it stays valid.
+	rows    map[rowKey]RowID
+	rowKeys []rowKey
+
+	// counts holds one cell per (row, region, kind), keyed by cell.
+	counts map[uint64]uint64
+
+	// Tap, when non-nil, observes every Add and AddRow. It is the
 	// hook the sampled reference trace (internal/trace) attaches to;
 	// leave nil for zero overhead.
 	Tap func(p ProcID, t ThreadID, r RegionID, k Kind, n uint64)
 }
 
-type ckey struct {
+type rowKey struct {
 	proc   ProcID
 	thread ThreadID
-	region RegionID
-	kind   Kind
 }
+
+// cell packs a counter cell's coordinates into its map key,
+// row<<32 | region<<2 | kind. The region field has 30 bits, so the packing
+// holds until a collector interns 2^30 region names.
+func cell(row RowID, r RegionID, k Kind) uint64 {
+	return uint64(row)<<32 | uint64(r)<<2 | uint64(k)
+}
+
+func cellRegion(key uint64) RegionID { return RegionID(key >> 2 & (1<<30 - 1)) }
+
+func cellKind(key uint64) Kind { return Kind(key & 3) }
+
+// cellRow unpacks the (process, thread group) pair of a cell key.
+func (c *Collector) cellRow(key uint64) rowKey { return c.rowKeys[key>>32] }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
@@ -150,7 +174,8 @@ func NewCollector() *Collector {
 		procs:   newInterner(),
 		threads: newInterner(),
 		regions: newInterner(),
-		counts:  make(map[ckey]uint64),
+		rows:    make(map[rowKey]RowID),
+		counts:  make(map[uint64]uint64),
 	}
 }
 
@@ -172,15 +197,38 @@ func (c *Collector) ThreadName(id ThreadID) string { return c.threads.name(int32
 // RegionName resolves a region ID back to its name.
 func (c *Collector) RegionName(id RegionID) string { return c.regions.name(int32(id)) }
 
+// Row interns the (process p, thread group t) pair. A caller that adds for
+// one pair many times, as a thread's Exec does, looks its row up once and
+// calls AddRow.
+func (c *Collector) Row(p ProcID, t ThreadID) RowID {
+	k := rowKey{p, t}
+	if id, ok := c.rows[k]; ok {
+		return id
+	}
+	id := RowID(len(c.rowKeys))
+	c.rows[k] = id
+	c.rowKeys = append(c.rowKeys, k)
+	return id
+}
+
 // Add records n accesses of class k issued by (proc p, thread t) against
 // region r.
 func (c *Collector) Add(p ProcID, t ThreadID, r RegionID, k Kind, n uint64) {
 	if n == 0 {
 		return
 	}
-	c.counts[ckey{p, t, r, k}] += n
+	c.AddRow(c.Row(p, t), r, k, n)
+}
+
+// AddRow is Add for a pair already interned by Row.
+func (c *Collector) AddRow(row RowID, r RegionID, k Kind, n uint64) {
+	if n == 0 {
+		return
+	}
+	c.counts[cell(row, r, k)] += n
 	if c.Tap != nil {
-		c.Tap(p, t, r, k, n)
+		rk := c.rowKeys[row]
+		c.Tap(rk.proc, rk.thread, r, k, n)
 	}
 }
 
@@ -193,7 +241,7 @@ func (c *Collector) Total(kinds ...Kind) uint64 { return c.TotalSet(MakeKindSet(
 func (c *Collector) TotalSet(sel KindSet) uint64 {
 	var sum uint64
 	for k, v := range c.counts {
-		if sel[k.kind] {
+		if sel[cellKind(k)] {
 			sum += v
 		}
 	}
@@ -221,8 +269,8 @@ func (c *Collector) ByRegion(kinds ...Kind) map[string]uint64 {
 func (c *Collector) ByRegionInto(dst map[string]uint64, sel KindSet) map[string]uint64 {
 	dst = reuse(dst)
 	for k, v := range c.counts {
-		if sel[k.kind] {
-			dst[c.RegionName(k.region)] += v
+		if sel[cellKind(k)] {
+			dst[c.RegionName(cellRegion(k))] += v
 		}
 	}
 	return dst
@@ -238,8 +286,8 @@ func (c *Collector) ByProcess(kinds ...Kind) map[string]uint64 {
 func (c *Collector) ByProcessInto(dst map[string]uint64, sel KindSet) map[string]uint64 {
 	dst = reuse(dst)
 	for k, v := range c.counts {
-		if sel[k.kind] {
-			dst[c.ProcName(k.proc)] += v
+		if sel[cellKind(k)] {
+			dst[c.ProcName(c.cellRow(k).proc)] += v
 		}
 	}
 	return dst
@@ -260,8 +308,8 @@ func (c *Collector) ByRegionForProcessInto(dst map[string]uint64, proc string, s
 		return dst
 	}
 	for k, v := range c.counts {
-		if k.proc == ProcID(pid) && sel[k.kind] {
-			dst[c.RegionName(k.region)] += v
+		if c.cellRow(k).proc == ProcID(pid) && sel[cellKind(k)] {
+			dst[c.RegionName(cellRegion(k))] += v
 		}
 	}
 	return dst
@@ -277,8 +325,8 @@ func (c *Collector) ByThread(kinds ...Kind) map[string]uint64 {
 func (c *Collector) ByThreadInto(dst map[string]uint64, sel KindSet) map[string]uint64 {
 	dst = reuse(dst)
 	for k, v := range c.counts {
-		if sel[k.kind] {
-			dst[c.ThreadName(k.thread)] += v
+		if sel[cellKind(k)] {
+			dst[c.ThreadName(c.cellRow(k).thread)] += v
 		}
 	}
 	return dst
@@ -299,8 +347,8 @@ func (c *Collector) RegionCountSet(sel KindSet) int {
 	seen := make([]bool, len(c.regions.names))
 	n := 0
 	for k, v := range c.counts {
-		if v > 0 && sel[k.kind] && !seen[k.region] {
-			seen[k.region] = true
+		if r := cellRegion(k); v > 0 && sel[cellKind(k)] && !seen[r] {
+			seen[r] = true
 			n++
 		}
 	}
@@ -312,7 +360,7 @@ func (c *Collector) ProcessCount() int {
 	seen := make(map[ProcID]bool)
 	for k, v := range c.counts {
 		if v > 0 {
-			seen[k.proc] = true
+			seen[c.cellRow(k).proc] = true
 		}
 	}
 	return len(seen)
@@ -329,29 +377,26 @@ func (c *Collector) Presize(cells int) {
 	if cells <= len(c.counts) {
 		return
 	}
-	counts := make(map[ckey]uint64, cells)
+	counts := make(map[uint64]uint64, cells)
 	for k, v := range c.counts {
 		counts[k] = v
 	}
 	c.counts = counts
 }
 
-// Merge adds every count in other into c. Names are re-interned, so the two
-// collectors need not share ID spaces.
+// Merge adds every count in other into c. Names and rows are re-interned,
+// so the two collectors need not share ID spaces.
 func (c *Collector) Merge(other *Collector) {
 	for k, v := range other.counts {
-		nk := ckey{
-			proc:   c.Proc(other.ProcName(k.proc)),
-			thread: c.Thread(other.ThreadName(k.thread)),
-			region: c.Region(other.RegionName(k.region)),
-			kind:   k.kind,
-		}
-		c.counts[nk] += v
+		rk := other.cellRow(k)
+		row := c.Row(c.Proc(other.ProcName(rk.proc)), c.Thread(other.ThreadName(rk.thread)))
+		r := c.Region(other.RegionName(cellRegion(k)))
+		c.counts[cell(row, r, cellKind(k))] += v
 	}
 }
 
-// Reset clears all counts but keeps interned names — and, because clear
-// preserves the map's buckets, the counter table stays preallocated at its
+// Reset clears all counts but keeps interned names and rows — and, because
+// clear preserves the map's buckets, the counter table stays preallocated at its
 // high-water size. A warmed collector's next measurement interval therefore
 // inserts into a table that already fits the cells the warmup populated,
 // which is exactly the engine's reset-after-boot pattern.
@@ -377,11 +422,12 @@ func (c *Collector) Entries() []Entry {
 		if v == 0 {
 			continue
 		}
+		rk := c.cellRow(k)
 		out = append(out, Entry{
-			Proc:   c.ProcName(k.proc),
-			Thread: c.ThreadName(k.thread),
-			Region: c.RegionName(k.region),
-			Kind:   k.kind,
+			Proc:   c.ProcName(rk.proc),
+			Thread: c.ThreadName(rk.thread),
+			Region: c.RegionName(cellRegion(k)),
+			Kind:   cellKind(k),
 			Count:  v,
 		})
 	}

@@ -13,7 +13,9 @@ func TestAddAndTotals(t *testing.T) {
 	p := c.Proc("benchmark")
 	th := c.Thread("main")
 	r := c.Region("libdvm.so")
-	c.Add(p, th, r, IFetch, 100)
+	c.Add(p, th, r, IFetch, 60)
+	// AddRow through the pair's row lands in the same cell as Add.
+	c.AddRow(c.Row(p, th), r, IFetch, 40)
 	c.Add(p, th, r, DataRead, 30)
 	c.Add(p, th, r, DataWrite, 20)
 	if got := c.Total(); got != 150 {
@@ -24,6 +26,9 @@ func TestAddAndTotals(t *testing.T) {
 	}
 	if got := c.Total(DataKinds...); got != 50 {
 		t.Fatalf("Total(data) = %d, want 50", got)
+	}
+	if got := c.Cells(); got != 3 {
+		t.Fatalf("Cells = %d, want 3: Add and AddRow split a cell", got)
 	}
 }
 
@@ -114,12 +119,19 @@ func TestReset(t *testing.T) {
 	c := NewCollector()
 	r := c.Region("r")
 	c.Add(c.Proc("p"), c.Thread("t"), r, IFetch, 5)
+	// A row cached during warm-up, as a thread's Exec caches its own, must
+	// still count into its pair after the Reset that starts measurement.
+	row := c.Row(c.Proc("q"), c.Thread("u"))
 	c.Reset()
 	if c.Total() != 0 {
 		t.Fatal("Reset left counts")
 	}
 	if c.Region("r") != r {
 		t.Fatal("Reset dropped interned names")
+	}
+	c.AddRow(row, r, DataRead, 3)
+	if p, th := c.ByProcess()["q"], c.ByThread()["u"]; p != 3 || th != 3 {
+		t.Fatalf("row cached before Reset counted q=%d u=%d, want 3 and 3", p, th)
 	}
 }
 
@@ -255,6 +267,17 @@ func TestEntriesCanonicalAndInterningInvariant(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("fingerprints depend on interning order")
 	}
+	// Merge re-interns rows and regions: merging either into a collector
+	// whose own ID spaces differ again reproduces the same cells.
+	for _, src := range []*Collector{a, b} {
+		m := NewCollector()
+		m.Region("libdvm.so")
+		m.Row(m.Proc("mediaserver"), m.Thread("Binder"))
+		m.Merge(src)
+		if !reflect.DeepEqual(m.Entries(), ea) || m.Fingerprint() != a.Fingerprint() {
+			t.Fatalf("merged entries differ from the source's:\n%v\n%v", m.Entries(), ea)
+		}
+	}
 	// Canonical order: proc, thread, region, kind ascending.
 	if !sort.SliceIsSorted(ea, func(i, j int) bool {
 		x, y := ea[i], ea[j]
@@ -332,6 +355,16 @@ func TestNameLookupsDoNotAllocate(t *testing.T) {
 	}
 	if got := c.ProcName(ProcID(9999)); got != unknownName {
 		t.Fatalf("out-of-range lookup = %q, want %q", got, unknownName)
+	}
+}
+
+func TestAddRowIntoExistingCellDoesNotAllocate(t *testing.T) {
+	c := NewCollector()
+	row := c.Row(c.Proc("system_server"), c.Thread("SurfaceFlinger"))
+	r := c.Region("mspace")
+	c.AddRow(row, r, IFetch, 1)
+	if allocs := testing.AllocsPerRun(100, func() { c.AddRow(row, r, IFetch, 1) }); allocs != 0 {
+		t.Fatalf("AddRow into an existing cell allocated %.1f per run, want 0", allocs)
 	}
 }
 

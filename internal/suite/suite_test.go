@@ -154,16 +154,25 @@ func TestEngineEmptyPlan(t *testing.T) {
 // TestEachReturnsSmallestFailedIndex pins the dispatch loop's error
 // precedence: when index 3 fails at once and index 1 fails later, Each
 // still returns index 1's error — the one a serial loop stops at — and
-// dispatches nothing after the first failure.
+// dispatches nothing after the first failure. Indexes 0 and 2 park until
+// fn(1) returns, and fn(1) waits for fn(3) and then sleeps, so no worker is
+// free between fn(3)'s failure and the end: any further dispatch is Each
+// ignoring that failure, not a worker that was free before it.
 func TestEachReturnsSmallestFailedIndex(t *testing.T) {
 	var ran atomic.Int32
+	failing, release := make(chan struct{}), make(chan struct{})
 	err := Each(4, 100, func(i int) error {
 		ran.Add(1)
 		switch i {
+		case 0, 2:
+			<-release
 		case 1:
+			<-failing
 			time.Sleep(20 * time.Millisecond)
+			close(release)
 			return fmt.Errorf("fail %d", i)
 		case 3:
+			close(failing)
 			return fmt.Errorf("fail %d", i)
 		}
 		return nil
@@ -171,8 +180,8 @@ func TestEachReturnsSmallestFailedIndex(t *testing.T) {
 	if err == nil || err.Error() != "fail 1" {
 		t.Fatalf("Each returned %v, want fail 1", err)
 	}
-	if n := ran.Load(); n >= 100 {
-		t.Fatalf("Each dispatched all %d indexes after a failure", n)
+	if n := ran.Load(); n != 4 {
+		t.Fatalf("Each dispatched %d indexes, want 4 (none after a failure)", n)
 	}
 }
 

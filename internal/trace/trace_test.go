@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"agave/internal/android"
+	"agave/internal/apps"
 	"agave/internal/kernel"
 	"agave/internal/sim"
 	"agave/internal/stats"
@@ -109,6 +111,37 @@ func TestAttachCapturesKernelEvents(t *testing.T) {
 	if tot["app binary"] != k.Stats.ByRegion(stats.IFetch)["app binary"] {
 		t.Fatalf("trace totals diverge from counters: %d vs %d",
 			tot["app binary"], k.Stats.ByRegion(stats.IFetch)["app binary"])
+	}
+}
+
+// TestAttachLeavesCountsAlone boots the stack and runs countdown.main for
+// 300 ms with and without a trace attached: tracing changes how finely
+// accounting events are delivered, never what is attributed or when the
+// machine gets there.
+func TestAttachLeavesCountsAlone(t *testing.T) {
+	run := func(traced bool) (uint64, sim.Ticks, int) {
+		k := kernel.New(kernel.Config{Quantum: sim.Millisecond, Seed: 3})
+		defer k.Shutdown()
+		g := NewRing(64, 1)
+		if traced {
+			Attach(g, k)
+		}
+		sys := android.Boot(k)
+		w, err := apps.ByName("countdown.main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps.Launch(sys, w)
+		k.Run(300 * sim.Millisecond)
+		return k.Stats.Fingerprint(), k.Clock.Now(), g.Len()
+	}
+	fp, now, _ := run(false)
+	tfp, tnow, records := run(true)
+	if records == 0 {
+		t.Fatal("attached trace captured nothing")
+	}
+	if tfp != fp || tnow != now {
+		t.Fatalf("tracing moved the run: fingerprint %016x at %d, untraced %016x at %d", tfp, tnow, fp, now)
 	}
 }
 
