@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate CI's docs job runs. It
-// enforces five invariants that rot silently otherwise:
+// enforces six invariants that rot silently otherwise:
 //
 //  1. Every package under internal/ carries exactly one package-level godoc
 //     comment, and it begins "Package <name> ", so `go doc ./internal/<pkg>`
@@ -21,6 +21,10 @@
 //     as a backticked token in docs/FLEET.md, so the shard-protocol and
 //     checkpoint references can never drift from the structs that define
 //     the formats.
+//  6. docs/ARCHITECTURE.md carries exactly one "### `internal/<pkg>`"
+//     heading per top-level package under internal/, and none for a
+//     package that does not exist, so the layer map gains a section with
+//     every new layer and loses one with every deleted layer.
 //
 // A third Go-side invariant used to live here: every markdown file a Go
 // comment references must exist. That check is now the docref analyzer in
@@ -81,6 +85,12 @@ func run(root string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	findings = append(findings, fleetFindings...)
+	layerFindings, err := checkLayerMapDocs(root)
+	if err != nil {
+		fmt.Fprintln(stderr, "docscheck:", err)
+		return 2
+	}
+	findings = append(findings, layerFindings...)
 	if len(findings) > 0 {
 		for _, f := range findings {
 			fmt.Fprintln(stderr, f)
@@ -92,19 +102,32 @@ func run(root string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// checkPackageComments verifies each internal/ package has exactly one
-// package doc comment of the canonical "Package <name> ..." form.
-func checkPackageComments(root string) ([]string, error) {
+// internalPackages lists the top-level package directories under
+// internal/, in name order.
+func internalPackages(root string) ([]string, error) {
 	entries, err := os.ReadDir(filepath.Join(root, "internal"))
 	if err != nil {
 		return nil, err
 	}
-	var findings []string
+	var pkgs []string
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+		if e.IsDir() {
+			pkgs = append(pkgs, e.Name())
 		}
-		dir := filepath.Join(root, "internal", e.Name())
+	}
+	return pkgs, nil
+}
+
+// checkPackageComments verifies each internal/ package has exactly one
+// package doc comment of the canonical "Package <name> ..." form.
+func checkPackageComments(root string) ([]string, error) {
+	pkgs, err := internalPackages(root)
+	if err != nil {
+		return nil, err
+	}
+	var findings []string
+	for _, name := range pkgs {
+		dir := filepath.Join(root, "internal", name)
 		fset := token.NewFileSet()
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
@@ -125,18 +148,18 @@ func checkPackageComments(root string) ([]string, error) {
 				docText = f.Doc.Text()
 			}
 		}
-		rel := "internal/" + e.Name()
+		rel := "internal/" + name
 		switch {
 		case len(docs) == 0:
 			findings = append(findings, fmt.Sprintf(
-				"%s: no package comment (add a \"Package %s ...\" doc comment)", rel, e.Name()))
+				"%s: no package comment (add a \"Package %s ...\" doc comment)", rel, name))
 		case len(docs) > 1:
 			findings = append(findings, fmt.Sprintf(
 				"%s: %d package doc comments (%s) — keep one, detach the rest with a blank line",
 				rel, len(docs), strings.Join(docs, ", ")))
-		case !strings.HasPrefix(docText, "Package "+e.Name()+" "):
+		case !strings.HasPrefix(docText, "Package "+name+" "):
 			findings = append(findings, fmt.Sprintf(
-				"%s: package comment in %s does not begin \"Package %s \"", rel, docs[0], e.Name()))
+				"%s: package comment in %s does not begin \"Package %s \"", rel, docs[0], name))
 		}
 	}
 	return findings, nil
@@ -292,6 +315,60 @@ func checkFleetWireDocs(root string) ([]string, error) {
 			findings = append(findings, fmt.Sprintf(
 				"%s: wire-format field %q (internal/fleet) is undocumented (add it as a backticked token)",
 				fleetWireDoc, name))
+		}
+	}
+	return findings, nil
+}
+
+// layerMapDoc is the layer map checkLayerMapDocs holds to internal/,
+// relative to the repo root.
+const layerMapDoc = "docs/ARCHITECTURE.md"
+
+// layerHeading matches a layer-map section heading, "### `internal/<pkg>`
+// ...", and captures the path after internal/.
+var layerHeading = regexp.MustCompile("^###\\s+`internal/([^`]*)`")
+
+// checkLayerMapDocs verifies that docs/ARCHITECTURE.md carries exactly one
+// "### `internal/<pkg>`" heading per top-level package under internal/ and
+// none for a path that is not one. The document is held to the directory
+// listing, and a missing document is itself a finding.
+func checkLayerMapDocs(root string) ([]string, error) {
+	pkgs, err := internalPackages(root)
+	if err != nil {
+		return nil, err
+	}
+	data, err := os.ReadFile(filepath.Join(root, layerMapDoc))
+	if err != nil {
+		return []string{fmt.Sprintf(
+			"%s: missing layer map (every internal/ package must have a section there)", layerMapDoc)}, nil
+	}
+	exists := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		exists[p] = true
+	}
+	headings := make(map[string]int)
+	var findings []string
+	for lineNo, line := range strings.Split(string(data), "\n") {
+		m := layerHeading.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		headings[m[1]]++
+		if !exists[m[1]] {
+			findings = append(findings, fmt.Sprintf(
+				"%s:%d: heading for internal/%s, which is not a package under internal/ (drop or rename the section)",
+				layerMapDoc, lineNo+1, m[1]))
+		}
+	}
+	for _, p := range pkgs {
+		switch n := headings[p]; {
+		case n == 0:
+			findings = append(findings, fmt.Sprintf(
+				"%s: package internal/%s has no \"### `internal/%s`\" heading (add its layer-map section)",
+				layerMapDoc, p, p))
+		case n > 1:
+			findings = append(findings, fmt.Sprintf(
+				"%s: package internal/%s has %d headings (keep one)", layerMapDoc, p, n))
 		}
 	}
 	return findings, nil

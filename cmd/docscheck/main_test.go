@@ -12,9 +12,10 @@ import (
 
 // TestRepositoryIsClean runs every gate against this repository: each
 // internal package must carry its canonical package comment, every relative
-// markdown link must resolve, and the scenario-kind and lint-analyzer
-// references must each cover their registries. This is the same check CI's
-// docs job runs, enforced locally by `go test`.
+// markdown link must resolve, the scenario-kind, lint-analyzer and fleet-wire
+// references must each cover their registries, and the layer map must have
+// one section per internal package. This is the same check CI's docs job
+// runs, enforced locally by `go test`.
 func TestRepositoryIsClean(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run(filepath.Join("..", ".."), &out, &errOut); code != 0 {
@@ -251,5 +252,74 @@ type testOnly struct {
 	}
 	if len(findings) != 0 {
 		t.Fatalf("documented fields flagged:\n%s", strings.Join(findings, "\n"))
+	}
+}
+
+// TestDetectsLayerMapDrift: docs/ARCHITECTURE.md must carry exactly one
+// "### `internal/<pkg>`" heading per package under internal/ — a missing
+// document, a package without a heading, a duplicated heading and a heading
+// for a package that does not exist are all findings, and a matching map is
+// clean.
+func TestDetectsLayerMapDrift(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/alpha/alpha.go", "// Package alpha is documented.\npackage alpha\n")
+	write("internal/beta/beta.go", "// Package beta is documented.\npackage beta\n")
+	check := func() string {
+		t.Helper()
+		findings, err := checkLayerMapDocs(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(findings, "\n")
+	}
+
+	// No document at all: one finding naming the layer map.
+	if got := check(); !strings.Contains(got, "docs/ARCHITECTURE.md: missing layer map") {
+		t.Errorf("missing document not reported:\n%s", got)
+	}
+
+	// A package without a heading: exactly that gap is reported.
+	write("docs/ARCHITECTURE.md", "# Layers\n\n### `internal/alpha` — first\n")
+	findings, err := checkLayerMapDocs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0], "package internal/beta has no \"### `internal/beta`\" heading") {
+		t.Errorf("want exactly the beta gap, got:\n%s", strings.Join(findings, "\n"))
+	}
+
+	// A stale heading for a deleted package, with its line, and a
+	// duplicated heading.
+	write("docs/ARCHITECTURE.md", "# Layers\n\n### `internal/alpha` — first\n### `internal/beta` — second\n"+
+		"### `internal/gone` — deleted\n### `internal/beta` — again\n")
+	got := check()
+	for _, want := range []string{
+		"docs/ARCHITECTURE.md:5: heading for internal/gone, which is not a package under internal/",
+		"package internal/beta has 2 headings",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("findings missing %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "internal/alpha") {
+		t.Errorf("mapped package flagged:\n%s", got)
+	}
+
+	// The map matches: clean. Only "### `internal/...`" headings count, so
+	// prose and other heading levels naming a package are ignored.
+	write("docs/ARCHITECTURE.md", "# Layers\n\n### `internal/alpha` — first\n### `internal/beta` — second\n"+
+		"## `internal/gone` is not a section\nSee `internal/gone`.\n")
+	if got := check(); got != "" {
+		t.Errorf("matching layer map flagged:\n%s", got)
 	}
 }

@@ -142,12 +142,10 @@ func (sys *System) InjectCorruptParcel(ex *kernel.Exec, label string) bool {
 
 // CrashApp tears application a down the way a native crash does: no
 // orderly destroy transaction — the process just dies, binder's death
-// notification fires, and the framework reaps the carcass (media sessions
-// stopped, endpoint unregistered, surface hidden, helpers killed), exactly
-// the KillApp teardown minus the app's own goodbye. Queued-but-unserved
-// transactions to the dead endpoint complete with DEAD_REPLY so no client
-// wedges on a reply that will never come. Counts one injected and one
-// detected fault (the death notification is the detection).
+// notification fires, and the framework reaps the carcass (releaseApp),
+// exactly the KillApp teardown minus the app's own goodbye. Counts one
+// injected and one detected fault (the death notification is the
+// detection).
 func (sys *System) CrashApp(ex *kernel.Exec, a *App) {
 	if a.Dead {
 		return
@@ -155,22 +153,7 @@ func (sys *System) CrashApp(ex *kernel.Exec, a *App) {
 	a.Dead = true
 	inj := sys.Inject
 	inj.injected++
-	if sys.Media != nil {
-		sys.Media.StopOwned(a.Proc)
-	}
-	name := "app." + a.Cfg.Label
-	svc, hadSvc := sys.Binder.Lookup(name)
-	sys.Binder.Unregister(name)
-	if a.Surface != nil {
-		a.Surface.Visible = false
-	}
-	sys.K.KillProcess(a.Proc)
-	for _, h := range a.HelperProcs {
-		sys.K.KillProcess(h)
-	}
-	if hadSvc {
-		sys.Binder.AbortPending(svc)
-	}
+	sys.releaseApp(a)
 	// Binder death notification + ActivityManager crash handling
 	// (dropbox entry, process-record cleanup) in framework bytecode.
 	sys.SystemServerVM.InterpBulk(ex, sys.servicesDex, 2800, false)

@@ -145,10 +145,8 @@ func (sys *System) ResumeApp(ex *kernel.Exec, a *App) {
 }
 
 // KillApp tears application a down the way the ActivityManager kills a
-// process: its media sessions stop (the client-death notification path),
-// its binder endpoint leaves the context manager, its surface leaves
-// composition, and every thread of the app process and its app_process
-// helpers terminates. The dead App remains inspectable; launching a fresh
+// process: the destroy transaction, then the teardown every app death
+// shares (releaseApp). The dead App remains inspectable; launching a fresh
 // app under the same name afterwards is allowed (the scenario engine's
 // relaunch path).
 func (sys *System) KillApp(ex *kernel.Exec, a *App) {
@@ -159,10 +157,27 @@ func (sys *System) KillApp(ex *kernel.Exec, a *App) {
 	if _, err := sys.Binder.Call(ex, "activity", 4, lifecycleParcel(a.Cfg.Label, "destroy")); err != nil {
 		panic(err)
 	}
+	sys.releaseApp(a)
+	sys.noteDead(a)
+	// Kernel-side exit bookkeeping: task teardown, address-space unmap.
+	ex.Syscall(6000, 1500)
+}
+
+// releaseApp is the host-side teardown of every app death (KillApp,
+// CrashApp, the lowmemorykiller reap): the app's media sessions stop (the
+// client-death notification path), its binder endpoint leaves the context
+// manager, its surface leaves composition, every thread of the app process
+// and its app_process helpers terminates, and transactions still queued on
+// the dead endpoint complete with DEAD_REPLY, so no client wedges on a
+// reply that will never come. Killing a process the lowmemorykiller
+// already killed is a no-op.
+func (sys *System) releaseApp(a *App) {
 	if sys.Media != nil {
 		sys.Media.StopOwned(a.Proc)
 	}
-	sys.Binder.Unregister("app." + a.Cfg.Label)
+	name := "app." + a.Cfg.Label
+	svc, hadSvc := sys.Binder.Lookup(name)
+	sys.Binder.Unregister(name)
 	if a.Surface != nil {
 		a.Surface.Visible = false
 	}
@@ -170,7 +185,7 @@ func (sys *System) KillApp(ex *kernel.Exec, a *App) {
 	for _, h := range a.HelperProcs {
 		sys.K.KillProcess(h)
 	}
-	sys.noteDead(a)
-	// Kernel-side exit bookkeeping: task teardown, address-space unmap.
-	ex.Syscall(6000, 1500)
+	if hadSvc {
+		sys.Binder.AbortPending(svc)
+	}
 }

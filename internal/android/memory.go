@@ -196,10 +196,10 @@ func (sys *System) deliverTrims(ex *kernel.Exec, level int) {
 }
 
 // reapDeadProcess performs the ActivityManager's reaction to a process the
-// kernel killed: the binder-death bookkeeping a scripted KillApp does
-// synchronously. Helper processes die with their app, media sessions stop
-// through the client-death path, and the records update so the oom ladder
-// reflects the loss.
+// kernel killed: the teardown a scripted KillApp does synchronously
+// (releaseApp), so helper processes die with their app, media sessions
+// stop through the client-death path and queued callers get DEAD_REPLY,
+// and the records update so the oom ladder reflects the loss.
 func (sys *System) reapDeadProcess(ex *kernel.Exec, p *kernel.Process) {
 	var app *App
 	for _, a := range sys.amApps {
@@ -213,16 +213,7 @@ func (sys *System) reapDeadProcess(ex *kernel.Exec, p *kernel.Process) {
 	}
 	app.Dead = true
 	sys.SystemServerVM.InterpBulk(ex, sys.servicesDex, 2800, false)
-	if sys.Media != nil {
-		sys.Media.StopOwned(app.Proc)
-	}
-	sys.Binder.Unregister("app." + app.Cfg.Label)
-	if app.Surface != nil {
-		app.Surface.Visible = false
-	}
-	for _, h := range app.HelperProcs {
-		sys.K.KillProcess(h)
-	}
+	sys.releaseApp(app)
 	sys.noteDead(app)
 	// Kernel-side exit bookkeeping for the stragglers.
 	ex.Syscall(4000, 1000)

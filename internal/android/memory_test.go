@@ -2,6 +2,7 @@ package android
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"agave/internal/kernel"
@@ -155,6 +156,72 @@ func TestDeadAppsLeaveTheRecords(t *testing.T) {
 	k.Run(5 * sim.Second)
 	if !done {
 		t.Fatal("driver thread never finished")
+	}
+}
+
+// TestNoClientWedgesOnADeadEndpoint: a client blocked in a synchronous call
+// on an app's binder endpoint, its transaction still queued, must return
+// whichever way the app dies: KillApp, CrashApp or a lowmemorykiller reap.
+// It returns with the reply if the app served the call before dying, or
+// with binder's DEAD_REPLY error.
+func TestNoClientWedgesOnADeadEndpoint(t *testing.T) {
+	const label = "callee.app"
+	deaths := []struct {
+		name string
+		kill func(sys *System, ex *kernel.Exec, a *App)
+	}{
+		{"KillApp", (*System).KillApp},
+		{"CrashApp", (*System).CrashApp},
+		{"LMK reap", func(sys *System, ex *kernel.Exec, a *App) {
+			// The lowmemorykiller's kill and announcement; the reaper
+			// does the rest.
+			sys.K.KillProcess(a.Proc)
+			ex.Send(sys.K.DeathQueue(), a.Proc)
+		}},
+	}
+	for _, d := range deaths {
+		t.Run(d.name, func(t *testing.T) {
+			k := kernel.New(kernel.Config{
+				Quantum:  100 * sim.Microsecond,
+				Seed:     11,
+				MemPages: 4 * kernel.DefaultMemPages,
+				MinFree:  kernel.DefaultMinFree(0),
+			})
+			t.Cleanup(k.Shutdown)
+			sys := Boot(k)
+			app := blockedApp(sys, label)
+			returned, queued := false, false
+			var callErr error
+			k.SpawnThread(sys.SystemServer, "driver", "driver", func(ex *kernel.Exec) {
+				ex.PushCode(sys.SystemServer.Layout.Text)
+				ex.SleepFor(300 * sim.Millisecond) // the app finishes launching
+				svc, _ := sys.Binder.Lookup("app." + label)
+				k.SpawnThread(sys.SystemServer, "client", "client", func(ex *kernel.Exec) {
+					ex.PushCode(sys.SystemServer.Layout.Text)
+					_, callErr = sys.Binder.Call(ex, "app."+label, appPingCode, frameworkPingParcel(label))
+					returned = true
+				})
+				// The client queues its transaction and blocks; the
+				// driver runs again before the app's binder thread, which
+				// the send woke, can serve it.
+				ex.Yield()
+				queued = !returned && svc.Calls == 0
+				d.kill(sys, ex, app)
+			})
+			k.Run(1 * sim.Second)
+			if !queued {
+				t.Fatal("the client's transaction was not pending when the app died")
+			}
+			if !app.Dead {
+				t.Fatal("the app did not die")
+			}
+			if !returned {
+				t.Fatal("the client is still blocked on the dead endpoint")
+			}
+			if callErr != nil && !strings.Contains(callErr.Error(), "service died") {
+				t.Fatalf("the call failed with %v, want its reply or DEAD_REPLY", callErr)
+			}
+		})
 	}
 }
 

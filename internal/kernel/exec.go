@@ -48,9 +48,7 @@ type Exec struct {
 	// thread's quantum ends (see Kernel.Run), so whenever host code runs —
 	// between Run calls, where the engine resets or reads the collector —
 	// every off-CPU thread's counts are fully flushed. Deltas merge by
-	// (region, kind); proc and thread are fixed per Exec. Buffering is
-	// bypassed entirely while Collector.Tap is set: the trace hook must
-	// observe every Add at its original granularity.
+	// (region, kind); proc and thread are fixed per Exec.
 	pend  [8]pendEntry
 	pendN int
 }
@@ -71,10 +69,6 @@ func (ex *Exec) RNG() *sim.RNG { return ex.P.RNG }
 
 func (ex *Exec) account(region stats.RegionID, kind stats.Kind, n uint64) {
 	if n == 0 {
-		return
-	}
-	if ex.K.Stats.Tap != nil {
-		ex.K.Stats.AddRow(ex.row, region, kind, n)
 		return
 	}
 	for i := 0; i < ex.pendN; i++ {
@@ -122,14 +116,11 @@ func (ex *Exec) charge(n uint64) {
 // left it returns n = step and the number j of whole chunks to retire as one
 // step: every chunk up to and including the first whose charge reaches the
 // end of the quantum, or all of them when t is 0. With less than a chunk
-// left it returns the tail, n = rest and j = 1. While Collector.Tap is set
-// j is 1, so the trace sees every chunk as its own events.
+// left it returns the tail, n = rest and j = 1.
 func (ex *Exec) slice(rest, step, t uint64) (n, j uint64) {
 	switch {
 	case rest < step:
 		return rest, 1
-	case ex.K.Stats.Tap != nil:
-		return step, 1
 	case t == 0:
 		return step, rest / step
 	}

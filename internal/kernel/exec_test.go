@@ -104,30 +104,6 @@ func TestDoAccountsExactCounts(t *testing.T) {
 	}
 }
 
-// TestTapSeesEveryChunk pins the trace rule: while a Tap is attached, bulk
-// helpers retire one chunk per step, so a Do spanning K chunks emits
-// exactly K instruction-fetch events instead of one per quantum slice.
-func TestTapSeesEveryChunk(t *testing.T) {
-	const chunks = 37 // 37 × 4096 ticks spans three 50 µs quanta
-	var events, refs uint64
-	k := execHarness(t, func(ex *Exec, p *Process) {
-		text := p.Layout.Text.Region
-		ex.K.Stats.Tap = func(_ stats.ProcID, _ stats.ThreadID, r stats.RegionID, kind stats.Kind, n uint64) {
-			if r == text && kind == stats.IFetch {
-				events++
-				refs += n
-			}
-		}
-		ex.Do(Work{Fetch: 2, Reads: 1, Data: p.Layout.Heap}, chunks*chunk/2)
-	})
-	if events != chunks || refs != chunks*chunk {
-		t.Fatalf("traced Do emitted %d fetch events for %d refs, want %d for %d", events, refs, chunks, chunks*chunk)
-	}
-	if got := k.Stats.ByRegion(stats.IFetch)[mem.RegionAppBinary]; got != refs {
-		t.Fatalf("traced fetch refs %d, collector %d", refs, got)
-	}
-}
-
 func TestDoWithTwoRegions(t *testing.T) {
 	k := execHarness(t, func(ex *Exec, p *Process) {
 		anon := p.Layout.MapAnon(p.AS, 1<<16)

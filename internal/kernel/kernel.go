@@ -14,9 +14,6 @@ type Config struct {
 	Quantum sim.Ticks
 	// Seed drives every stochastic decision in the simulation.
 	Seed uint64
-	// IdleRefDivisor controls how many kernel references the swapper idle
-	// loop generates: one instruction fetch per IdleRefDivisor idle ticks.
-	IdleRefDivisor sim.Ticks
 	// MemPages is the machine's physical page budget. Resident pages are
 	// always accounted; a zero budget leaves the machine effectively
 	// infinite, so nothing is ever short of memory.
@@ -28,14 +25,9 @@ type Config struct {
 	MinFree []MinFree
 }
 
-// DefaultConfig mirrors a HZ=1000ish Gingerbread kernel: 1 ms quanta.
-func DefaultConfig() Config {
-	return Config{
-		Quantum:        1 * sim.Millisecond,
-		Seed:           1,
-		IdleRefDivisor: 2048,
-	}
-}
+// idleRefDivisor sets how many kernel references the swapper idle loop
+// generates: one instruction fetch per idleRefDivisor idle ticks.
+const idleRefDivisor = 2048
 
 // Kernel is the whole simulated machine: clock, scheduler, process table,
 // timers, devices, and the stats collector that receives every attributed
@@ -92,13 +84,11 @@ type Kernel struct {
 }
 
 // New boots an empty machine: swapper and the ata_sff/0 storage thread
-// exist; no user processes yet.
+// exist; no user processes yet. A zero Quantum means 1 ms, a HZ=1000ish
+// Gingerbread kernel.
 func New(cfg Config) *Kernel {
 	if cfg.Quantum == 0 {
-		cfg.Quantum = DefaultConfig().Quantum
-	}
-	if cfg.IdleRefDivisor == 0 {
-		cfg.IdleRefDivisor = DefaultConfig().IdleRefDivisor
+		cfg.Quantum = sim.Millisecond
 	}
 	k := &Kernel{
 		Stats:   stats.NewCollector(),
@@ -291,7 +281,7 @@ func (k *Kernel) idle(deadline sim.Ticks) {
 		next = k.Clock.Now() + 1
 	}
 	idleTicks := next - k.Clock.Now()
-	refs := uint64(idleTicks / k.Cfg.IdleRefDivisor)
+	refs := uint64(idleTicks / idleRefDivisor)
 	if refs > 0 {
 		kv := k.Swapper.Layout.Kernel
 		k.Stats.Add(k.Swapper.StatID, k.swapT.StatID, kv.Region, stats.IFetch, refs)

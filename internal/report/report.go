@@ -57,7 +57,7 @@ type Figure struct {
 func Fig1(results []*core.Result) Figure {
 	return buildFigure("fig1", "Instruction references by VMA region", Fig1Legend,
 		results, func(r *core.Result) map[string]uint64 {
-			return r.Stats.ByRegionInto(nil, stats.InstrSet)
+			return r.Stats.ByRegion(stats.IFetch)
 		})
 }
 
@@ -65,7 +65,7 @@ func Fig1(results []*core.Result) Figure {
 func Fig2(results []*core.Result) Figure {
 	return buildFigure("fig2", "Data references by VMA region", Fig2Legend,
 		results, func(r *core.Result) map[string]uint64 {
-			return r.Stats.ByRegionInto(nil, stats.DataSet)
+			return r.Stats.ByRegion(stats.DataKinds...)
 		})
 }
 
@@ -73,7 +73,7 @@ func Fig2(results []*core.Result) Figure {
 func Fig3(results []*core.Result) Figure {
 	return buildFigure("fig3", "Instruction references by process", Fig3Legend,
 		results, func(r *core.Result) map[string]uint64 {
-			return r.Stats.ByProcessInto(nil, stats.InstrSet)
+			return r.Stats.ByProcess(stats.IFetch)
 		})
 }
 
@@ -81,7 +81,7 @@ func Fig3(results []*core.Result) Figure {
 func Fig4(results []*core.Result) Figure {
 	return buildFigure("fig4", "Data references by process", Fig4Legend,
 		results, func(r *core.Result) map[string]uint64 {
-			return r.Stats.ByProcessInto(nil, stats.DataSet)
+			return r.Stats.ByProcess(stats.DataKinds...)
 		})
 }
 
@@ -100,7 +100,7 @@ func buildFigure(id, title string, legend []string, results []*core.Result,
 // excluded, as in the paper).
 func Table1(results []*core.Result) stats.Breakdown {
 	merged := mergeSuite(results)
-	return stats.NewBreakdown(merged.ByThreadInto(nil, stats.AllSet))
+	return stats.NewBreakdown(merged.ByThread())
 }
 
 // mergeSuite folds every non-SPEC result into one collector, presized from
@@ -151,7 +151,7 @@ func Scalars(results []*core.Result) []ScalarRow {
 // region counts (the paper: "over 65" and "almost 170").
 func SuiteRegionCounts(results []*core.Result) (code, data int) {
 	merged := mergeSuite(results)
-	return merged.RegionCountSet(stats.InstrSet), merged.RegionCountSet(stats.DataSet)
+	return merged.RegionCount(stats.IFetch), merged.RegionCount(stats.DataKinds...)
 }
 
 // WriteTable renders the figure as an aligned percentage table: one row per

@@ -32,11 +32,6 @@ type Config struct {
 	// DirtyRectComposition switches SurfaceFlinger to composing only
 	// posted surfaces.
 	DirtyRectComposition bool
-	// MemPages is the machine's physical page budget (0 = the default
-	// 1 GB device, kernel.DefaultMemPages). Scenario machines always run
-	// the memory-pressure model: backgrounded apps can die because the
-	// system is out of memory, not only because the timeline says so.
-	MemPages uint64
 	// MinFreePages is the lowmemorykiller's cached-app kill waterline in
 	// pages; the visible and foreground rungs are derived from it
 	// (0 = the default 32 MB). The CLI's -minfree knob lands here.
@@ -154,14 +149,13 @@ func Run(s *Scenario, cfg Config) (*Result, error) {
 		d.byName[a.Name] = w
 	}
 
-	memPages := cfg.MemPages
-	if memPages == 0 {
-		memPages = kernel.DefaultMemPages
-	}
+	// Scenario machines always run the memory-pressure model on the 1 GB
+	// device: backgrounded apps can die because the system is out of
+	// memory, not only because the timeline says so.
 	k := kernel.New(kernel.Config{
 		Quantum:  cfg.Quantum,
 		Seed:     cfg.Seed,
-		MemPages: memPages,
+		MemPages: kernel.DefaultMemPages,
 		MinFree:  kernel.DefaultMinFree(cfg.MinFreePages),
 	})
 	defer k.Shutdown()

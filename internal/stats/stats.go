@@ -46,41 +46,22 @@ func (k Kind) String() string {
 // DataKinds selects data reads and writes (the paper's "data references").
 var DataKinds = []Kind{DataRead, DataWrite}
 
-// AllKinds selects every access class (the paper's "memory references").
-var AllKinds = []Kind{IFetch, DataRead, DataWrite}
+// kindSet is the access-class selector behind every fold: the classes
+// given, or every class when none are.
+type kindSet [numKinds]bool
 
-// InstrKinds selects instruction reads only.
-var InstrKinds = []Kind{IFetch}
-
-// KindSet is a precomputed access-class selector. The variadic query methods
-// build one per call; callers folding counters repeatedly (mid-run metric
-// reads, report assembly) should construct the set once with MakeKindSet —
-// or use the hoisted AllSet/DataSet/InstrSet — and call the *Set/*Into
-// variants, which allocate nothing beyond what the caller passes in.
-type KindSet [numKinds]bool
-
-// MakeKindSet builds the selector for the given classes; with no arguments
-// it selects every class.
-func MakeKindSet(kinds ...Kind) KindSet {
-	var sel KindSet
-	if len(kinds) == 0 {
-		for i := range sel {
-			sel[i] = true
-		}
-		return sel
-	}
+func selectKinds(kinds []Kind) kindSet {
+	var sel kindSet
 	for _, k := range kinds {
 		sel[k] = true
 	}
+	if len(kinds) == 0 {
+		for k := range sel {
+			sel[k] = true
+		}
+	}
 	return sel
 }
-
-// Hoisted selectors for the three folds the paper's figures use.
-var (
-	AllSet   = MakeKindSet(AllKinds...)
-	DataSet  = MakeKindSet(DataKinds...)
-	InstrSet = MakeKindSet(InstrKinds...)
-)
 
 // ProcID identifies an interned process name.
 type ProcID int32
@@ -142,11 +123,6 @@ type Collector struct {
 
 	// counts holds one cell per (row, region, kind), keyed by cell.
 	counts map[uint64]uint64
-
-	// Tap, when non-nil, observes every Add and AddRow. It is the
-	// hook the sampled reference trace (internal/trace) attaches to;
-	// leave nil for zero overhead.
-	Tap func(p ProcID, t ThreadID, r RegionID, k Kind, n uint64)
 }
 
 type rowKey struct {
@@ -226,19 +202,12 @@ func (c *Collector) AddRow(row RowID, r RegionID, k Kind, n uint64) {
 		return
 	}
 	c.counts[cell(row, r, k)] += n
-	if c.Tap != nil {
-		rk := c.rowKeys[row]
-		c.Tap(rk.proc, rk.thread, r, k, n)
-	}
 }
 
 // Total reports the number of accesses across the given classes (all classes
 // when none are given).
-func (c *Collector) Total(kinds ...Kind) uint64 { return c.TotalSet(MakeKindSet(kinds...)) }
-
-// TotalSet is Total with a caller-built selector: the allocation-free form
-// for repeated mid-run reads.
-func (c *Collector) TotalSet(sel KindSet) uint64 {
+func (c *Collector) Total(kinds ...Kind) uint64 {
+	sel := selectKinds(kinds)
 	var sum uint64
 	for k, v := range c.counts {
 		if sel[cellKind(k)] {
@@ -248,102 +217,58 @@ func (c *Collector) TotalSet(sel KindSet) uint64 {
 	return sum
 }
 
-// reuse clears and returns dst, allocating a fresh map only when dst is nil —
-// the shared reuse contract of the *Into fold variants.
-func reuse(dst map[string]uint64) map[string]uint64 {
-	if dst == nil {
-		return make(map[string]uint64)
+// fold sums the counts of the given classes into a map keyed by name(cell).
+func (c *Collector) fold(kinds []Kind, name func(key uint64) string) map[string]uint64 {
+	sel := selectKinds(kinds)
+	out := make(map[string]uint64)
+	for k, v := range c.counts {
+		if sel[cellKind(k)] {
+			out[name(k)] += v
+		}
 	}
-	clear(dst)
-	return dst
+	return out
 }
+
+func (c *Collector) regionOf(key uint64) string { return c.RegionName(cellRegion(key)) }
 
 // ByRegion folds counts of the given classes by region name.
 func (c *Collector) ByRegion(kinds ...Kind) map[string]uint64 {
-	return c.ByRegionInto(nil, MakeKindSet(kinds...))
-}
-
-// ByRegionInto is ByRegion with a caller-built selector and an optional
-// destination map: a non-nil dst is cleared and reused, so a caller polling
-// the fold mid-run allocates nothing after the first read.
-func (c *Collector) ByRegionInto(dst map[string]uint64, sel KindSet) map[string]uint64 {
-	dst = reuse(dst)
-	for k, v := range c.counts {
-		if sel[cellKind(k)] {
-			dst[c.RegionName(cellRegion(k))] += v
-		}
-	}
-	return dst
+	return c.fold(kinds, c.regionOf)
 }
 
 // ByProcess folds counts of the given classes by process name.
 func (c *Collector) ByProcess(kinds ...Kind) map[string]uint64 {
-	return c.ByProcessInto(nil, MakeKindSet(kinds...))
-}
-
-// ByProcessInto is ByProcess with a caller-built selector and an optional
-// reusable destination map (see ByRegionInto).
-func (c *Collector) ByProcessInto(dst map[string]uint64, sel KindSet) map[string]uint64 {
-	dst = reuse(dst)
-	for k, v := range c.counts {
-		if sel[cellKind(k)] {
-			dst[c.ProcName(c.cellRow(k).proc)] += v
-		}
-	}
-	return dst
+	return c.fold(kinds, func(key uint64) string { return c.ProcName(c.cellRow(key).proc) })
 }
 
 // ByRegionForProcess folds counts of the given classes by region name,
 // restricted to the named process.
 func (c *Collector) ByRegionForProcess(proc string, kinds ...Kind) map[string]uint64 {
-	return c.ByRegionForProcessInto(nil, proc, MakeKindSet(kinds...))
-}
-
-// ByRegionForProcessInto is ByRegionForProcess with a caller-built selector
-// and an optional reusable destination map (see ByRegionInto).
-func (c *Collector) ByRegionForProcessInto(dst map[string]uint64, proc string, sel KindSet) map[string]uint64 {
-	dst = reuse(dst)
 	pid, ok := c.procs.ids[proc]
 	if !ok {
-		return dst
+		return map[string]uint64{}
 	}
+	sel := selectKinds(kinds)
+	out := make(map[string]uint64)
 	for k, v := range c.counts {
 		if c.cellRow(k).proc == ProcID(pid) && sel[cellKind(k)] {
-			dst[c.RegionName(cellRegion(k))] += v
+			out[c.regionOf(k)] += v
 		}
 	}
-	return dst
+	return out
 }
 
 // ByThread folds counts of the given classes by thread group name.
 func (c *Collector) ByThread(kinds ...Kind) map[string]uint64 {
-	return c.ByThreadInto(nil, MakeKindSet(kinds...))
-}
-
-// ByThreadInto is ByThread with a caller-built selector and an optional
-// reusable destination map (see ByRegionInto).
-func (c *Collector) ByThreadInto(dst map[string]uint64, sel KindSet) map[string]uint64 {
-	dst = reuse(dst)
-	for k, v := range c.counts {
-		if sel[cellKind(k)] {
-			dst[c.ThreadName(c.cellRow(k).thread)] += v
-		}
-	}
-	return dst
+	return c.fold(kinds, func(key uint64) string { return c.ThreadName(c.cellRow(key).thread) })
 }
 
 // RegionCount reports how many distinct regions received at least one access
 // of the given classes. This backs the paper's "code regions"/"data regions"
-// per-application scalar metrics.
+// per-application scalar metrics. The seen table is a dense bool slice over
+// the region ID space: region IDs are small and dense by construction.
 func (c *Collector) RegionCount(kinds ...Kind) int {
-	return c.RegionCountSet(MakeKindSet(kinds...))
-}
-
-// RegionCountSet is RegionCount with a caller-built selector. The seen table
-// is a dense bool slice over the region ID space rather than a map: region
-// IDs are small and dense by construction, so the scalar census costs one
-// slice allocation instead of a map insert per distinct region.
-func (c *Collector) RegionCountSet(sel KindSet) int {
+	sel := selectKinds(kinds)
 	seen := make([]bool, len(c.regions.names))
 	n := 0
 	for k, v := range c.counts {
