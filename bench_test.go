@@ -1,12 +1,12 @@
 package agave
 
-// One benchmark per paper artifact: Figures 1-4, Table I, and the Section
-// III scalar census, plus the ablation benches called out in
-// docs/ARCHITECTURE.md.
-// Benchmarks run shortened simulations (the shapes stabilize well before one
-// simulated second) and publish the headline quantity of each figure as a
-// custom metric, so `go test -bench=.` regenerates the paper's numbers in
-// one pass.
+// The benchmark gate: the suite engine, serial and parallel; the SPEC
+// baselines; the scripted, pressure, file-loaded, generated and dense
+// scenario sessions; Dalvik dispatch; and the fleet fold. CI runs them with
+// -benchmem and fails on a regression against BENCH_baseline.json
+// (cmd/benchdiff). The paper's figures, Table I, census and ablations are
+// not benchmarks: TestPaperClaims in internal/report checks them against
+// pinned values.
 
 import (
 	"testing"
@@ -16,14 +16,14 @@ import (
 	"agave/internal/fleet"
 	"agave/internal/kernel"
 	"agave/internal/loader"
-	"agave/internal/report"
 	"agave/internal/scenario"
 	"agave/internal/sim"
-	"agave/internal/stats"
 	"agave/internal/suite"
 )
 
-// benchConfig is the shortened configuration used by the figure benches.
+// benchConfig is the shortened configuration every simulation bench runs:
+// 300 simulated ms after 200 ms of warmup keeps one op short enough for the
+// gate's 1 s benchtime.
 func benchConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Duration = 300 * sim.Millisecond
@@ -31,113 +31,12 @@ func benchConfig() core.Config {
 	return cfg
 }
 
-// benchSubset is a representative cross-section used by the per-figure
-// benches (UI-heavy, Java game, media, background, install, plus two SPEC
-// baselines); the full 25-benchmark sweep runs in BenchmarkFullSuite.
+// benchSubset is the suite benches' cross-section of the 25 benchmarks:
+// UI-heavy, Java game, media, background and install workloads, plus two
+// SPEC baselines.
 var benchSubset = []string{
 	"frozenbubble.main", "aard.main", "gallery.mp4.view",
 	"music.mp3.view.bkg", "pm.apk.view", "401.bzip2", "429.mcf",
-}
-
-func runSubset(b *testing.B, names []string) []*core.Result {
-	b.Helper()
-	results, err := core.RunSuite(benchConfig(), names...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return results
-}
-
-// BenchmarkFig1InstructionRegions regenerates Figure 1: % instruction reads
-// by VMA region. Reported metrics: mspace and libdvm.so shares for the
-// Java-game series (the paper's headline observation).
-func BenchmarkFig1InstructionRegions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results := runSubset(b, benchSubset)
-		fig := report.Fig1(results)
-		b.ReportMetric(fig.Series[0].Breakdown.Share("mspace")*100, "mspace_pct")
-		b.ReportMetric(fig.Series[0].Breakdown.Share("libdvm.so")*100, "libdvm_pct")
-		b.ReportMetric(fig.Series[5].Breakdown.Share("app binary")*100, "spec_appbin_pct")
-	}
-}
-
-// BenchmarkFig2DataRegions regenerates Figure 2: % data references by
-// region. Reported: gralloc-buffer share (Android) vs anonymous share
-// (SPEC 429.mcf).
-func BenchmarkFig2DataRegions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results := runSubset(b, benchSubset)
-		fig := report.Fig2(results)
-		b.ReportMetric(fig.Series[0].Breakdown.Share("gralloc-buffer")*100, "gralloc_pct")
-		b.ReportMetric(fig.Series[6].Breakdown.Share("anonymous")*100, "mcf_anon_pct")
-	}
-}
-
-// BenchmarkFig3InstructionProcesses regenerates Figure 3: % instruction
-// reads by process. Reported: mediaserver share of gallery.mp4.view (the
-// paper: 81 %).
-func BenchmarkFig3InstructionProcesses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results := runSubset(b, benchSubset)
-		fig := report.Fig3(results)
-		b.ReportMetric(fig.Series[2].Breakdown.Share("mediaserver")*100, "gallery_mediaserver_pct")
-		b.ReportMetric(fig.Series[5].Breakdown.Share("benchmark")*100, "spec_benchmark_pct")
-	}
-}
-
-// BenchmarkFig4DataProcesses regenerates Figure 4: % data references by
-// process. Reported: mediaserver data share of gallery.mp4.view (paper:
-// 77 %) and the dexopt share of pm.apk.view.
-func BenchmarkFig4DataProcesses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results := runSubset(b, benchSubset)
-		fig := report.Fig4(results)
-		b.ReportMetric(fig.Series[2].Breakdown.Share("mediaserver")*100, "gallery_mediaserver_pct")
-		b.ReportMetric(fig.Series[4].Breakdown.Share("dexopt")*100, "pm_dexopt_pct")
-	}
-}
-
-// BenchmarkTable1ThreadRanking regenerates Table I: thread groups ranked by
-// share of total Agave memory references. Reported: the SurfaceFlinger share
-// (paper: 43.4 %).
-func BenchmarkTable1ThreadRanking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results := runSubset(b, benchSubset)
-		t1 := report.Table1(results)
-		b.ReportMetric(t1.Share("SurfaceFlinger")*100, "surfaceflinger_pct")
-		b.ReportMetric(t1.Share("Compiler")*100, "compiler_pct")
-		b.ReportMetric(t1.Share("GC")*100, "gc_pct")
-	}
-}
-
-// BenchmarkScalarCounts regenerates the Section III census. Reported:
-// process/thread/region counts of the UI-heavy series (paper bands: 20–34
-// processes, 32–147 threads, 42–55 code regions, 32–104 data regions).
-func BenchmarkScalarCounts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results := runSubset(b, benchSubset)
-		rows := report.Scalars(results)
-		b.ReportMetric(float64(rows[0].Processes), "processes")
-		b.ReportMetric(float64(rows[0].Threads), "threads")
-		b.ReportMetric(float64(rows[0].CodeRegions), "code_regions")
-		b.ReportMetric(float64(rows[0].DataRegions), "data_regions")
-	}
-}
-
-// BenchmarkFullSuite runs all 19 Agave + 6 SPEC benchmarks end to end (the
-// complete paper sweep) and reports the suite-wide region census.
-func BenchmarkFullSuite(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results, err := core.RunSuite(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		code, data := report.SuiteRegionCounts(results)
-		b.ReportMetric(float64(code), "suite_code_regions")
-		b.ReportMetric(float64(data), "suite_data_regions")
-		t1 := report.Table1(results)
-		b.ReportMetric(t1.Share("SurfaceFlinger")*100, "surfaceflinger_pct")
-	}
 }
 
 // --- suite-engine benches: serial vs sharded execution of one plan ---
@@ -344,115 +243,6 @@ func BenchmarkInterpDispatch(b *testing.B) {
 			})
 			k.Run(1 << 62) // deadline far beyond any b.N's simulated time
 			b.ReportMetric(float64(b.N)*bytecodes/b.Elapsed().Seconds()/1e6, "Mbytecodes/s")
-		})
-	}
-}
-
-// --- ablation benches (design choices called out in docs/ARCHITECTURE.md) ---
-
-// BenchmarkAblationJIT contrasts trace-JIT on/off: the share of instruction
-// fetches served from dalvik-jit-code-cache vs libdvm.so.
-func BenchmarkAblationJIT(b *testing.B) {
-	for _, jit := range []bool{true, false} {
-		name := "on"
-		if !jit {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.DisableJIT = !jit
-			for i := 0; i < b.N; i++ {
-				r, err := core.Run("frozenbubble.main", cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bi := stats.NewBreakdown(r.Stats.ByRegion(stats.IFetch))
-				b.ReportMetric(bi.Share("dalvik-jit-code-cache")*100, "jitcache_pct")
-				b.ReportMetric(bi.Share("libdvm.so")*100, "libdvm_pct")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBackground contrasts music.mp3.view against its .bkg
-// variant: backgrounding shifts references from composition (gralloc/fb0)
-// toward mediaserver.
-func BenchmarkAblationBackground(b *testing.B) {
-	for _, name := range []string{"music.mp3.view", "music.mp3.view.bkg"} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := core.Run(name, benchConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				bp := stats.NewBreakdown(r.Stats.ByProcess())
-				b.ReportMetric(bp.Share("mediaserver")*100, "mediaserver_pct")
-				b.ReportMetric(bp.Share("system_server")*100, "system_server_pct")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDirtyRect contrasts full-stack composition against
-// dirty-rect-only composition (A3).
-func BenchmarkAblationDirtyRect(b *testing.B) {
-	for _, dirty := range []bool{false, true} {
-		name := "full"
-		if dirty {
-			name = "dirtyrect"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.DirtyRectComposition = dirty
-			for i := 0; i < b.N; i++ {
-				r, err := core.Run("countdown.main", cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bt := stats.NewBreakdown(r.Stats.ByThread())
-				b.ReportMetric(bt.Share("SurfaceFlinger")*100, "surfaceflinger_pct")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationGCPressure sweeps allocation pressure via the
-// object-churn workload (A4): the GC thread share grows with churn.
-func BenchmarkAblationGCPressure(b *testing.B) {
-	for _, name := range []string{"countdown.main", "frozenbubble.main"} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := core.Run(name, benchConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				bt := stats.NewBreakdown(r.Stats.ByThread())
-				b.ReportMetric(bt.Share("GC")*100, "gc_pct")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationQuantum checks that reference mixes are scheduler-quantum
-// invariant (A5): the headline share must not move materially between 0.5 ms
-// and 4 ms quanta.
-func BenchmarkAblationQuantum(b *testing.B) {
-	for _, q := range []sim.Ticks{500 * sim.Microsecond, 4 * sim.Millisecond} {
-		name := "0.5ms"
-		if q > sim.Millisecond {
-			name = "4ms"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Quantum = q
-			for i := 0; i < b.N; i++ {
-				r, err := core.Run("frozenbubble.main", cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bt := stats.NewBreakdown(r.Stats.ByThread())
-				b.ReportMetric(bt.Share("SurfaceFlinger")*100, "surfaceflinger_pct")
-			}
 		})
 	}
 }

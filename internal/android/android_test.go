@@ -128,21 +128,27 @@ func TestWorkerThreadsGroupAsThread(t *testing.T) {
 	}
 }
 
-func TestLooperPostAndQuit(t *testing.T) {
+func TestLooperTryDrainInPostOrder(t *testing.T) {
 	k, sys := bootSystem(t)
 	app := sys.NewApp(AppConfig{Process: "benchmark", Label: "t"})
 	var got []int
+	var drained [3]int
 	app.Start(func(ex *kernel.Exec, a *App) {
 		lp := NewLooper(k, "test")
-		lp.Post(ex, Message{What: 1})
-		lp.Post(ex, Message{Run: func(ex *kernel.Exec) { got = append(got, 99) }})
-		lp.Post(ex, Message{What: 2})
-		lp.Quit(ex)
-		lp.Loop(ex, func(ex *kernel.Exec, m Message) { got = append(got, m.What) })
+		for what := 1; what <= 3; what++ {
+			lp.Post(ex, Message{What: what})
+		}
+		record := func(ex *kernel.Exec, m Message) { got = append(got, m.What) }
+		drained[0] = lp.TryDrain(ex, 2, record)
+		drained[1] = lp.TryDrain(ex, 2, record)
+		drained[2] = lp.TryDrain(ex, 2, record)
 	})
 	k.Run(100 * sim.Millisecond)
-	if len(got) != 3 || got[0] != 1 || got[1] != 99 || got[2] != 2 {
-		t.Fatalf("looper dispatched %v", got)
+	if drained != [3]int{2, 1, 0} {
+		t.Fatalf("TryDrain(2) returned %v, want [2 1 0]", drained)
+	}
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("looper dispatched %v, want [1 2 3]", got)
 	}
 }
 

@@ -60,14 +60,11 @@ func (inj *Injector) Counts() (injected, detected, recovered, anrs int) {
 // calls it after relaunching a crashed service).
 func (inj *Injector) NoteRecovered() { inj.recovered++ }
 
-// noteDetectedFault records that framework or application code observed an
-// injected failure and took its error path instead of crashing.
-func (sys *System) noteDetectedFault() { sys.Inject.detected++ }
-
-// NoteDetectedFault is noteDetectedFault for workload code outside the
-// framework package: app-side handlers call it when a binder error reaches
-// them and they degrade gracefully instead of crashing.
-func (sys *System) NoteDetectedFault() { sys.noteDetectedFault() }
+// NoteDetectedFault records that framework or application code observed an
+// injected failure and took its error path instead of crashing: the
+// framework's app callback on a corrupt parcel, and app-side handlers when a
+// binder error reaches them.
+func (sys *System) NoteDetectedFault() { sys.Inject.detected++ }
 
 // faultHook implements binder.FaultHook: an armed service name fails its
 // next transaction (one arm per failure), everything else passes.

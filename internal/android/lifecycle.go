@@ -1,6 +1,8 @@
 package android
 
 import (
+	"math"
+
 	"agave/internal/kernel"
 )
 
@@ -30,15 +32,7 @@ const (
 // so a backgrounded app stops drawing and composing while its worker
 // threads, AsyncTasks, and media sessions keep running.
 func (a *App) PausePoint(ex *kernel.Exec) {
-	for {
-		raw, ok := a.Looper.q.TryRecv()
-		if !ok {
-			return
-		}
-		m := *raw.(*Message)
-		a.Looper.putMsg(raw.(*Message))
-		a.dispatchLifecycle(ex, m)
-	}
+	a.Looper.TryDrain(ex, math.MaxInt, a.dispatchLifecycle)
 }
 
 // Paused reports whether the app's main thread is parked in its lifecycle

@@ -24,9 +24,6 @@ type Message struct {
 	// Input carries the event payload of an msgInput message posted by
 	// the InputDispatcher; nil for every other message.
 	Input *InputEvent
-	// Run, when non-nil, is executed by the receiving thread (the moral
-	// equivalent of Handler.post).
-	Run func(ex *kernel.Exec)
 	// Posted is stamped by Post with the enqueue time; the AnrWatchdog
 	// ages a looper's head message from it.
 	Posted sim.Ticks
@@ -42,7 +39,6 @@ type Message struct {
 // crosses kernels.
 type Looper struct {
 	q    *kernel.MsgQueue
-	quit bool
 	free []*Message
 }
 
@@ -63,8 +59,8 @@ func (l *Looper) getMsg() *Message {
 
 // putMsg returns a consumed message to the pool. Reset invariant: the struct
 // is zeroed here, so a recycled message can never leak a previous payload
-// (Run closures, Input pointers, stale Posted stamps) into its next use even
-// if a future Post forgets a field.
+// (Input pointers, stale Posted stamps) into its next use even if a future
+// Post forgets a field.
 func (l *Looper) putMsg(m *Message) {
 	*m = Message{}
 	l.free = append(l.free, m)
@@ -90,11 +86,6 @@ func (l *Looper) Oldest() (Message, bool) {
 	return *raw.(*Message), true
 }
 
-// Quit makes Loop return after draining already-queued messages.
-func (l *Looper) Quit(ex *kernel.Exec) {
-	l.Post(ex, Message{What: -1})
-}
-
 // recv blocks for the next message, copies it out, and recycles the pooled
 // struct before the caller acts on the copy.
 func (l *Looper) recv(ex *kernel.Exec) Message {
@@ -102,22 +93,6 @@ func (l *Looper) recv(ex *kernel.Exec) Message {
 	m := *mp
 	l.putMsg(mp)
 	return m
-}
-
-// Loop processes messages until Quit. The dispatch overhead per message is
-// charged as framework bytecode by the caller-provided dispatch hook.
-func (l *Looper) Loop(ex *kernel.Exec, dispatch func(ex *kernel.Exec, m Message)) {
-	for {
-		m := l.recv(ex)
-		if m.What == -1 {
-			return
-		}
-		if m.Run != nil {
-			m.Run(ex)
-			continue
-		}
-		dispatch(ex, m)
-	}
 }
 
 // TryDrain processes at most max pending messages without blocking.
@@ -130,15 +105,7 @@ func (l *Looper) TryDrain(ex *kernel.Exec, max int, dispatch func(ex *kernel.Exe
 		}
 		m := *raw.(*Message)
 		l.putMsg(raw.(*Message))
-		if m.What == -1 {
-			l.quit = true
-			return n
-		}
-		if m.Run != nil {
-			m.Run(ex)
-		} else {
-			dispatch(ex, m)
-		}
+		dispatch(ex, m)
 		n++
 	}
 	return n
@@ -185,9 +152,6 @@ func NewAsyncPool(proc *kernel.Process, n int) *AsyncPool {
 func (p *AsyncPool) Submit(ex *kernel.Exec, task func(ex *kernel.Exec)) {
 	ex.Send(p.q, task)
 }
-
-// Pending reports queued-but-unclaimed tasks.
-func (p *AsyncPool) Pending() int { return p.q.Len() }
 
 // heartbeat runs a native daemon's periodic activity: a small burst of
 // work every interval. It is how init, rild, vold, netd and friends earn

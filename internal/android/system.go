@@ -8,7 +8,6 @@ import (
 	"agave/internal/kernel"
 	"agave/internal/loader"
 	"agave/internal/media"
-	"agave/internal/mem"
 	"agave/internal/sim"
 )
 
@@ -279,6 +278,3 @@ func (sys *System) HideLauncher() {
 		sys.Launcher.Surface.Visible = false
 	}
 }
-
-// processKernelRegion is a convenience for tests.
-func processKernelRegion(p *kernel.Process) *mem.VMA { return p.Layout.Kernel }

@@ -121,8 +121,10 @@ func TestDisableJIT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Stats.ByRegionForProcess("benchmark", stats.IFetch)[mem.RegionJITCache]; got != 0 {
-		t.Fatalf("JIT disabled but app fetched %d from the code cache", got)
+	for _, e := range r.Stats.Entries() {
+		if e.Proc == "benchmark" && e.Kind == stats.IFetch && e.Region == mem.RegionJITCache {
+			t.Fatalf("JIT disabled but app fetched %d from the code cache", e.Count)
+		}
 	}
 }
 

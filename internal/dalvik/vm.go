@@ -308,10 +308,6 @@ func (vm *VM) GCRuns() uint64 { return vm.gcRuns }
 // Trims reports completed TrimMemory passes.
 func (vm *VM) Trims() uint64 { return vm.trimsDone }
 
-// HeapResidentBytes reports how many bytes of the dalvik heap currently pin
-// physical pages.
-func (vm *VM) HeapResidentBytes() uint64 { return vm.heapCommit }
-
 // trimSlack is how much headroom above the live bump pointer a trim keeps
 // committed, so the next few allocations do not immediately fault pages
 // back in.

@@ -125,10 +125,6 @@ func (k *Kernel) addResidentPages(delta int64) {
 	k.usedPages = uint64(int64(k.usedPages) + delta)
 }
 
-// UsedPages reports the machine-wide resident set in pages (excluding the
-// pressure balloon).
-func (k *Kernel) UsedPages() uint64 { return k.usedPages }
-
 // FreePages reports how many pages of the physical budget remain. With no
 // budget configured the machine is effectively infinite.
 func (k *Kernel) FreePages() uint64 {

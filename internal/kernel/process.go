@@ -59,14 +59,6 @@ type Process struct {
 // Kernel returns the owning kernel.
 func (p *Process) Kernel() *Kernel { return p.kern }
 
-// MainThread returns the first thread, or nil before any thread is spawned.
-func (p *Process) MainThread() *Thread {
-	if len(p.Threads) == 0 {
-		return nil
-	}
-	return p.Threads[0]
-}
-
 // LiveThreads counts threads that have not exited.
 func (p *Process) LiveThreads() int {
 	n := 0

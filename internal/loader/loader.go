@@ -244,12 +244,6 @@ func (lm *LinkMap) VMA(name string) *mem.VMA {
 	return img.VMA
 }
 
-// Has reports whether the named library is mapped.
-func (lm *LinkMap) Has(name string) bool {
-	_, ok := lm.images[name]
-	return ok
-}
-
 // Names lists mapped library names, sorted for deterministic iteration.
 func (lm *LinkMap) Names() []string {
 	out := make([]string, 0, len(lm.images))

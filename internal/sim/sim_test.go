@@ -37,12 +37,22 @@ func TestTickUnits(t *testing.T) {
 	}
 }
 
+// fireFunc is a TimerTarget that calls itself.
+type fireFunc func(now Ticks)
+
+func (f fireFunc) TimerFired(now Ticks) { f(now) }
+
+// schedule arms a fresh timer for when that calls fire.
+func schedule(q *TimerQueue, when Ticks, fire func(now Ticks)) {
+	q.ScheduleTimer(&Timer{When: when, Target: fireFunc(fire)})
+}
+
 func TestTimerQueueOrder(t *testing.T) {
 	var q TimerQueue
 	var fired []int
-	q.Schedule(30, func(Ticks) { fired = append(fired, 3) })
-	q.Schedule(10, func(Ticks) { fired = append(fired, 1) })
-	q.Schedule(20, func(Ticks) { fired = append(fired, 2) })
+	schedule(&q, 30, func(Ticks) { fired = append(fired, 3) })
+	schedule(&q, 10, func(Ticks) { fired = append(fired, 1) })
+	schedule(&q, 20, func(Ticks) { fired = append(fired, 2) })
 	if n := q.FireDue(25); n != 2 {
 		t.Fatalf("FireDue(25) fired %d, want 2", n)
 	}
@@ -60,7 +70,7 @@ func TestTimerQueueTieBreakIsFIFO(t *testing.T) {
 	var fired []int
 	for i := 0; i < 10; i++ {
 		i := i
-		q.Schedule(5, func(Ticks) { fired = append(fired, i) })
+		schedule(&q, 5, func(Ticks) { fired = append(fired, i) })
 	}
 	q.FireDue(5)
 	for i, v := range fired {
@@ -70,19 +80,6 @@ func TestTimerQueueTieBreakIsFIFO(t *testing.T) {
 	}
 }
 
-func TestTimerCancel(t *testing.T) {
-	var q TimerQueue
-	fired := false
-	tm := q.Schedule(10, func(Ticks) { fired = true })
-	q.Cancel(tm)
-	q.FireDue(100)
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-	q.Cancel(tm) // double-cancel is a no-op
-	q.Cancel(nil)
-}
-
 func TestTimerRescheduleDuringFire(t *testing.T) {
 	var q TimerQueue
 	count := 0
@@ -90,10 +87,10 @@ func TestTimerRescheduleDuringFire(t *testing.T) {
 	fire = func(now Ticks) {
 		count++
 		if count < 3 {
-			q.Schedule(now, fire) // already due: fires in the same call
+			schedule(&q, now, fire) // already due: fires in the same call
 		}
 	}
-	q.Schedule(1, fire)
+	schedule(&q, 1, fire)
 	if n := q.FireDue(1); n != 3 {
 		t.Fatalf("FireDue fired %d, want 3 (chained)", n)
 	}
@@ -104,7 +101,7 @@ func TestNextDeadline(t *testing.T) {
 	if _, ok := q.NextDeadline(); ok {
 		t.Fatal("empty queue reported a deadline")
 	}
-	q.Schedule(42, func(Ticks) {})
+	schedule(&q, 42, func(Ticks) {})
 	if when, ok := q.NextDeadline(); !ok || when != 42 {
 		t.Fatalf("NextDeadline = %d,%v want 42,true", when, ok)
 	}

@@ -2,24 +2,20 @@ package sim
 
 import "container/heap"
 
-// Timer is a pending callback registered with a TimerQueue.
+// Timer is a pending wakeup registered with a TimerQueue. Its owner embeds
+// it (the scheduler's per-thread sleep timer) and sets Target once, so
+// arming the timer never allocates.
 type Timer struct {
 	// When is the deadline in simulated ticks.
 	When Ticks
-	// Fire is invoked when the deadline is reached. It runs on the
-	// simulation loop; it must not block.
-	Fire func(now Ticks)
-	// Target, when non-nil, receives the firing instead of Fire. Long-lived
-	// owners of embedded timers (the scheduler's per-thread sleep timer) set
-	// it once so arming the timer never allocates a closure.
+	// Target receives the firing.
 	Target TimerTarget
 
-	index int // heap index; -1 when not queued
-	seq   uint64
+	seq uint64
 }
 
-// TimerTarget is the closure-free delivery interface for Timer: a timer with
-// a Target fires by calling TimerFired on it.
+// TimerTarget receives a Timer's firing. TimerFired runs on the simulation
+// loop; it must not block.
 type TimerTarget interface {
 	TimerFired(now Ticks)
 }
@@ -31,36 +27,13 @@ type TimerQueue struct {
 	seq uint64
 }
 
-// Schedule registers fire to run at deadline when. It returns the timer so
-// the caller may cancel it.
-func (q *TimerQueue) Schedule(when Ticks, fire func(now Ticks)) *Timer {
-	t := &Timer{When: when, Fire: fire, seq: q.seq}
-	q.seq++
-	heap.Push(&q.h, t)
-	return t
-}
-
-// ScheduleTimer enqueues a caller-owned timer whose When and Fire fields are
-// already set. It exists so hot paths (the scheduler's per-sleep wakeups) can
-// reuse one Timer struct instead of allocating per Schedule call; the caller
-// must not touch t again until it has fired or been cancelled.
+// ScheduleTimer enqueues a caller-owned timer whose When and Target fields
+// are already set. The caller must not touch t again until it has fired.
 func (q *TimerQueue) ScheduleTimer(t *Timer) {
 	t.seq = q.seq
 	q.seq++
 	heap.Push(&q.h, t)
 }
-
-// Cancel removes t from the queue. Cancelling an already-fired or
-// already-cancelled timer is a no-op.
-func (q *TimerQueue) Cancel(t *Timer) {
-	if t == nil || t.index < 0 {
-		return
-	}
-	heap.Remove(&q.h, t.index)
-}
-
-// Len reports the number of pending timers.
-func (q *TimerQueue) Len() int { return len(q.h) }
 
 // NextDeadline reports the earliest pending deadline. ok is false when the
 // queue is empty.
@@ -72,17 +45,12 @@ func (q *TimerQueue) NextDeadline() (when Ticks, ok bool) {
 }
 
 // FireDue pops and fires every timer with deadline ≤ now, in deadline order.
-// It returns the number of timers fired. Callbacks may schedule new timers;
+// It returns the number of timers fired. Targets may schedule new timers;
 // newly scheduled timers that are already due fire in the same call.
 func (q *TimerQueue) FireDue(now Ticks) int {
 	n := 0
 	for len(q.h) > 0 && q.h[0].When <= now {
-		t := heap.Pop(&q.h).(*Timer)
-		if t.Target != nil {
-			t.Target.TimerFired(now)
-		} else {
-			t.Fire(now)
-		}
+		heap.Pop(&q.h).(*Timer).Target.TimerFired(now)
 		n++
 	}
 	return n
@@ -99,24 +67,15 @@ func (h timerHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *timerHeap) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
+func (h *timerHeap) Push(x any) { *h = append(*h, x.(*Timer)) }
 
 func (h *timerHeap) Pop() any {
 	old := *h
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
-	t.index = -1
 	*h = old[:n-1]
 	return t
 }

@@ -241,23 +241,6 @@ func (c *Collector) ByProcess(kinds ...Kind) map[string]uint64 {
 	return c.fold(kinds, func(key uint64) string { return c.ProcName(c.cellRow(key).proc) })
 }
 
-// ByRegionForProcess folds counts of the given classes by region name,
-// restricted to the named process.
-func (c *Collector) ByRegionForProcess(proc string, kinds ...Kind) map[string]uint64 {
-	pid, ok := c.procs.ids[proc]
-	if !ok {
-		return map[string]uint64{}
-	}
-	sel := selectKinds(kinds)
-	out := make(map[string]uint64)
-	for k, v := range c.counts {
-		if c.cellRow(k).proc == ProcID(pid) && sel[cellKind(k)] {
-			out[c.regionOf(k)] += v
-		}
-	}
-	return out
-}
-
 // ByThread folds counts of the given classes by thread group name.
 func (c *Collector) ByThread(kinds ...Kind) map[string]uint64 {
 	return c.fold(kinds, func(key uint64) string { return c.ThreadName(c.cellRow(key).thread) })
@@ -278,17 +261,6 @@ func (c *Collector) RegionCount(kinds ...Kind) int {
 		}
 	}
 	return n
-}
-
-// ProcessCount reports how many distinct processes issued at least one access.
-func (c *Collector) ProcessCount() int {
-	seen := make(map[ProcID]bool)
-	for k, v := range c.counts {
-		if v > 0 {
-			seen[c.cellRow(k).proc] = true
-		}
-	}
-	return len(seen)
 }
 
 // Cells reports the number of distinct counter cells currently held — the

@@ -90,9 +90,6 @@ func TestRegionAndProcessCounts(t *testing.T) {
 	if got := c.RegionCount(); got != 3 {
 		t.Fatalf("RegionCount() = %d, want 3", got)
 	}
-	if got := c.ProcessCount(); got != 1 {
-		t.Fatalf("ProcessCount = %d, want 1", got)
-	}
 }
 
 func TestMergePreservesTotals(t *testing.T) {
