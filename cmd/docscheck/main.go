@@ -170,6 +170,10 @@ func checkPackageComments(root string) ([]string, error) {
 // useful gate.
 var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)[^)]*\)`)
 
+// codeSpan matches an inline code span. A bracket-paren pair inside one is
+// code, such as a generic Go signature, not a link.
+var codeSpan = regexp.MustCompile("`[^`]*`")
+
 // scenarioKindDoc is the scenario-schema reference checkScenarioKindDocs
 // holds to the codec, relative to the repo root.
 const scenarioKindDoc = "docs/SCENARIOS.md"
@@ -398,7 +402,7 @@ func checkMarkdownLinks(root string) ([]string, error) {
 		}
 		rel, _ := filepath.Rel(root, path)
 		for lineNo, line := range strings.Split(string(data), "\n") {
-			for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
+			for _, m := range mdLink.FindAllStringSubmatch(codeSpan.ReplaceAllString(line, ""), -1) {
 				dest := m[1]
 				if strings.Contains(dest, "://") || strings.HasPrefix(dest, "mailto:") ||
 					strings.HasPrefix(dest, "#") {

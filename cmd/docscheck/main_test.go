@@ -78,6 +78,7 @@ func TestDetectsBrokenMarkdownLinks(t *testing.T) {
 		"[self](#here)",
 		"[web](https://example.com/x)",
 		"[broken](missing.md)",
+		"`func New[T any](k *Kernel)` is code; [broken](gone.md) is not",
 	}, "\n")
 	if err := os.WriteFile(filepath.Join(root, "doc.md"), []byte(md), 0o644); err != nil {
 		t.Fatal(err)
@@ -93,7 +94,11 @@ func TestDetectsBrokenMarkdownLinks(t *testing.T) {
 	if !strings.Contains(got, `doc.md:5: broken link "missing.md"`) {
 		t.Errorf("broken link not reported:\n%s", got)
 	}
-	if strings.Contains(got, "real.md#section") || strings.Contains(got, "example.com") {
+	if !strings.Contains(got, `doc.md:6: broken link "gone.md"`) {
+		t.Errorf("broken link after a code span not reported:\n%s", got)
+	}
+	if strings.Contains(got, "real.md#section") || strings.Contains(got, "example.com") ||
+		strings.Contains(got, `"k"`) {
 		t.Errorf("false positives:\n%s", got)
 	}
 }

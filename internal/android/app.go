@@ -70,7 +70,7 @@ type App struct {
 	// a workload-appropriate handler at launch; workload bodies may
 	// replace it (media players install seek handlers). Nil means the
 	// framework dispatch is the whole cost.
-	OnInput func(ex *kernel.Exec, a *App, ev *InputEvent)
+	OnInput func(ex *kernel.Exec, a *App, ev InputEvent)
 	// HelperProcs are the app_process companions forked for cfg.Helpers;
 	// KillApp terminates them with the app.
 	HelperProcs []*kernel.Process

@@ -90,42 +90,19 @@ type inputChannel struct {
 }
 
 // InputDispatcher is system_server's input pipeline state: the event queue
-// its dispatcher thread drains, and the per-target accounting.
-//
-// In-flight InputEvents are pooled: inject draws from the free list and the
-// pipeline's terminal points (route's drop, the paused-activity drain, and
-// performInput's return) recycle the struct. No locking is needed — one
-// simulated thread runs at a time and the dispatcher never crosses kernels.
+// its dispatcher thread drains, and the per-target accounting. Events travel
+// by value, from the queue to the app's looper to its handler.
 type InputDispatcher struct {
 	sys *System
-	q   *kernel.MsgQueue
+	q   *kernel.MsgQueue[InputEvent]
 
 	chans map[string]*inputChannel
-	free  []*InputEvent
-}
-
-func (d *InputDispatcher) getEvent() *InputEvent {
-	if n := len(d.free); n > 0 {
-		ev := d.free[n-1]
-		d.free[n-1] = nil
-		d.free = d.free[:n-1]
-		return ev
-	}
-	return &InputEvent{}
-}
-
-// putEvent recycles a fully-handled (or dropped) event. Reset invariant: the
-// struct is zeroed so a recycled event cannot leak a stale target or
-// timestamp into its next flight.
-func (d *InputDispatcher) putEvent(ev *InputEvent) {
-	*ev = InputEvent{}
-	d.free = append(d.free, ev)
 }
 
 func newInputDispatcher(sys *System) *InputDispatcher {
 	return &InputDispatcher{
 		sys:   sys,
-		q:     sys.K.NewMsgQueue("input.dispatch"),
+		q:     kernel.NewMsgQueue[InputEvent](sys.K, "input.dispatch"),
 		chans: make(map[string]*inputChannel),
 	}
 }
@@ -147,11 +124,7 @@ func (d *InputDispatcher) inject(ex *kernel.Exec, target string, kinds ...InputK
 	c := d.channel(target)
 	for _, k := range kinds {
 		c.injected++
-		ev := d.getEvent()
-		ev.Kind = k
-		ev.Target = target
-		ev.Posted = ex.Now()
-		ex.Send(d.q, ev)
+		d.q.Send(ex, InputEvent{Kind: k, Target: target, Posted: ex.Now()})
 	}
 }
 
@@ -176,12 +149,10 @@ func (sys *System) InjectSwipe(ex *kernel.Exec, target string) {
 // foreground focus. Everything else is dropped here — posting input to a
 // backgrounded or dying process is exactly how a real dispatcher produces
 // "dropped event" logs rather than crashes.
-func (d *InputDispatcher) route(ex *kernel.Exec, ev *InputEvent) {
+func (d *InputDispatcher) route(ex *kernel.Exec, ev InputEvent) {
 	a := d.sys.appByLabel(ev.Target)
 	if a == nil || a.Dead || a.Paused() || d.sys.amForeground != a {
-		// Never delivered: counted as dropped at collection. The event's
-		// flight ends here, so recycle it.
-		d.putEvent(ev)
+		// Never delivered: counted as dropped at collection.
 		return
 	}
 	a.Looper.Post(ex, Message{What: msgInput, Input: ev})
@@ -189,8 +160,8 @@ func (d *InputDispatcher) route(ex *kernel.Exec, ev *InputEvent) {
 
 // noteDelivered records a handled event and its end-to-end latency. It runs
 // on the receiving app's main thread, at handler start.
-func (d *InputDispatcher) noteDelivered(ev *InputEvent, lat sim.Ticks) {
-	c := d.channel(ev.Target)
+func (d *InputDispatcher) noteDelivered(target string, lat sim.Ticks) {
+	c := d.channel(target)
 	if c.delivered == 0 || lat < c.latMin {
 		c.latMin = lat
 	}
@@ -252,13 +223,10 @@ func (sys *System) appByLabel(label string) *App {
 // charge the view-hierarchy dispatch that precedes any listener, then run
 // the workload's input handler (which does the app-specific work — dalvik
 // allocations, surface invalidations, media seeks).
-func (a *App) performInput(ex *kernel.Exec, ev *InputEvent) {
-	a.Sys.Input.noteDelivered(ev, ex.Now()-ev.Posted)
+func (a *App) performInput(ex *kernel.Exec, ev InputEvent) {
+	a.Sys.Input.noteDelivered(ev.Target, ex.Now()-ev.Posted)
 	a.VM.InterpBulk(ex, a.frameworkDexFor(ex), 1400, false)
 	if a.OnInput != nil {
 		a.OnInput(ex, a, ev)
 	}
-	// The handler is the end of the event's flight; handlers must not
-	// retain ev past their return.
-	a.Sys.Input.putEvent(ev)
 }

@@ -49,20 +49,13 @@ func (a *App) dispatchLifecycle(ex *kernel.Exec, m Message) {
 		// real paused activity ignores stale UI traffic (the input
 		// dispatcher's accounting reports those as dropped).
 		for {
-			next := a.Looper.recv(ex)
+			next := a.Looper.q.Recv(ex)
 			switch next.What {
 			case msgResume:
 				a.onResume(ex)
 				return
 			case msgTrim:
 				a.onTrimMemory(ex, int(next.Arg))
-			default:
-				// Consumed unhandled. An input event's payload is done
-				// flying here — recycle it (the dispatcher's accounting
-				// already reports it as dropped).
-				if next.Input != nil {
-					a.Sys.Input.putEvent(next.Input)
-				}
 			}
 		}
 	case msgResume:

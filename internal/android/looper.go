@@ -22,89 +22,44 @@ type Message struct {
 	What int
 	Arg  int64
 	// Input carries the event payload of an msgInput message posted by
-	// the InputDispatcher; nil for every other message.
-	Input *InputEvent
+	// the InputDispatcher; the zero event for every other message.
+	Input InputEvent
 	// Posted is stamped by Post with the enqueue time; the AnrWatchdog
 	// ages a looper's head message from it.
 	Posted sim.Ticks
 }
 
 // Looper is a per-thread message queue, as every Android main thread owns.
-//
-// Queued messages are pooled: Post copies the caller's Message value into a
-// recycled *Message (pointer-shaped sends avoid the interface boxing
-// allocation), and every consumer copies it back out and releases the
-// struct before dispatching. The free list needs no locking because exactly
-// one simulated thread of a kernel runs at a time, and a looper never
-// crosses kernels.
+// Messages travel through it by value.
 type Looper struct {
-	q    *kernel.MsgQueue
-	free []*Message
+	q *kernel.MsgQueue[Message]
 }
 
 // NewLooper prepares a looper backed by the kernel's mailbox primitive.
 func NewLooper(k *kernel.Kernel, name string) *Looper {
-	return &Looper{q: k.NewMsgQueue("looper." + name)}
-}
-
-func (l *Looper) getMsg() *Message {
-	if n := len(l.free); n > 0 {
-		m := l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-		return m
-	}
-	return &Message{}
-}
-
-// putMsg returns a consumed message to the pool. Reset invariant: the struct
-// is zeroed here, so a recycled message can never leak a previous payload
-// (Input pointers, stale Posted stamps) into its next use even if a future
-// Post forgets a field.
-func (l *Looper) putMsg(m *Message) {
-	*m = Message{}
-	l.free = append(l.free, m)
+	return &Looper{q: kernel.NewMsgQueue[Message](k, "looper."+name)}
 }
 
 // Post enqueues a message from the calling thread, stamping its enqueue
 // time for the ANR watchdog.
 func (l *Looper) Post(ex *kernel.Exec, m Message) {
-	mp := l.getMsg()
-	*mp = m
-	mp.Posted = ex.Now()
-	ex.Send(l.q, mp)
+	m.Posted = ex.Now()
+	l.q.Send(ex, m)
 }
 
 // Oldest returns the head message without consuming it; ok is false when
 // the queue is empty. The AnrWatchdog uses it to age pending work without
 // stealing messages from the looper's own thread.
-func (l *Looper) Oldest() (Message, bool) {
-	raw, ok := l.q.Peek()
-	if !ok {
-		return Message{}, false
-	}
-	return *raw.(*Message), true
-}
-
-// recv blocks for the next message, copies it out, and recycles the pooled
-// struct before the caller acts on the copy.
-func (l *Looper) recv(ex *kernel.Exec) Message {
-	mp := ex.Recv(l.q).(*Message)
-	m := *mp
-	l.putMsg(mp)
-	return m
-}
+func (l *Looper) Oldest() (Message, bool) { return l.q.Peek() }
 
 // TryDrain processes at most max pending messages without blocking.
 func (l *Looper) TryDrain(ex *kernel.Exec, max int, dispatch func(ex *kernel.Exec, m Message)) int {
 	n := 0
 	for n < max {
-		raw, ok := l.q.TryRecv()
+		m, ok := l.q.TryRecv()
 		if !ok {
 			return n
 		}
-		m := *raw.(*Message)
-		l.putMsg(raw.(*Message))
 		dispatch(ex, m)
 		n++
 	}
@@ -115,7 +70,7 @@ func (l *Looper) TryDrain(ex *kernel.Exec, max int, dispatch func(ex *kernel.Exe
 // threads named "AsyncTask #N" (they account to the "AsyncTask" group that
 // Table I ranks at 7.6 % of suite references).
 type AsyncPool struct {
-	q *kernel.MsgQueue
+	q *kernel.MsgQueue[func(*kernel.Exec)]
 }
 
 // asyncTaskNames covers the framework's fixed pool size, so spawning a pool
@@ -135,12 +90,12 @@ func asyncTaskName(i int) string {
 // NewAsyncPool spawns n workers in proc.
 func NewAsyncPool(proc *kernel.Process, n int) *AsyncPool {
 	k := proc.Kernel()
-	p := &AsyncPool{q: k.NewMsgQueue(proc.Name + ".asynctask")}
+	p := &AsyncPool{q: kernel.NewMsgQueue[func(*kernel.Exec)](k, proc.Name+".asynctask")}
 	for i := 0; i < n; i++ {
 		name := asyncTaskName(i)
 		k.SpawnThread(proc, name, "AsyncTask", func(ex *kernel.Exec) {
 			for {
-				task := ex.Recv(p.q).(func(ex *kernel.Exec))
+				task := p.q.Recv(ex)
 				task(ex)
 			}
 		})
@@ -150,7 +105,7 @@ func NewAsyncPool(proc *kernel.Process, n int) *AsyncPool {
 
 // Submit queues task for execution on some pool worker.
 func (p *AsyncPool) Submit(ex *kernel.Exec, task func(ex *kernel.Exec)) {
-	ex.Send(p.q, task)
+	p.q.Send(ex, task)
 }
 
 // heartbeat runs a native daemon's periodic activity: a small burst of

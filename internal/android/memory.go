@@ -174,8 +174,7 @@ func (sys *System) startMemoryManagement() {
 	k.SpawnThread(ss, "ProcessReaper", "ActivityManager", func(ex *kernel.Exec) {
 		ex.PushCode(ss.Layout.Text)
 		for {
-			victim := ex.Recv(k.DeathQueue()).(*kernel.Process)
-			sys.reapDeadProcess(ex, victim)
+			sys.reapDeadProcess(ex, k.DeathQueue().Recv(ex))
 		}
 	})
 }

@@ -129,7 +129,7 @@ func TestDeadAppsLeaveTheRecords(t *testing.T) {
 			// The lowmemorykiller's kill and announcement; the reaper
 			// does the rest.
 			k.KillProcess(relaunched.Proc)
-			ex.Send(k.DeathQueue(), relaunched.Proc)
+			k.DeathQueue().Send(ex, relaunched.Proc)
 			ex.SleepFor(20 * sim.Millisecond)
 			if !relaunched.Dead {
 				fail("cycle %d: the reaper did not reap fg0", c)
@@ -176,7 +176,7 @@ func TestNoClientWedgesOnADeadEndpoint(t *testing.T) {
 			// The lowmemorykiller's kill and announcement; the reaper
 			// does the rest.
 			sys.K.KillProcess(a.Proc)
-			ex.Send(sys.K.DeathQueue(), a.Proc)
+			sys.K.DeathQueue().Send(ex, a.Proc)
 		}},
 	}
 	for _, d := range deaths {

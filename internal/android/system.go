@@ -214,7 +214,7 @@ func (sys *System) startCoreServices(ssLM *loader.LinkMap) {
 	k.SpawnThread(ss, "InputDispatcher", "InputDispatcher", func(ex *kernel.Exec) {
 		ex.PushCode(ss.Layout.Text)
 		for {
-			ev := ex.Recv(sys.Input.q).(*InputEvent)
+			ev := sys.Input.q.Recv(ex)
 			vm.InterpBulk(ex, servicesDex, 700, false)
 			sys.Input.route(ex, ev)
 		}

@@ -17,7 +17,7 @@ import (
 // inputHandler picks the workload's default handler by category. Launch and
 // LaunchAs install it before the main body runs; bodies that want richer
 // behavior (media seeks need the player handle) overwrite App.OnInput.
-func inputHandler(w *Workload) func(ex *kernel.Exec, a *android.App, ev *android.InputEvent) {
+func inputHandler(w *Workload) func(ex *kernel.Exec, a *android.App, ev android.InputEvent) {
 	if w.Category == "game" {
 		return gameInput
 	}
@@ -28,7 +28,7 @@ func inputHandler(w *Workload) func(ex *kernel.Exec, a *android.App, ev *android
 // updates in the app's own bytecode (with allocation churn — a tap makes
 // garbage), then an invalidated region redrawn and posted. Move samples are
 // the cheap middle of a gesture: scroll bookkeeping and a partial redraw.
-func uiInput(ex *kernel.Exec, a *android.App, ev *android.InputEvent) {
+func uiInput(ex *kernel.Exec, a *android.App, ev android.InputEvent) {
 	if ev.Kind == android.TouchMove {
 		a.VM.InterpBulk(ex, a.Dex, 2500, true)
 		if a.Canvas != nil {
@@ -48,7 +48,7 @@ func uiInput(ex *kernel.Exec, a *android.App, ev *android.InputEvent) {
 // gameInput is the game-category response: a tap or key is a game action, so
 // the handler runs a slice of game logic hot enough to engage the trace JIT,
 // allocates entity state, and redraws the touched sprite region.
-func gameInput(ex *kernel.Exec, a *android.App, ev *android.InputEvent) {
+func gameInput(ex *kernel.Exec, a *android.App, ev android.InputEvent) {
 	if ev.Kind == android.TouchMove {
 		a.VM.InterpBulk(ex, a.Dex, 4000, true)
 		return

@@ -16,8 +16,8 @@ import (
 // binder fault, or mediaserver mid-restart — is tolerated: the scrub is
 // lost, the player keeps its handle, and the next gesture lands on the
 // recovered server.
-func serverSeekInput(p *media.Player, callbackCost uint64, overlayH int) func(ex *kernel.Exec, a *android.App, ev *android.InputEvent) {
-	return func(ex *kernel.Exec, a *android.App, ev *android.InputEvent) {
+func serverSeekInput(p *media.Player, callbackCost uint64, overlayH int) func(ex *kernel.Exec, a *android.App, ev android.InputEvent) {
+	return func(ex *kernel.Exec, a *android.App, ev android.InputEvent) {
 		if ev.Kind == android.TouchMove {
 			a.Canvas.FillRect(ex, 800, overlayH)
 			return
@@ -66,8 +66,8 @@ func startPlayer(ex *kernel.Exec, a *android.App, p *media.Player) {
 // the codec needs), refills the bitstream from storage at the target, and
 // reposts the overlay.
 func inProcessSeekInput(engine, stream *mem.VMA, indexWords, stackWork, refill uint64,
-	overlayH int, invalidate func(ex *kernel.Exec)) func(ex *kernel.Exec, a *android.App, ev *android.InputEvent) {
-	return func(ex *kernel.Exec, a *android.App, ev *android.InputEvent) {
+	overlayH int, invalidate func(ex *kernel.Exec)) func(ex *kernel.Exec, a *android.App, ev android.InputEvent) {
+	return func(ex *kernel.Exec, a *android.App, ev android.InputEvent) {
 		if ev.Kind == android.TouchMove {
 			a.Canvas.FillRect(ex, 800, overlayH)
 			return

@@ -1,6 +1,7 @@
 package binder
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +15,6 @@ func TestParcelRoundtrip(t *testing.T) {
 	p.WriteInt32(-42)
 	p.WriteString("android.app.IActivityManager")
 	p.WriteInt64(1 << 40)
-	p.WriteBlob([]byte{1, 2, 3})
 	p.Rewind()
 	if v, err := p.ReadInt32(); err != nil || v != -42 {
 		t.Fatalf("ReadInt32 = %d, %v", v, err)
@@ -24,9 +24,6 @@ func TestParcelRoundtrip(t *testing.T) {
 	}
 	if v, err := p.ReadInt64(); err != nil || v != 1<<40 {
 		t.Fatalf("ReadInt64 = %d, %v", v, err)
-	}
-	if b, err := p.ReadBlob(); err != nil || len(b) != 3 || b[2] != 3 {
-		t.Fatalf("ReadBlob = %v, %v", b, err)
 	}
 }
 
@@ -152,12 +149,12 @@ func TestTransactionBuffersAttributed(t *testing.T) {
 	k, d, server, client := setup(t)
 	d.Register(server, "echo", 1, func(ex *kernel.Exec, txn *Transaction) {
 		txn.Reply = NewParcel()
-		txn.Reply.WriteBlob(make([]byte, 4096))
+		txn.Reply.WriteString(strings.Repeat("r", 4096))
 	})
 	k.SpawnThread(client, "main", "main", func(ex *kernel.Exec) {
 		ex.PushCode(client.Layout.Text)
 		data := NewParcel()
-		data.WriteBlob(make([]byte, 8192))
+		data.WriteString(strings.Repeat("d", 8192))
 		if _, err := d.Call(ex, "echo", 1, data); err != nil {
 			t.Error(err)
 		}

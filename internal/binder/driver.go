@@ -53,7 +53,7 @@ type Service struct {
 	// shared state.
 	Owner any
 
-	queue *kernel.MsgQueue
+	queue *kernel.MsgQueue[*Transaction]
 	// Calls counts served transactions, for tests.
 	Calls uint64
 }
@@ -78,6 +78,9 @@ type Driver struct {
 	// reply is extracted; serveLoop returns oneway transactions nobody
 	// waits on. The reply parcel escapes to the caller, so it is never
 	// recycled — only the transaction shell and its embedded wait queue.
+	// Unlike looper messages, a transaction is shared by pointer between
+	// client and server, so it cannot travel by value; without this pool
+	// BenchmarkScenarioDense makes about 10% more allocations per op.
 	txnFree []*Transaction
 }
 
@@ -146,7 +149,7 @@ func (d *Driver) Register(proc *kernel.Process, name string, nThreads int, h Han
 		Name:    name,
 		Proc:    proc,
 		Handler: h,
-		queue:   d.k.NewMsgQueue("binder." + name),
+		queue:   kernel.NewMsgQueue[*Transaction](d.k, "binder."+name),
 	}
 	d.services[name] = s
 	d.bufferFor(proc)
@@ -199,7 +202,7 @@ func (d *Driver) serveLoop(ex *kernel.Exec, s *Service) {
 	buf := d.bufferFor(s.Proc)
 	kv := s.Proc.Layout.Kernel
 	for {
-		txn := ex.Recv(s.queue).(*Transaction)
+		txn := s.queue.Recv(ex)
 		// Kernel copies the parcel into this process's binder buffer;
 		// the service thread then reads it out.
 		ex.Syscall(ioctlFetch/2, ioctlData/2)
@@ -246,7 +249,7 @@ func (d *Driver) Call(ex *kernel.Exec, service string, code int32, data *Parcel)
 		}
 	}
 	txn := d.getTxn(code, data, ex.T, false)
-	ex.Send(s.queue, txn)
+	s.queue.Send(ex, txn)
 	for !txn.done {
 		ex.WaitFree(&txn.wq)
 	}
@@ -289,7 +292,7 @@ func (d *Driver) CallOneway(ex *kernel.Exec, service string, code int32, data *P
 		}
 	}
 	txn := d.getTxn(code, data, ex.T, true)
-	ex.Send(s.queue, txn)
+	s.queue.Send(ex, txn)
 	return nil
 }
 
@@ -302,11 +305,10 @@ func (d *Driver) CallOneway(ex *kernel.Exec, service string, code int32, data *P
 func (d *Driver) AbortPending(s *Service) int {
 	n := 0
 	for {
-		raw, ok := s.queue.TryRecv()
+		txn, ok := s.queue.TryRecv()
 		if !ok {
 			break
 		}
-		txn := raw.(*Transaction)
 		txn.aborted = true
 		txn.done = true
 		txn.wq.WakeAll()

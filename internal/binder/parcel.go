@@ -55,15 +55,6 @@ func (p *Parcel) WriteString(s string) {
 	}
 }
 
-// WriteBlob appends a length-prefixed opaque byte blob.
-func (p *Parcel) WriteBlob(b []byte) {
-	p.WriteInt32(int32(len(b)))
-	p.buf = append(p.buf, b...)
-	for len(p.buf)%4 != 0 {
-		p.buf = append(p.buf, 0)
-	}
-}
-
 // ReadInt32 consumes a 32-bit value.
 func (p *Parcel) ReadInt32() (int32, error) {
 	if p.off+4 > len(p.buf) {
@@ -99,23 +90,6 @@ func (p *Parcel) ReadString() (string, error) {
 		p.off++
 	}
 	return s, nil
-}
-
-// ReadBlob consumes a length-prefixed blob.
-func (p *Parcel) ReadBlob() ([]byte, error) {
-	n, err := p.ReadInt32()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 || p.off+int(n) > len(p.buf) {
-		return nil, fmt.Errorf("binder: bad blob length %d", n)
-	}
-	b := p.buf[p.off : p.off+int(n)]
-	p.off += int(n)
-	for p.off%4 != 0 && p.off < len(p.buf) {
-		p.off++
-	}
-	return b, nil
 }
 
 // Rewind resets the read cursor.

@@ -311,7 +311,7 @@ func (vm *VM) noteHot(ex *kernel.Exec, d *LoadedDex, mi int, key methodKey, weig
 	vm.hot[key] += weight
 	if vm.hot[key] >= hotThreshold {
 		vm.hot[key] = 0
-		ex.Send(vm.compileQueue, compileReq{d: d, mi: mi, key: key})
+		vm.compileQueue.Send(ex, compileReq{d: d, mi: mi, key: key})
 	}
 }
 
@@ -320,7 +320,7 @@ func (vm *VM) noteHot(ex *kernel.Exec, d *LoadedDex, mi int, key methodKey, weig
 // JIT), keeping the Compiler thread warm. Both the dispatch loop's
 // per-bytecode counter and InterpBulk send through here.
 func (vm *VM) sendTrace(ex *kernel.Exec, d *LoadedDex, mi int) {
-	ex.Send(vm.compileQueue, compileReq{d: d, mi: mi, key: methodKey{
+	vm.compileQueue.Send(ex, compileReq{d: d, mi: mi, key: methodKey{
 		dex: d.File.Name, method: fmt.Sprintf("%s#trace%d", d.File.Methods[mi].Name, vm.compilesDone),
 	}})
 }
@@ -374,7 +374,7 @@ func (vm *VM) InterpBulk(ex *kernel.Exec, d *LoadedDex, bytecodes uint64, heavyA
 	for vm.allocSinceGC >= gcThreshold {
 		vm.allocSinceGC -= gcThreshold
 		vm.heapTop = 16 + (vm.heapTop+allocBytes)%(vm.HeapVMA.Size()-16)
-		ex.Send(vm.gcQueue, gcReq{used: max(vm.heapTop, gcThreshold)})
+		vm.gcQueue.Send(ex, gcReq{used: max(vm.heapTop, gcThreshold)})
 	}
 
 	// Sustained interpretation keeps discovering hot traces (Gingerbread's

@@ -115,8 +115,8 @@ type VM struct {
 	gcRuns       uint64
 	trimsDone    uint64
 
-	gcQueue      *kernel.MsgQueue
-	compileQueue *kernel.MsgQueue
+	gcQueue      *kernel.MsgQueue[gcReq]
+	compileQueue *kernel.MsgQueue[compileReq]
 
 	compiled      map[methodKey]bool
 	hot           map[methodKey]int
@@ -164,8 +164,8 @@ func Attach(proc *kernel.Process, lm *loader.LinkMap, services bool) *VM {
 		mem.PermRead|mem.PermWrite|mem.PermExec, mem.ClassRuntime)
 	vm.heapTop = 16 // offset 0 is reserved so 0 can mean null
 	vm.heapCommit = vm.HeapVMA.Size()
-	vm.gcQueue = k.NewMsgQueue(proc.Name + ".gc")
-	vm.compileQueue = k.NewMsgQueue(proc.Name + ".jit")
+	vm.gcQueue = kernel.NewMsgQueue[gcReq](k, proc.Name+".gc")
+	vm.compileQueue = kernel.NewMsgQueue[compileReq](k, proc.Name+".jit")
 	if services {
 		vm.spawnServices()
 	}
@@ -294,8 +294,8 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 		vm.dexes[name] = nd
 	}
 	vm.heapCommit = vm.HeapVMA.ResidentBytes()
-	vm.gcQueue = k.NewMsgQueue(child.Name + ".gc")
-	vm.compileQueue = k.NewMsgQueue(child.Name + ".jit")
+	vm.gcQueue = kernel.NewMsgQueue[gcReq](k, child.Name+".gc")
+	vm.compileQueue = kernel.NewMsgQueue[compileReq](k, child.Name+".jit")
 	if services {
 		vm.spawnServices()
 	}
@@ -374,7 +374,7 @@ func (vm *VM) alloc(ex *kernel.Exec, n uint64) uint64 {
 	vm.allocSinceGC += n
 	if vm.allocSinceGC >= gcThreshold {
 		vm.allocSinceGC = 0
-		ex.Send(vm.gcQueue, gcReq{used: vm.heapTop})
+		vm.gcQueue.Send(ex, gcReq{used: vm.heapTop})
 	}
 	return off
 }
@@ -449,7 +449,7 @@ func (vm *VM) boundsCheck(ref uint64, idx int64) {
 func (vm *VM) gcLoop(ex *kernel.Exec) {
 	ex.PushCode(vm.LibDVM)
 	for {
-		req := ex.Recv(vm.gcQueue).(gcReq)
+		req := vm.gcQueue.Recv(ex)
 		used := req.used
 		if used < gcLiveFloor {
 			used = gcLiveFloor
@@ -477,7 +477,7 @@ func (vm *VM) gcLoop(ex *kernel.Exec) {
 func (vm *VM) compilerLoop(ex *kernel.Exec) {
 	ex.PushCode(vm.LibDVM)
 	for {
-		req := ex.Recv(vm.compileQueue).(compileReq)
+		req := vm.compileQueue.Recv(ex)
 		m := req.d.File.Methods[req.mi]
 		ilen := uint64(len(m.Code))
 		if ilen < minTraceUnits {

@@ -27,7 +27,7 @@ type ioRequest struct {
 // BlockDevice models the storage device plus its ata_sff/0 service thread.
 type BlockDevice struct {
 	k     *Kernel
-	queue *MsgQueue
+	queue *MsgQueue[*ioRequest]
 	proc  *Process
 
 	// BytesRead counts total bytes transferred, for tests.
@@ -35,7 +35,7 @@ type BlockDevice struct {
 }
 
 func newBlockDevice(k *Kernel) *BlockDevice {
-	d := &BlockDevice{k: k, queue: k.NewMsgQueue("ata.requests")}
+	d := &BlockDevice{k: k, queue: NewMsgQueue[*ioRequest](k, "ata.requests")}
 	d.proc = k.NewKernelProcess("ata_sff/0")
 	k.SpawnThread(d.proc, "ata_sff/0", "ata_sff/0", d.serviceLoop)
 	return d
@@ -46,7 +46,7 @@ func newBlockDevice(k *Kernel) *BlockDevice {
 func (d *BlockDevice) serviceLoop(ex *Exec) {
 	kv := d.proc.Layout.Kernel
 	for {
-		req := ex.Recv(d.queue).(*ioRequest)
+		req := d.queue.Recv(ex)
 		sectors := (req.bytes + 511) / 512
 		ex.Do(Work{Fetch: ataFetchPerSector, Reads: ataDataPerSector * 2 / 3,
 			Writes: ataDataPerSector / 3, Data: kv}, sectors)
@@ -63,7 +63,7 @@ func (d *BlockDevice) serviceLoop(ex *Exec) {
 func (ex *Exec) BlockRead(dst *mem.VMA, n uint64) {
 	ex.Syscall(650, 120)
 	req := &ioRequest{bytes: n, wq: ex.K.NewWaitQueue("io.done")}
-	ex.Send(ex.K.Disk.queue, req)
+	ex.K.Disk.queue.Send(ex, req)
 	for !req.done {
 		ex.WaitFree(req.wq)
 	}

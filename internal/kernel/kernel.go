@@ -49,20 +49,14 @@ type Kernel struct {
 	// everything ever created.
 	live []*Process
 
-	// runq is a head-indexed ring: dequeue pops runq[runqHead] (nilling the
-	// slot so exited threads are not retained) and append reuses the slack
-	// ahead of the head before growing. Slicing the head off instead
-	// (runq = runq[1:]) permanently walks the slice base forward, forcing
-	// append to reallocate on nearly every enqueue.
-	runq     []*Thread
-	runqHead int
+	// runq holds runnable threads in round-robin order.
+	runq ring[*Thread]
 
-	// msgqSlab and wqSlab chunk-allocate mailbox and wait-queue structs:
-	// every process spawn creates several of each, and one allocation per
-	// chunk beats one per queue. Handed-out entries are never reclaimed, so
-	// their addresses stay valid for the life of the kernel.
-	msgqSlab []MsgQueue
-	wqSlab   []WaitQueue
+	// wqSlab chunk-allocates wait-queue structs: every process spawn
+	// creates several, and one allocation per chunk beats one per queue.
+	// Handed-out entries are never reclaimed, so their addresses stay valid
+	// for the life of the kernel.
+	wqSlab []WaitQueue
 
 	// Swapper is the idle process (pid 0); idle time charges references
 	// to it, which is why it appears in the paper's Figures 3 and 4.
@@ -177,29 +171,19 @@ func (k *Kernel) ThreadCount() int { return len(k.threads) }
 
 func (k *Kernel) enqueue(t *Thread) {
 	t.State = StateRunnable
-	if k.runqHead > 0 && len(k.runq) == cap(k.runq) {
-		n := copy(k.runq, k.runq[k.runqHead:])
-		clear(k.runq[n:])
-		k.runq = k.runq[:n]
-		k.runqHead = 0
-	}
-	k.runq = append(k.runq, t)
+	k.runq.push(t)
 }
 
 func (k *Kernel) dequeue() *Thread {
-	for k.runqHead < len(k.runq) {
-		t := k.runq[k.runqHead]
-		k.runq[k.runqHead] = nil
-		k.runqHead++
-		if k.runqHead == len(k.runq) {
-			k.runq = k.runq[:0]
-			k.runqHead = 0
+	for {
+		t, ok := k.runq.pop()
+		if !ok {
+			return nil
 		}
 		if t.State == StateRunnable && t.ctx != nil && !t.ctx.Exited() {
 			return t
 		}
 	}
-	return nil
 }
 
 // reclaimCtx releases an exited thread's cpu context to the process-wide

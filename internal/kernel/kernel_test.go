@@ -138,24 +138,118 @@ func TestMsgQueueFIFOAndBlocking(t *testing.T) {
 	k := newTestKernel()
 	defer k.Shutdown()
 	p := k.NewProcess("benchmark", 1<<20, 1<<20)
-	q := k.NewMsgQueue("q")
+	q := NewMsgQueue[int](k, "q")
 	var got []int
 	k.SpawnThread(p, "consumer", "consumer", func(ex *Exec) {
 		ex.PushCode(p.Layout.Text)
 		for i := 0; i < 3; i++ {
-			got = append(got, ex.Recv(q).(int))
+			got = append(got, q.Recv(ex))
 		}
 	})
 	k.SpawnThread(p, "producer", "producer", func(ex *Exec) {
 		ex.PushCode(p.Layout.Text)
 		for i := 1; i <= 3; i++ {
 			ex.SleepFor(sim.Millisecond)
-			ex.Send(q, i)
+			q.Send(ex, i)
 		}
 	})
 	k.Run(10 * sim.Millisecond)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("received %v, want [1 2 3]", got)
+	}
+}
+
+// TestRingFIFOAcrossCompaction drives the kernel's one FIFO with a seeded
+// mix of pushes and pops against a plain slice. Every pop must return the
+// reference's oldest value and len must agree; every slot before head and
+// past len must be zero, so nothing dequeued stays reachable through the
+// backing array.
+func TestRingFIFOAcrossCompaction(t *testing.T) {
+	rng := sim.NewRNG(7)
+	var r ring[*int]
+	var ref []*int
+	compactions := 0
+	for op := 0; op < 5000; op++ {
+		if rng.Intn(5) < 3 {
+			v := new(int)
+			*v = op
+			if r.head > 0 && len(r.buf) == cap(r.buf) {
+				compactions++
+			}
+			r.push(v)
+			ref = append(ref, v)
+		} else {
+			got, ok := r.pop()
+			switch {
+			case len(ref) == 0 && ok:
+				t.Fatalf("op %d: pop from an empty ring returned %d", op, *got)
+			case len(ref) > 0 && (!ok || got != ref[0]):
+				t.Fatalf("op %d: pop = %v, %v; want %d", op, got, ok, *ref[0])
+			case len(ref) > 0:
+				ref = ref[1:]
+			}
+		}
+		if r.len() != len(ref) {
+			t.Fatalf("op %d: len = %d, want %d", op, r.len(), len(ref))
+		}
+		if head, ok := r.peek(); ok != (len(ref) > 0) || ok && head != ref[0] {
+			t.Fatalf("op %d: peek = %v, %v", op, head, ok)
+		}
+		for i, v := range r.buf[:r.head] {
+			if v != nil {
+				t.Fatalf("op %d: dequeued slot %d still holds %d", op, i, *v)
+			}
+		}
+		for i, v := range r.buf[len(r.buf):cap(r.buf)] {
+			if v != nil {
+				t.Fatalf("op %d: slot %d past len holds %d", op, len(r.buf)+i, *v)
+			}
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("no push compacted the ring")
+	}
+}
+
+// TestMailboxRoundTripDoesNotAllocate: a mailbox holds messages by value, so
+// sending and receiving a non-pointer struct through it allocates nothing
+// once the queue's backing array has grown.
+func TestMailboxRoundTripDoesNotAllocate(t *testing.T) {
+	type msg struct {
+		proc   *Process
+		seq    int
+		target string
+		kind   string
+	}
+	k := newTestKernel()
+	defer k.Shutdown()
+	p := k.NewProcess("benchmark", 1<<20, 1<<20)
+	q := NewMsgQueue[msg](k, "q")
+	received, bad := 0, 0
+	k.SpawnThread(p, "consumer", "consumer", func(ex *Exec) {
+		ex.PushCode(p.Layout.Text)
+		for {
+			if m := q.Recv(ex); m.proc != p || m.seq != received || m.target != "game" || m.kind != "tap" {
+				bad++
+			}
+			received++
+		}
+	})
+	k.SpawnThread(p, "producer", "producer", func(ex *Exec) {
+		ex.PushCode(p.Layout.Text)
+		for i := 0; ; i++ {
+			q.Send(ex, msg{proc: p, seq: i, target: "game", kind: "tap"})
+			ex.SleepFor(50 * sim.Microsecond)
+		}
+	})
+	k.Run(5 * sim.Millisecond)
+	before := received
+	allocs := testing.AllocsPerRun(10, func() { k.Run(k.Clock.Now() + sim.Millisecond) })
+	if allocs != 0 {
+		t.Fatalf("a simulated ms of mailbox round trips allocated %.1f times, want 0", allocs)
+	}
+	if received-before < 10*15 || bad != 0 {
+		t.Fatalf("received %d messages in 11 ms (%d wrong), want ~20 per ms, all in order", received-before, bad)
 	}
 }
 

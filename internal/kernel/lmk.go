@@ -75,7 +75,7 @@ func DefaultMinFree(cached uint64) []MinFree {
 // lmkState is the killer's bookkeeping on the kernel.
 type lmkState struct {
 	proc    *Process
-	deaths  *MsgQueue
+	deaths  *MsgQueue[*Process]
 	kills   int
 	victims []string
 }
@@ -96,12 +96,12 @@ func (k *Kernel) LMKVictims() []string { return k.lmk.victims }
 // process death (binder teardown, media session stop, hiding the surface;
 // the surface itself stays in the compositor's list). Non-nil only when
 // the killer is enabled.
-func (k *Kernel) DeathQueue() *MsgQueue { return k.lmk.deaths }
+func (k *Kernel) DeathQueue() *MsgQueue[*Process] { return k.lmk.deaths }
 
 // startLMK brings up the kswapd0 kernel thread and the death queue.
 func (k *Kernel) startLMK() {
 	k.lmk.proc = k.NewKernelProcess("kswapd0")
-	k.lmk.deaths = k.NewMsgQueue("lmk.deaths")
+	k.lmk.deaths = NewMsgQueue[*Process](k, "lmk.deaths")
 	k.SpawnThread(k.lmk.proc, "kswapd0", "kswapd0", func(ex *Exec) {
 		for {
 			ex.SleepFor(lmkScanPeriod)
@@ -135,7 +135,7 @@ func (k *Kernel) lmkScan(ex *Exec) {
 	k.lmk.kills++
 	k.lmk.victims = append(k.lmk.victims, victim.Name)
 	k.KillProcess(victim)
-	ex.Send(k.lmk.deaths, victim)
+	k.lmk.deaths.Send(ex, victim)
 }
 
 // selectVictim picks the process the killer frees: among live processes with

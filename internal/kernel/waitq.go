@@ -1,5 +1,51 @@
 package kernel
 
+// ring is the kernel's one FIFO, a head-indexed slice; run queues, wait
+// queues and mailboxes all hold one. pop zeroes the slot it vacates, so
+// nothing dequeued stays reachable through the backing array, and push
+// moves the live tail to the front when the array is full and slack sits
+// ahead of the head. Popping by slicing the head off instead would walk
+// the slice base forward and force append to reallocate on nearly every
+// push.
+type ring[T any] struct {
+	buf  []T
+	head int
+}
+
+func (r *ring[T]) push(v T) {
+	if r.head > 0 && len(r.buf) == cap(r.buf) {
+		n := copy(r.buf, r.buf[r.head:])
+		clear(r.buf[n:])
+		r.buf = r.buf[:n]
+		r.head = 0
+	}
+	r.buf = append(r.buf, v)
+}
+
+func (r *ring[T]) pop() (v T, ok bool) {
+	if r.head == len(r.buf) {
+		return v, false
+	}
+	v = r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero
+	r.head++
+	if r.head == len(r.buf) {
+		r.buf = r.buf[:0]
+		r.head = 0
+	}
+	return v, true
+}
+
+func (r *ring[T]) peek() (v T, ok bool) {
+	if r.head == len(r.buf) {
+		return v, false
+	}
+	return r.buf[r.head], true
+}
+
+func (r *ring[T]) len() int { return len(r.buf) - r.head }
+
 // WaitQueue is the kernel's block/wake primitive (the moral equivalent of a
 // futex wait queue). Because exactly one simulated thread runs at a time,
 // the check-then-wait pattern
@@ -9,15 +55,10 @@ package kernel
 //	}
 //
 // is free of lost wakeups by construction.
-//
-// waiters is a head-indexed ring (see Kernel.runq): popping by slicing the
-// head off would walk the slice base forward and force append to reallocate
-// on nearly every wait.
 type WaitQueue struct {
 	k       *Kernel
 	Name    string
-	waiters []*Thread
-	head    int
+	waiters ring[*Thread]
 }
 
 // NewWaitQueue returns an empty queue. The name is for diagnostics only.
@@ -40,39 +81,14 @@ func (k *Kernel) NewWaitQueue(name string) *WaitQueue {
 func (k *Kernel) InitWaitQueue(wq *WaitQueue, name string) {
 	wq.k = k
 	wq.Name = name
-	wq.waiters = wq.waiters[:0]
-	wq.head = 0
-}
-
-func (wq *WaitQueue) push(t *Thread) {
-	if wq.head > 0 && len(wq.waiters) == cap(wq.waiters) {
-		n := copy(wq.waiters, wq.waiters[wq.head:])
-		clear(wq.waiters[n:])
-		wq.waiters = wq.waiters[:n]
-		wq.head = 0
-	}
-	wq.waiters = append(wq.waiters, t)
-}
-
-func (wq *WaitQueue) pop() (*Thread, bool) {
-	if wq.head == len(wq.waiters) {
-		return nil, false
-	}
-	t := wq.waiters[wq.head]
-	wq.waiters[wq.head] = nil
-	wq.head++
-	if wq.head == len(wq.waiters) {
-		wq.waiters = wq.waiters[:0]
-		wq.head = 0
-	}
-	return t, true
+	wq.waiters = ring[*Thread]{buf: wq.waiters.buf[:0]}
 }
 
 // Wait blocks the calling thread on wq until another thread wakes it. The
 // futex-syscall cost is charged on entry.
 func (ex *Exec) Wait(wq *WaitQueue) {
 	ex.Syscall(180, 30)
-	wq.push(ex.T)
+	wq.waiters.push(ex.T)
 	ex.T.waitingOn = wq
 	ex.ctx.Block()
 }
@@ -80,7 +96,7 @@ func (ex *Exec) Wait(wq *WaitQueue) {
 // WaitFree blocks without charging a syscall (for callers that already
 // accounted the kernel entry themselves).
 func (ex *Exec) WaitFree(wq *WaitQueue) {
-	wq.push(ex.T)
+	wq.waiters.push(ex.T)
 	ex.T.waitingOn = wq
 	ex.ctx.Block()
 }
@@ -89,7 +105,7 @@ func (ex *Exec) WaitFree(wq *WaitQueue) {
 // woken.
 func (wq *WaitQueue) WakeOne() bool {
 	for {
-		t, ok := wq.pop()
+		t, ok := wq.waiters.pop()
 		if !ok {
 			return false
 		}
@@ -110,85 +126,56 @@ func (wq *WaitQueue) WakeAll() int {
 }
 
 // Waiters reports the number of threads currently parked on wq.
-func (wq *WaitQueue) Waiters() int { return len(wq.waiters) - wq.head }
+func (wq *WaitQueue) Waiters() int { return wq.waiters.len() }
 
-// MsgQueue is a deterministic FIFO mailbox built on two wait queues. It
-// backs Android Looper message queues, Binder transaction queues, media
-// buffer queues, and the storage request queue. msgs is a head-indexed ring
-// like WaitQueue.waiters.
-type MsgQueue struct {
+// MsgQueue is a deterministic FIFO mailbox of T values: Looper message
+// queues, input dispatch, AsyncTask work, Binder transaction queues, the
+// Dalvik GC and JIT requests, the storage request queue and the
+// lowmemorykiller's death announcements. Messages are held by value, so a
+// non-pointer message costs no allocation to send.
+type MsgQueue[T any] struct {
 	Name string
 	// notEmpty is embedded by value: a mailbox and its wait queue have
 	// identical lifetimes, so splitting them across two allocations only
 	// added per-queue cost (every process spawn creates several).
 	notEmpty WaitQueue
-	msgs     []any
-	head     int
+	msgs     ring[T]
 }
 
-// NewMsgQueue returns an empty unbounded mailbox. Mailboxes come out of a
-// per-kernel slab (see Kernel.msgqSlab); the embedded wait queue shares the
-// mailbox name rather than minting a suffixed copy per queue.
-func (k *Kernel) NewMsgQueue(name string) *MsgQueue {
-	if len(k.msgqSlab) == 0 {
-		k.msgqSlab = make([]MsgQueue, 16)
-	}
-	q := &k.msgqSlab[0]
-	k.msgqSlab = k.msgqSlab[1:]
-	q.Name = name
+// NewMsgQueue returns an empty unbounded mailbox. The embedded wait queue
+// shares the mailbox name rather than minting a suffixed copy per queue.
+func NewMsgQueue[T any](k *Kernel, name string) *MsgQueue[T] {
+	q := &MsgQueue[T]{Name: name}
 	q.notEmpty.k = k
 	q.notEmpty.Name = name
 	return q
 }
 
-// Send enqueues m and wakes one receiver. Sending charges a small kernel
-// cost (the futex wake). Pointer-shaped messages avoid the interface boxing
-// allocation; the looper and input paths rely on that.
-func (ex *Exec) Send(q *MsgQueue, m any) {
+// Send enqueues m from the calling thread and wakes one receiver. Sending
+// charges a small kernel cost (the futex wake).
+func (q *MsgQueue[T]) Send(ex *Exec, m T) {
 	ex.Syscall(140, 24)
-	if q.head > 0 && len(q.msgs) == cap(q.msgs) {
-		n := copy(q.msgs, q.msgs[q.head:])
-		clear(q.msgs[n:])
-		q.msgs = q.msgs[:n]
-		q.head = 0
-	}
-	q.msgs = append(q.msgs, m)
+	q.msgs.push(m)
 	q.notEmpty.WakeOne()
 }
 
-// Recv dequeues the oldest message, blocking while the queue is empty.
-func (ex *Exec) Recv(q *MsgQueue) any {
-	for q.Len() == 0 {
+// Recv dequeues the oldest message, blocking the calling thread while the
+// queue is empty.
+func (q *MsgQueue[T]) Recv(ex *Exec) T {
+	for q.msgs.len() == 0 {
 		ex.Wait(&q.notEmpty)
 	}
-	m, _ := q.TryRecv()
+	m, _ := q.msgs.pop()
 	return m
 }
 
 // TryRecv dequeues without blocking; ok is false when the queue is empty.
-func (q *MsgQueue) TryRecv() (m any, ok bool) {
-	if q.head == len(q.msgs) {
-		return nil, false
-	}
-	m = q.msgs[q.head]
-	q.msgs[q.head] = nil
-	q.head++
-	if q.head == len(q.msgs) {
-		q.msgs = q.msgs[:0]
-		q.head = 0
-	}
-	return m, true
-}
+func (q *MsgQueue[T]) TryRecv() (m T, ok bool) { return q.msgs.pop() }
 
 // Peek returns the oldest queued message without dequeuing it; ok is false
 // when the queue is empty. The ANR watchdog uses it to age a looper's head
 // message without stealing work from the looper's own thread.
-func (q *MsgQueue) Peek() (m any, ok bool) {
-	if q.head == len(q.msgs) {
-		return nil, false
-	}
-	return q.msgs[q.head], true
-}
+func (q *MsgQueue[T]) Peek() (m T, ok bool) { return q.msgs.peek() }
 
 // Len reports queued message count.
-func (q *MsgQueue) Len() int { return len(q.msgs) - q.head }
+func (q *MsgQueue[T]) Len() int { return q.msgs.len() }

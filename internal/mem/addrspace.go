@@ -8,10 +8,10 @@ import (
 )
 
 // AddressSpace is one process's virtual memory map: a sorted, non-overlapping
-// set of VMAs plus the brk pointer for the classic heap.
+// set of VMAs.
 //
 // The address space also keeps the resident-set accounting the kernel's
-// memory-pressure model is fed by: every Map/Unmap/Brk/Discard/Commit updates
+// memory-pressure model is fed by: every Map/Unmap/Discard/Commit updates
 // a per-class page count, and the OnResident hook reports the delta to the
 // owner (the kernel's global physical-page budget). Only writable non-kernel
 // mappings count — read-only file pages are evictable cache and the kernel
@@ -20,7 +20,6 @@ import (
 // them, a deliberate simplification.
 type AddressSpace struct {
 	vmas []*VMA // sorted by Start
-	brk  Addr   // current program break (top of the "heap" VMA)
 
 	collector *stats.Collector
 
@@ -88,7 +87,7 @@ func (as *AddressSpace) addResident(v *VMA, deltaBytes int64) {
 }
 
 // invalidate drops the lookup cache when a mutation touches [start, end).
-// Every mutation of the map (Map, Unmap, Brk) funnels through this, so the
+// Every mutation of the map (Map, Unmap) funnels through this, so the
 // cache can never outlive a VMA whose range it covers: a freed-and-remapped
 // range always resolves through the authoritative sorted slice.
 func (as *AddressSpace) invalidate(start, end Addr) {
@@ -225,49 +224,6 @@ func (as *AddressSpace) VMAs() []*VMA { return as.vmas }
 // Count reports the number of mappings.
 func (as *AddressSpace) Count() int { return len(as.vmas) }
 
-// SetBrk initializes the program break used by Brk growth.
-func (as *AddressSpace) SetBrk(brk Addr) { as.brk = brk }
-
-// Brk grows (or shrinks) the classic heap VMA to the new break and returns
-// the resulting break. Growing fails silently (returning the old break) if it
-// would collide with the next mapping, mirroring Linux.
-func (as *AddressSpace) Brk(newBrk Addr) Addr {
-	heap := as.FindByName("heap")
-	if heap == nil || newBrk == 0 {
-		return as.brk
-	}
-	newBrk = roundUp(newBrk)
-	if newBrk <= heap.Start {
-		return as.brk
-	}
-	// Refusing every collision is what keeps the slice sorted and disjoint,
-	// which the binary searches and findGap's forward walk rely on.
-	if i := as.overlapIndexExcept(heap.Start, newBrk, heap); i >= 0 {
-		return as.brk
-	}
-	// Growth does not touch the store: Slice grows the backing on demand the
-	// first time the new range is actually touched, which also keeps a
-	// frozen post-fork snapshot intact until a real access thaws it.
-	// Invalidate against the pre-mutation extent: a shrink takes addresses
-	// away from a possibly-cached heap hit.
-	oldEnd := heap.End
-	if newBrk < oldEnd {
-		as.invalidate(newBrk, oldEnd)
-	}
-	heap.End = newBrk
-	as.brk = newBrk
-	if newBrk >= oldEnd {
-		as.addResident(heap, int64(newBrk-oldEnd))
-	} else {
-		shrunk := oldEnd - newBrk
-		if shrunk > heap.resident {
-			shrunk = heap.resident
-		}
-		as.addResident(heap, -int64(shrunk))
-	}
-	return as.brk
-}
-
 // Clone produces the child address space of a fork. Shared and read-only
 // VMAs alias the parent's backing store (zygote's copy-on-write model: text,
 // preloaded heaps); writable private VMAs are snapshotted copy-on-write: the
@@ -277,7 +233,6 @@ func (as *AddressSpace) Brk(newBrk Addr) Addr {
 // nothing until a side actually writes them.
 func (as *AddressSpace) Clone() *AddressSpace {
 	child := NewAddressSpace(as.collector)
-	child.brk = as.brk
 	// One slab for all child VMA structs: address spaces here have dozens of
 	// mappings, and forks are frequent enough that per-VMA allocations were a
 	// measurable share of scenario allocs.

@@ -51,7 +51,7 @@ type Layout struct {
 }
 
 // NewLayout builds the skeleton in as. textSize and heapSize are rounded up
-// to pages; the heap can later grow via Brk.
+// to pages.
 func NewLayout(as *AddressSpace, textSize, heapSize uint64) *Layout {
 	l := &Layout{NextLib: MmapBase}
 	var err error
@@ -65,7 +65,6 @@ func NewLayout(as *AddressSpace, textSize, heapSize uint64) *Layout {
 	if l.Heap, err = as.Map(heapBase, heapSize, RegionHeap, PermRead|PermWrite, ClassHeap); err != nil {
 		panic(err)
 	}
-	as.SetBrk(l.Heap.End)
 	if l.Stack, err = as.Map(StackTop-DefaultStackSize, DefaultStackSize, RegionStack, PermRead|PermWrite, ClassStack); err != nil {
 		panic(err)
 	}

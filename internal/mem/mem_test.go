@@ -118,46 +118,6 @@ func TestSliceOutOfRangePanics(t *testing.T) {
 	v.Slice(PageSize-1, 2)
 }
 
-func TestBrkGrowsHeap(t *testing.T) {
-	as := newAS()
-	NewLayout(as, 0x10000, 0x10000)
-	heap := as.FindByName(RegionHeap)
-	oldEnd := heap.End
-	got := as.Brk(oldEnd + 0x5000)
-	if got != oldEnd+0x5000 || heap.End != got {
-		t.Fatalf("Brk = %#x, heap end %#x", got, heap.End)
-	}
-	// Shrinking below start is refused.
-	if got := as.Brk(heap.Start - 1); got != heap.End {
-		t.Fatal("Brk below heap start should be refused")
-	}
-}
-
-func TestBrkCollisionRefused(t *testing.T) {
-	as := newAS()
-	NewLayout(as, 0x10000, 0x10000)
-	heap := as.FindByName(RegionHeap)
-	// Map a blocker immediately after the heap.
-	mustMap(t, as, heap.End, 0x1000, "blocker")
-	if got := as.Brk(heap.End + 0x1000); got != heap.End {
-		t.Fatalf("Brk grew into blocker: %#x", got)
-	}
-}
-
-func TestBrkPreservesData(t *testing.T) {
-	as := newAS()
-	NewLayout(as, 0x10000, 0x10000)
-	heap := as.FindByName(RegionHeap)
-	heap.Bytes()[0] = 42
-	as.Brk(heap.End + 0x10000)
-	if heap.Bytes()[0] != 42 {
-		t.Fatal("Brk lost heap contents")
-	}
-	if uint64(len(heap.Bytes())) != heap.Size() {
-		t.Fatal("backing size mismatch after growth")
-	}
-}
-
 func TestCloneSharingSemantics(t *testing.T) {
 	as := newAS()
 	ro := mustMapPerm(t, as, 0x1000, 0x1000, "libc.so", PermRead|PermExec)
@@ -333,8 +293,8 @@ func TestAddressSpaceInvariantProperty(t *testing.T) {
 // stale path is cache-a-VMA, unmap it, remap an overlapping range — the old
 // code only cleared the cache when the unmapped VMA was the cached one at
 // unmap time, and a later mutation covering the cached range could otherwise
-// leave Find answering from a freed VMA. Every mutation (Map, Unmap, Brk)
-// now invalidates any cache entry its range covers.
+// leave Find answering from a freed VMA. Every mutation (Map, Unmap) now
+// invalidates any cache entry its range covers.
 func TestLookupCacheInvalidatedOnMutation(t *testing.T) {
 	as := newAS()
 	a := mustMap(t, as, 0x1000, 0x1000, "a")
@@ -352,29 +312,11 @@ func TestLookupCacheInvalidatedOnMutation(t *testing.T) {
 	if got := as.Find(0x1800); got != b {
 		t.Fatalf("Find after overlapping remap = %v, want %v", got, b)
 	}
-
-	// Brk mutations invalidate a cached heap hit too: shrink the heap,
-	// remap the freed tail, and the tail must resolve to the new mapping.
-	as2 := newAS()
-	NewLayout(as2, 0x10000, 0x10000)
-	heap := as2.FindByName(RegionHeap)
-	tail := heap.End - PageSize
-	if as2.Find(tail) != heap {
-		t.Fatal("heap warm-up Find missed")
-	}
-	as2.Brk(tail) // shrink: [tail, oldEnd) is no longer heap
-	if as2.last == heap {
-		t.Fatal("Brk shrink left the cache covering a range the heap lost")
-	}
-	blocker := mustMap(t, as2, tail, PageSize, "blocker")
-	if got := as2.Find(tail); got != blocker {
-		t.Fatalf("Find in freed heap tail = %v, want %v", got, blocker)
-	}
 }
 
 // TestResidentAccounting pins the physical-page bookkeeping the kernel's
 // pressure model is fed by: writable mappings count, read-only and kernel
-// mappings do not, and Unmap/Brk/Discard/Commit move the counters.
+// mappings do not, and Unmap/Discard/Commit move the counters.
 func TestResidentAccounting(t *testing.T) {
 	as := newAS()
 	var observed int64
@@ -426,23 +368,6 @@ func TestResidentAccounting(t *testing.T) {
 	}
 	if observed != 0 {
 		t.Fatalf("observer saw net %d pages, want 0", observed)
-	}
-}
-
-// TestBrkMovesResidentAccounting: heap growth commits pages, shrink releases
-// them.
-func TestBrkMovesResidentAccounting(t *testing.T) {
-	as := newAS()
-	NewLayout(as, 0x10000, 0x10000)
-	heap := as.FindByName(RegionHeap)
-	base := as.ResidentPages()
-	as.Brk(heap.End + 4*PageSize)
-	if got := as.ResidentPages(); got != base+4 {
-		t.Fatalf("resident after Brk grow = %d, want %d", got, base+4)
-	}
-	as.Brk(heap.End - 2*PageSize)
-	if got := as.ResidentPages(); got != base+2 {
-		t.Fatalf("resident after Brk shrink = %d, want %d", got, base+2)
 	}
 }
 
@@ -500,25 +425,11 @@ func refFindGap(vmas []*VMA, hint Addr, size uint64) Addr {
 	}
 }
 
-// refBrk is the break Brk must return, decided against the linear scan.
-func refBrk(as *AddressSpace, newBrk Addr) Addr {
-	heap := as.FindByName(RegionHeap)
-	if heap == nil || newBrk == 0 {
-		return as.brk
-	}
-	newBrk = roundUp(newBrk)
-	if newBrk <= heap.Start || refOverlapIndexExcept(as.vmas, heap.Start, newBrk, heap) >= 0 {
-		return as.brk
-	}
-	return newBrk
-}
-
-// TestAddressSpaceMatchesLinearReference drives random Map, MapAnywhere,
-// Unmap and Brk sequences on a NewLayout space and checks every answer
-// against the linear reference scans: the lowest gap at or above the hint,
-// the same overlap error, the same break. After every op the map must be
-// sorted and disjoint and the resident counters must equal the sum over
-// countable VMAs.
+// TestAddressSpaceMatchesLinearReference drives random Map, MapAnywhere and
+// Unmap sequences on a NewLayout space and checks every answer against the
+// linear reference scans: the lowest gap at or above the hint and the same
+// overlap error. After every op the map must be sorted and disjoint and the
+// resident counters must equal the sum over countable VMAs.
 func TestAddressSpaceMatchesLinearReference(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := sim.NewRNG(seed)
@@ -599,7 +510,7 @@ func TestAddressSpaceMatchesLinearReference(t *testing.T) {
 				case ref >= 0 && (err == nil || err.Error() != wantErr):
 					t.Fatalf("seed %d op %d: Map [%#x,%#x) error %v, want %q", seed, op, start, end, err, wantErr)
 				}
-			case r < 80 || len(vs) > 160: // Unmap
+			default: // Unmap
 				var cands []*VMA
 				for _, v := range vs {
 					if !layout[v] {
@@ -618,15 +529,6 @@ func TestAddressSpaceMatchesLinearReference(t *testing.T) {
 				}
 				if as.Find(v.Start) == v {
 					t.Fatalf("seed %d op %d: unmapped %s still found", seed, op, v)
-				}
-			default: // Brk
-				var newBrk Addr
-				if !rng.Bool(0.05) {
-					newBrk = randAddr(l.Heap.Start-2*PageSize, l.Heap.End+16*PageSize)
-				}
-				want := refBrk(as, newBrk)
-				if got := as.Brk(newBrk); got != want {
-					t.Fatalf("seed %d op %d: Brk(%#x) = %#x, reference %#x", seed, op, newBrk, got, want)
 				}
 			}
 			checkAddressSpace(t, as)

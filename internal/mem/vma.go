@@ -79,7 +79,7 @@ type VMA struct {
 	// resident is the number of bytes of the mapping currently backed by
 	// physical pages, as the owning AddressSpace accounts them. Only
 	// pressure-relevant mappings (writable, non-kernel) are tracked; it is
-	// maintained by AddressSpace.Map/Unmap/Brk/Discard/Commit.
+	// maintained by AddressSpace.Map/Unmap/Discard/Commit.
 	resident uint64
 
 	store *store
@@ -160,9 +160,8 @@ func (v *VMA) ensure(end uint64) *store {
 	if s.frozen {
 		// Thaw: this side of the fork touches the mapping first (or again);
 		// give it a private array covering end. The array never shrinks below
-		// the snapshot's extent — a heap shrunk by Brk keeps stale bytes past
-		// the break (and hi may exceed the VMA size), and those must survive
-		// the thaw so they reappear on regrowth exactly as without a fork.
+		// the snapshot's: the snapshot's hi can exceed grownLen(end), and
+		// every byte below hi must survive the thaw.
 		want := grownLen(end, v.Size())
 		if n := uint64(len(s.data)); n > want {
 			want = n

@@ -99,28 +99,16 @@ func buildFigure(id, title string, legend []string, results []*core.Result,
 // total memory references across the Agave suite (SPEC results are
 // excluded, as in the paper).
 func Table1(results []*core.Result) stats.Breakdown {
-	merged := mergeSuite(results)
-	return stats.NewBreakdown(merged.ByThread())
-}
-
-// mergeSuite folds every non-SPEC result into one collector, presized from
-// the inputs so the merge never rehashes the counter table.
-func mergeSuite(results []*core.Result) *stats.Collector {
-	merged := stats.NewCollector()
-	cells := 0
-	for _, r := range results {
-		if !r.IsSPEC {
-			cells += r.Stats.Cells()
-		}
-	}
-	merged.Presize(cells)
+	sum := make(map[string]uint64)
 	for _, r := range results {
 		if r.IsSPEC {
 			continue
 		}
-		merged.Merge(r.Stats)
+		for name, n := range r.Stats.ByThread() {
+			sum[name] += n
+		}
 	}
-	return merged
+	return stats.NewBreakdown(sum)
 }
 
 // ScalarRow is one benchmark's Section-III census line.
@@ -150,8 +138,20 @@ func Scalars(results []*core.Result) []ScalarRow {
 // SuiteRegionCounts reports the suite-wide distinct instruction and data
 // region counts (the paper: "over 65" and "almost 170").
 func SuiteRegionCounts(results []*core.Result) (code, data int) {
-	merged := mergeSuite(results)
-	return merged.RegionCount(stats.IFetch), merged.RegionCount(stats.DataKinds...)
+	codeSeen := make(map[string]bool)
+	dataSeen := make(map[string]bool)
+	for _, r := range results {
+		if r.IsSPEC {
+			continue
+		}
+		for name := range r.Stats.ByRegion(stats.IFetch) {
+			codeSeen[name] = true
+		}
+		for name := range r.Stats.ByRegion(stats.DataKinds...) {
+			dataSeen[name] = true
+		}
+	}
+	return len(codeSeen), len(dataSeen)
 }
 
 // WriteTable renders the figure as an aligned percentage table: one row per

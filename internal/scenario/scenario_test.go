@@ -425,13 +425,13 @@ func TestPauseParksForegroundApp(t *testing.T) {
 }
 
 // TestRepeatedRunsWithWarmPoolsAreByteIdentical pins the pooling work: the
-// engine's free lists (looper messages, input events, binder transactions,
-// recycled cpu contexts) and the package-level caches they feed (stock dex
-// images, decoded programs) must never leak state between runs. The first
-// run of each scenario is the cold-cache reference; the two that follow
-// execute with every process-wide cache warm and must reproduce the report
-// byte for byte. Both a chaos scenario (fault injection, crash/restart) and
-// an input-heavy scenario (the dispatcher's pooled event path) are covered.
+// engine's free lists (binder transactions, recycled cpu contexts) and the
+// package-level caches they feed (stock dex images, decoded programs) must
+// never leak state between runs. The first run of each scenario is the
+// cold-cache reference; the two that follow execute with every process-wide
+// cache warm and must reproduce the report byte for byte. Both a chaos
+// scenario (fault injection, crash/restart) and an input-heavy scenario (the
+// dispatcher's event path) are covered.
 func TestRepeatedRunsWithWarmPoolsAreByteIdentical(t *testing.T) {
 	for _, name := range []string{"binder-storm", "thumb-scroll"} {
 		sc, err := ByName(name)

@@ -263,34 +263,8 @@ func (c *Collector) RegionCount(kinds ...Kind) int {
 	return n
 }
 
-// Cells reports the number of distinct counter cells currently held — the
-// presizing hint for a collector about to receive this one's counts.
+// Cells reports the number of distinct counter cells currently held.
 func (c *Collector) Cells() int { return len(c.counts) }
-
-// Presize grows the (empty or warmed) counter table to hold at least cells
-// entries, so the inserts that follow never rehash. Report assembly uses it
-// to size suite-wide merge targets from their inputs' Cells before Merge.
-func (c *Collector) Presize(cells int) {
-	if cells <= len(c.counts) {
-		return
-	}
-	counts := make(map[uint64]uint64, cells)
-	for k, v := range c.counts {
-		counts[k] = v
-	}
-	c.counts = counts
-}
-
-// Merge adds every count in other into c. Names and rows are re-interned,
-// so the two collectors need not share ID spaces.
-func (c *Collector) Merge(other *Collector) {
-	for k, v := range other.counts {
-		rk := other.cellRow(k)
-		row := c.Row(c.Proc(other.ProcName(rk.proc)), c.Thread(other.ThreadName(rk.thread)))
-		r := c.Region(other.RegionName(cellRegion(k)))
-		c.counts[cell(row, r, cellKind(k))] += v
-	}
-}
 
 // Reset clears all counts but keeps interned names and rows — and, because
 // clear preserves the map's buckets, the counter table stays preallocated at its

@@ -92,26 +92,6 @@ func TestRegionAndProcessCounts(t *testing.T) {
 	}
 }
 
-func TestMergePreservesTotals(t *testing.T) {
-	a := NewCollector()
-	a.Add(a.Proc("x"), a.Thread("m"), a.Region("r1"), IFetch, 10)
-	b := NewCollector()
-	// Different interning order on purpose.
-	b.Region("zzz")
-	b.Add(b.Proc("x"), b.Thread("m"), b.Region("r1"), IFetch, 5)
-	b.Add(b.Proc("y"), b.Thread("m"), b.Region("r2"), DataRead, 7)
-	a.Merge(b)
-	if got := a.Total(); got != 22 {
-		t.Fatalf("merged total = %d, want 22", got)
-	}
-	if got := a.ByRegion(IFetch)["r1"]; got != 15 {
-		t.Fatalf("merged r1 = %d, want 15", got)
-	}
-	if got := a.ByProcess()["y"]; got != 7 {
-		t.Fatalf("merged y = %d, want 7", got)
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := NewCollector()
 	r := c.Region("r")
@@ -263,17 +243,6 @@ func TestEntriesCanonicalAndInterningInvariant(t *testing.T) {
 	}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("fingerprints depend on interning order")
-	}
-	// Merge re-interns rows and regions: merging either into a collector
-	// whose own ID spaces differ again reproduces the same cells.
-	for _, src := range []*Collector{a, b} {
-		m := NewCollector()
-		m.Region("libdvm.so")
-		m.Row(m.Proc("mediaserver"), m.Thread("Binder"))
-		m.Merge(src)
-		if !reflect.DeepEqual(m.Entries(), ea) || m.Fingerprint() != a.Fingerprint() {
-			t.Fatalf("merged entries differ from the source's:\n%v\n%v", m.Entries(), ea)
-		}
 	}
 	// Canonical order: proc, thread, region, kind ascending.
 	if !sort.SliceIsSorted(ea, func(i, j int) bool {
