@@ -1,4 +1,4 @@
-package agave
+package agave_test
 
 // The benchmark gate: the suite engine, serial and parallel; the SPEC
 // baselines; the scripted, pressure, file-loaded, generated and dense

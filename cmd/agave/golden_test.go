@@ -3,17 +3,19 @@ package main
 // Golden-replay conformance harness. Two layers of committed artifacts lock
 // the declarative scenario path down:
 //
-//   - testdata/scenarios/<name>.json: the canonical JSON export of every
-//     bundled scenario. TestScenarioExportsAreCurrent re-exports the library
-//     on every run, so drift between the Go definitions and the committed
-//     documents breaks the build instead of rotting silently.
+//   - testdata/scenarios/<name>.json: the bundled scenario library itself,
+//     one canonical JSON document per session, embedded into the binary.
+//     TestScenarioExportsAreCurrent checks that every document is its own
+//     canonical export, so a hand edit that the codec would re-encode
+//     differently breaks the build instead of rotting silently.
 //   - testdata/goldens/<name>.json: the full JSON report of replaying each
 //     committed scenario document through `agave scenario -file` at a fixed
 //     seed and duration. TestGoldenReplay byte-compares a fresh replay
 //     against the golden, so any change to the codec, the engine, the
 //     memory-pressure model, or the report writers shows up as a diff.
 //
-// Regenerate both layers after a deliberate behavior change with
+// After a deliberate behavior change, or after editing a document by hand,
+// canonicalise the documents and regenerate the goldens with
 //
 //	go test ./cmd/agave -run 'TestScenarioExports|TestGoldenReplay' -update
 //
@@ -32,7 +34,7 @@ import (
 	"agave/internal/core"
 )
 
-var update = flag.Bool("update", false, "regenerate testdata/scenarios exports and testdata/goldens replay reports")
+var update = flag.Bool("update", false, "canonicalise testdata/scenarios documents and regenerate testdata/goldens replay reports")
 
 // replayArgs fixes the measurement so golden reports are deterministic:
 // seed 1, 150 simulated milliseconds after 100 of warmup, JSON output (the
@@ -69,10 +71,12 @@ func writeOrCompare(t *testing.T, path string, got []byte) {
 }
 
 // TestScenarioExportsAreCurrent pins testdata/scenarios to the bundled
-// library: the canonical export of every bundled scenario must equal the
-// committed document, no scenario may be missing its export, and no
-// orphaned artifact may outlive its scenario (an orphan is deleted under
-// -update, reported otherwise).
+// library: every committed document must equal its own canonical export (a
+// document the codec would re-encode differently is rewritten under
+// -update), and every file in testdata/scenarios and testdata/goldens must
+// belong to a bundled scenario. An orphaned golden is deleted under -update;
+// a foreign file in testdata/scenarios is always reported, never deleted,
+// because it is an authored session missing from the library's name list.
 func TestScenarioExportsAreCurrent(t *testing.T) {
 	for _, name := range core.ScenarioNames() {
 		code, out, errOut := invoke(t, "scenario", "-export", name)
@@ -81,8 +85,7 @@ func TestScenarioExportsAreCurrent(t *testing.T) {
 		}
 		writeOrCompare(t, repoPath(t, "testdata", "scenarios", name+".json"), []byte(out))
 	}
-	// Orphan sweep: every committed artifact must belong to a bundled
-	// scenario, or a renamed/removed scenario leaves stale files behind
+	// Orphan sweep: a renamed or removed scenario leaves a golden behind
 	// that the regenerate-and-diff CI gate can never flag.
 	known := make(map[string]bool)
 	for _, name := range core.ScenarioNames() {
@@ -101,13 +104,16 @@ func TestScenarioExportsAreCurrent(t *testing.T) {
 				continue
 			}
 			orphan := repoPath(t, "testdata", dir, e.Name())
-			if *update {
+			switch {
+			case dir == "scenarios":
+				t.Errorf("%s names no bundled scenario (add it to the library's name list, or delete it)", orphan)
+			case *update:
 				if err := os.Remove(orphan); err != nil {
 					t.Fatal(err)
 				}
-				continue
+			default:
+				t.Errorf("%s belongs to no bundled scenario (run -update to prune it)", orphan)
 			}
-			t.Errorf("%s belongs to no bundled scenario (run -update to prune it)", orphan)
 		}
 	}
 }
@@ -115,9 +121,9 @@ func TestScenarioExportsAreCurrent(t *testing.T) {
 // TestGoldenReplay is the conformance suite proper: every committed scenario
 // document is replayed through `agave scenario -file` at the fixed seed and
 // duration, and the full JSON report must byte-match the committed golden.
-// The loop is driven by the bundled library's name list, so a scenario added
-// to the library without its export and golden fails here — the golden
-// suite covers every bundled scenario by construction.
+// The loop is driven by the bundled library's name list, so a session added
+// to the library without its golden fails here — the golden suite covers
+// every bundled scenario by construction.
 func TestGoldenReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays every bundled scenario")
@@ -126,7 +132,7 @@ func TestGoldenReplay(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			scenarioFile := repoPath(t, "testdata", "scenarios", name+".json")
 			if _, err := os.Stat(scenarioFile); err != nil {
-				t.Fatalf("bundled scenario has no committed export: %v", err)
+				t.Fatalf("bundled scenario has no committed document: %v", err)
 			}
 			args := append([]string{"scenario", "-file", scenarioFile}, replayArgs...)
 			code, out, errOut := invoke(t, args...)

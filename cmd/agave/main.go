@@ -211,7 +211,7 @@ func Main(args []string, stdout, stderr io.Writer) (code int) {
 			cmd, fs.Arg(0))
 		return 2
 	}
-	if *benchList != "" && cmd != "scenario" {
+	if *benchList != "" {
 		names = strings.Split(*benchList, ",")
 	}
 
@@ -259,8 +259,12 @@ func Main(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}
 	}
+	if (cmd == "run" || cmd == "scenario") && setFlags["bench"] {
+		fmt.Fprintf(stderr, "agave %s: -bench does not apply; name what to run positionally (agave %s <name>)\n", cmd, cmd)
+		return 2
+	}
 	if cmd != "suite" && cmd != "fleet" {
-		for _, f := range []string{"scenario-dir", "gen-scenarios", "gen-seed", "gen-apps", "gen-events", "gen-pressure", "gen-inputs", "gen-faults"} {
+		for _, f := range []string{"scenarios", "scenario-dir", "gen-scenarios", "gen-seed", "gen-apps", "gen-events", "gen-pressure", "gen-inputs", "gen-faults"} {
 			if setFlags[f] {
 				fmt.Fprintf(stderr, "agave %s: -%s applies to the suite and fleet subcommands\n", cmd, f)
 				return 2

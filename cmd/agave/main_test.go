@@ -716,6 +716,14 @@ func TestCrossSubcommandScenarioFlagsRejected(t *testing.T) {
 			"-gen-apps requires -gen-scenarios"},
 		{"gen seed without count", []string{"suite", "-bench", "countdown.main", "-gen-seed", "4"},
 			"-gen-seed requires -gen-scenarios"},
+		{"scenario -scenarios", []string{"scenario", "commute", "-scenarios", "memory-storm"},
+			"-scenarios applies to the suite and fleet subcommands"},
+		{"all -scenarios", []string{"all", "-scenarios", "commute"},
+			"-scenarios applies to the suite and fleet subcommands"},
+		{"run -bench", []string{"run", "countdown.main", "-bench", "aard.main"},
+			"-bench does not apply; name what to run positionally"},
+		{"scenario -bench", []string{"scenario", "commute", "-bench", "aard.main"},
+			"-bench does not apply; name what to run positionally"},
 	}
 	for _, tc := range cases {
 		code, _, errOut := invoke(t, tc.args...)

@@ -22,4 +22,7 @@
 // results-slice wrapper. The mean/min/max summary across seeds is the
 // fleet report of internal/fleet, whose aggregator is the one seed-fold:
 // `agave suite` and `agave fleet` print the same report for the same plan.
+//
+// The package itself holds one thing: Scenarios, the embedded documents of
+// the bundled scenario library that internal/scenario decodes.
 package agave

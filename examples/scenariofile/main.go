@@ -1,7 +1,7 @@
-// Scenariofile: declarative scenario authoring end to end. The suite's
-// bundled sessions are Go code, but a session is really just data — a name,
-// an app roster, and a timeline — so it can live in a JSON document instead.
-// This example runs the whole loop:
+// Scenariofile: declarative scenario authoring end to end. A session is
+// just data — a name, an app roster, and a timeline — so it lives in a JSON
+// document; the suite's bundled sessions are such documents too
+// (testdata/scenarios). This example runs the whole loop:
 //
 //  1. Decode night-shift.json (embedded next to this file): a hand-authored
 //     session the library does not ship — bedtime reading over background

@@ -18,10 +18,12 @@ const (
 	ataDataPerSector  = 96
 )
 
+// ioRequest carries its completion queue by value, so a read takes no
+// queue from the kernel's slab, which never takes one back.
 type ioRequest struct {
 	bytes uint64
 	done  bool
-	wq    *WaitQueue
+	wq    WaitQueue
 }
 
 // BlockDevice models the storage device plus its ata_sff/0 service thread.
@@ -62,10 +64,11 @@ func (d *BlockDevice) serviceLoop(ex *Exec) {
 // copy_to_user into dst performed in kernel mode on behalf of the caller.
 func (ex *Exec) BlockRead(dst *mem.VMA, n uint64) {
 	ex.Syscall(650, 120)
-	req := &ioRequest{bytes: n, wq: ex.K.NewWaitQueue("io.done")}
+	req := &ioRequest{bytes: n}
+	ex.K.InitWaitQueue(&req.wq, "io.done")
 	ex.K.Disk.queue.Send(ex, req)
 	for !req.done {
-		ex.WaitFree(req.wq)
+		ex.WaitFree(&req.wq)
 	}
 	// copy_to_user: kernel text, reads from the page cache (kernel
 	// region), writes into the user buffer.

@@ -275,6 +275,10 @@ func TestForkSharesReadonlyCopiesPrivate(t *testing.T) {
 	}
 }
 
+// TestBlockReadDrivesAta: reads go through ata_sff/0 and land in the
+// caller's buffer, and each request's completion queue lives in the request:
+// nothing else in a bare kernel takes a queue from the slab, so twenty reads
+// must leave it untouched.
 func TestBlockReadDrivesAta(t *testing.T) {
 	k := newTestKernel()
 	defer k.Shutdown()
@@ -283,14 +287,20 @@ func TestBlockReadDrivesAta(t *testing.T) {
 	k.SpawnThread(p, "main", "main", func(ex *Exec) {
 		ex.PushCode(p.Layout.Text)
 		ex.BlockRead(p.Layout.Heap, 64*1024)
+		for range 19 {
+			ex.BlockRead(p.Layout.Heap, 4*1024)
+		}
 		doneAt = ex.Now()
 	})
 	k.Run(50 * sim.Millisecond)
 	if doneAt == 0 {
 		t.Fatal("BlockRead never completed")
 	}
-	if k.Disk.BytesRead != 64*1024 {
+	if k.Disk.BytesRead != 140*1024 {
 		t.Fatalf("disk transferred %d bytes", k.Disk.BytesRead)
+	}
+	if k.wqSlab != nil {
+		t.Fatalf("block reads left a %d-entry wait-queue slab", len(k.wqSlab))
 	}
 	byProc := k.Stats.ByProcess()
 	if byProc["ata_sff/0"] == 0 {

@@ -413,44 +413,32 @@ func (p *Player) AttachSurface(surf *gfx.Surface) { p.srv.AttachSurface(p.id, su
 
 // Start begins playback (Binder call).
 func (p *Player) Start(ex *kernel.Exec, d *binder.Driver) error {
-	data := binder.NewParcel()
-	data.WriteInt32(p.id)
-	reply, err := d.Call(ex, "media.player", opStart, data)
-	if err != nil {
-		return err
-	}
-	if rc, _ := reply.ReadInt32(); rc != 0 {
-		return fmt.Errorf("media: start failed (%d)", rc)
-	}
-	return nil
+	return p.call(ex, d, opStart, "start")
 }
 
 // Stop halts playback (Binder call).
 func (p *Player) Stop(ex *kernel.Exec, d *binder.Driver) error {
-	data := binder.NewParcel()
-	data.WriteInt32(p.id)
-	reply, err := d.Call(ex, "media.player", opStop, data)
-	if err != nil {
-		return err
-	}
-	if rc, _ := reply.ReadInt32(); rc != 0 {
-		return fmt.Errorf("media: stop failed (%d)", rc)
-	}
-	return nil
+	return p.call(ex, d, opStop, "stop")
 }
 
 // Seek repositions playback (Binder call): the mediaserver side walks the
 // demux index and resyncs the bitstream from storage. This is the media
 // half of an input-driven scrub — the UI's seekbar drag lands here.
 func (p *Player) Seek(ex *kernel.Exec, d *binder.Driver) error {
+	return p.call(ex, d, opSeek, "seek")
+}
+
+// call sends one player op for this session and turns a nonzero reply code
+// into an error naming what failed.
+func (p *Player) call(ex *kernel.Exec, d *binder.Driver, op int32, what string) error {
 	data := binder.NewParcel()
 	data.WriteInt32(p.id)
-	reply, err := d.Call(ex, "media.player", opSeek, data)
+	reply, err := d.Call(ex, "media.player", op, data)
 	if err != nil {
 		return err
 	}
 	if rc, _ := reply.ReadInt32(); rc != 0 {
-		return fmt.Errorf("media: seek failed (%d)", rc)
+		return fmt.Errorf("media: %s failed (%d)", what, rc)
 	}
 	return nil
 }

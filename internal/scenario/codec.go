@@ -60,7 +60,7 @@ type eventDoc struct {
 }
 
 // kindNames maps the wire spelling of every event kind, in declaration
-// order; it is the inverse of Kind.String.
+// order: Kind.String indexes it and ParseKind searches it.
 var kindNames = []string{
 	"launch", "switchto", "background", "kill", "idle", "pressure",
 	"tap", "key", "swipe",

@@ -299,13 +299,17 @@ func TestLoadDirSortsAndRejectsDuplicates(t *testing.T) {
 }
 
 // TestParseKindInvertsString: every Kind's wire spelling parses back to
-// itself, and garbage is rejected.
+// itself, a Kind past the last one prints its number, and garbage is
+// rejected.
 func TestParseKindInvertsString(t *testing.T) {
-	for k := Launch; k <= Pressure; k++ {
+	for k := Launch; k <= CorruptParcel; k++ {
 		got, err := ParseKind(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
 		}
+	}
+	if got := Kind(len(kindNames)).String(); got != "Kind(13)" {
+		t.Errorf("Kind(len(kindNames)).String() = %q, want Kind(13)", got)
 	}
 	if _, err := ParseKind("Launch"); err == nil {
 		t.Error("ParseKind is case-insensitive; the wire format is lowercase only")

@@ -1,5 +1,5 @@
 // Seeded procedural scenario generation: the suite's answer to "as many
-// scenarios as you can imagine". The bundled library is ten hand-written
+// scenarios as you can imagine". The bundled library is twelve hand-written
 // sessions; Generate turns scenario diversity into a sweep axis instead — a
 // (seed, app count, event density, pressure, inputs, faults) tuple deterministically
 // expands into a valid multi-app session, so a plan can cross N generated

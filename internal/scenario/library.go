@@ -1,379 +1,56 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
 
-// Library returns the bundled scenarios in canonical order. Each is built
-// fresh so callers may not mutate shared state, mirroring apps.All.
-func Library() []*Scenario {
-	return []*Scenario{
-		commute(),
-		socialBurst(),
-		backgroundSync(),
-		mediaMarathon(),
-		installStorm(),
-		appChurn(),
-		memoryStorm(),
-		cachedAppEviction(),
-		thumbScroll(),
-		arcadeRally(),
-		binderStorm(),
-		mediaserverMeltdown(),
-	}
+	"agave"
+)
+
+// bundled names the library's sessions in canonical order, the order
+// `agave scenario -list` prints. Each is the committed document
+// testdata/scenarios/<name>.json, embedded as agave.Scenarios;
+// docs/SCENARIOS.md says what each one exercises and how to add one.
+var bundled = []string{
+	"commute", "social-burst", "background-sync", "media-marathon",
+	"install-storm", "app-churn", "memory-storm", "cached-app-eviction",
+	"thumb-scroll", "arcade-rally", "binder-storm", "mediaserver-meltdown",
 }
 
-// Names lists the bundled scenario identifiers in order.
-func Names() []string {
-	lib := Library()
-	out := make([]string, len(lib))
-	for i, s := range lib {
-		out[i] = s.Name
+// Library returns the bundled scenarios in canonical order. Each is decoded
+// fresh so callers may mutate what they get, mirroring apps.All. A committed
+// document that fails to decode is a build defect, so Library panics with
+// its name.
+func Library() []*Scenario {
+	out := make([]*Scenario, len(bundled))
+	for i, name := range bundled {
+		s, err := ByName(name)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = s
 	}
 	return out
 }
 
-// ByName finds a bundled scenario.
+// Names lists the bundled scenario identifiers in order.
+func Names() []string { return slices.Clone(bundled) }
+
+// ByName decodes one bundled scenario with the strict codec that -file and
+// -scenario-dir use. Its Source stays empty: bundled sessions carry no
+// provenance.
 func ByName(name string) (*Scenario, error) {
-	for _, s := range Library() {
-		if s.Name == name {
-			return s, nil
-		}
+	if !slices.Contains(bundled, name) {
+		return nil, fmt.Errorf("scenario: unknown scenario %q", name)
 	}
-	return nil, fmt.Errorf("scenario: unknown scenario %q", name)
-}
-
-// commute — the classic phone-in-the-car session: music starts, navigation
-// takes the screen, and the user flips between them. While the map is
-// foreground the music app's UI is parked in its looper, but its decode
-// keeps running inside mediaserver — the paper's service-side attribution
-// made visible across a lifecycle boundary.
-func commute() *Scenario {
-	return &Scenario{
-		Name:        "commute",
-		Description: "music + navigation switching; backgrounded audio keeps decoding in mediaserver",
-		Apps: []App{
-			{Name: "music", Workload: "music.mp3.view"},
-			{Name: "maps", Workload: "osmand.nav.view"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "music"},
-			{At: 150, Kind: Launch, App: "maps"},
-			{At: 400, Kind: SwitchTo, App: "music"},
-			{At: 550, Kind: SwitchTo, App: "maps"},
-			{At: 800, Kind: SwitchTo, App: "music"},
-			{At: 920, Kind: Background, App: "music"},
-		},
+	path := "testdata/scenarios/" + name + ".json"
+	data, err := agave.Scenarios.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %v", err)
 	}
-}
-
-// socialBurst — rapid app hopping across four resident apps: the
-// notification-chasing usage pattern. Four apps stay live concurrently;
-// every hop drives a pause/resume pair through the loopers and reshuffles
-// which surface SurfaceFlinger composes.
-func socialBurst() *Scenario {
-	return &Scenario{
-		Name:        "social-burst",
-		Description: "rapid hops across four live apps; every hop is a looper pause/resume pair",
-		Apps: []App{
-			{Name: "dict", Workload: "aard.main"},
-			{Name: "reader", Workload: "coolreader.epub.view"},
-			{Name: "timer", Workload: "countdown.main"},
-			{Name: "game", Workload: "frozenbubble.main"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "dict"},
-			{At: 80, Kind: Launch, App: "reader"},
-			{At: 160, Kind: Launch, App: "timer"},
-			{At: 240, Kind: Launch, App: "game"},
-			{At: 330, Kind: SwitchTo, App: "dict"},
-			{At: 420, Kind: SwitchTo, App: "reader"},
-			{At: 510, Kind: SwitchTo, App: "game"},
-			{At: 600, Kind: SwitchTo, App: "timer"},
-			{At: 690, Kind: SwitchTo, App: "dict"},
-			{At: 780, Kind: SwitchTo, App: "game"},
-			{At: 900, Kind: SwitchTo, App: "reader"},
-		},
+	s, err := Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %s: %v", path, err)
 	}
-}
-
-// backgroundSync — a foreground game over a background install/indexing
-// service: the pm.apk.view.bkg service keeps forking id.defcontainer and
-// dexopt underneath the game's frame loop, contending for the same
-// scheduler quanta.
-func backgroundSync() *Scenario {
-	return &Scenario{
-		Name:        "background-sync",
-		Description: "foreground game while a background service keeps installing (dexopt churn)",
-		Apps: []App{
-			{Name: "sync", Workload: "pm.apk.view.bkg"},
-			{Name: "game", Workload: "doom.main"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "sync"},
-			{At: 100, Kind: Launch, App: "game"},
-			{At: 600, Kind: Background, App: "game"},
-			{At: 620, Kind: Idle},
-			{At: 750, Kind: SwitchTo, App: "game"},
-		},
-	}
-}
-
-// mediaMarathon — service-side vs in-process decode across a process
-// death: gallery decodes in mediaserver until it is killed mid-playback
-// (its sessions stop via the death-notification path), then VLC decodes
-// the same class of content inside its own process.
-func mediaMarathon() *Scenario {
-	return &Scenario{
-		Name:        "media-marathon",
-		Description: "mediaserver-side playback killed mid-clip, then in-process playback; background music throughout",
-		Apps: []App{
-			{Name: "gallery", Workload: "gallery.mp4.view"},
-			{Name: "radio", Workload: "music.mp3.view.bkg"},
-			{Name: "vlc", Workload: "vlc.mp4.view"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "gallery"},
-			{At: 150, Kind: Launch, App: "radio"},
-			{At: 500, Kind: Kill, App: "gallery"},
-			{At: 560, Kind: Launch, App: "vlc"},
-		},
-	}
-}
-
-// installStorm — an install session racing a game: the foreground flips
-// between pm.apk.view's install pipeline (package service, id.defcontainer,
-// dexopt) and a Java game, so install back-pressure lands on a loaded
-// scheduler.
-func installStorm() *Scenario {
-	return &Scenario{
-		Name:        "install-storm",
-		Description: "installs racing a Java game for the foreground and the scheduler",
-		Apps: []App{
-			{Name: "installer", Workload: "pm.apk.view"},
-			{Name: "game", Workload: "frozenbubble.main"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "installer"},
-			{At: 120, Kind: Launch, App: "game"},
-			{At: 480, Kind: SwitchTo, App: "installer"},
-			{At: 700, Kind: SwitchTo, App: "game"},
-		},
-	}
-}
-
-// memoryStorm — emergent kills under pressure: the timeline scripts no Kill
-// at all. Four apps go live, two age into the cached LRU, then escalating
-// Pressure events starve the machine. The first wave lands between the trim
-// waterline and the kill rungs, so backgrounded apps shrink their dalvik
-// heaps and buy the session time; the following waves push free pages below
-// the minfree ladder and the lowmemorykiller walks it — cached apps first,
-// then home/perceptible processes — while the foreground game survives the
-// whole storm. Which processes die, and when, is decided by the kernel, not
-// this script.
-func memoryStorm() *Scenario {
-	return &Scenario{
-		Name:        "memory-storm",
-		Description: "no scripted kills: escalating pressure trims then evicts apps via the lowmemorykiller",
-		Apps: []App{
-			{Name: "dict", Workload: "aard.main"},
-			{Name: "timer", Workload: "countdown.main"},
-			{Name: "radio", Workload: "music.mp3.view.bkg"},
-			{Name: "game", Workload: "frozenbubble.main"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "dict"},
-			{At: 80, Kind: Launch, App: "timer"},
-			{At: 160, Kind: Launch, App: "radio"},
-			{At: 240, Kind: Launch, App: "game"},
-			{At: 320, Kind: Pressure, Pages: 60_000},
-			{At: 500, Kind: Pressure, Pages: 45_000},
-			{At: 700, Kind: Pressure, Pages: 40_000},
-			{At: 850, Kind: Pressure, Pages: 30_000},
-			{At: 930, Kind: Idle},
-		},
-	}
-}
-
-// cachedAppEviction — the cooperative-then-coercive pressure ladder in
-// isolation: moderate pressure crosses only the trim waterline (cached apps
-// give back their heap tails and the machine recovers), then a deeper wave
-// crosses the cached minfree rung and exactly the LRU-oldest cached app is
-// evicted — chosen by oom_adj recency, not by size — while the recently-used
-// one survives.
-func cachedAppEviction() *Scenario {
-	return &Scenario{
-		Name:        "cached-app-eviction",
-		Description: "trim rescue, then the LRU-oldest cached app is evicted by oom_adj",
-		Apps: []App{
-			{Name: "notes", Workload: "countdown.main"},
-			{Name: "reader", Workload: "coolreader.epub.view"},
-			{Name: "game", Workload: "jetboy.main"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "notes"},
-			{At: 70, Kind: Launch, App: "reader"},
-			{At: 140, Kind: Launch, App: "game"},
-			{At: 300, Kind: Pressure, Pages: 95_000},
-			{At: 550, Kind: Pressure, Pages: 30_000},
-			{At: 800, Kind: Idle},
-		},
-	}
-}
-
-// thumbScroll — gesture-driven reading: swipes and taps pour into whichever
-// app holds the focus while the user hops between a document reader and a
-// dictionary. Every delivered gesture runs real handler work (page scroll
-// bytecode with allocation churn, invalidated regions recomposed by
-// SurfaceFlinger), so both apps carry dispatch-latency statistics in the
-// golden report, and the stale taps — aimed at an app the focus already
-// left — are dropped by the InputDispatcher and counted, never delivered
-// to a paused activity.
-func thumbScroll() *Scenario {
-	return &Scenario{
-		Name:        "thumb-scroll",
-		Description: "swipe-driven reading across two apps; stale gestures at the backgrounded one drop",
-		Apps: []App{
-			{Name: "dict", Workload: "aard.main"},
-			{Name: "reader", Workload: "odr.txt.view"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "dict"},
-			{At: 80, Kind: Launch, App: "reader"},
-			{At: 130, Kind: Swipe, App: "reader"},
-			{At: 200, Kind: Swipe, App: "reader"},
-			{At: 270, Kind: Tap, App: "reader"},
-			{At: 340, Kind: Swipe, App: "reader"},
-			{At: 410, Kind: Tap, App: "dict"}, // dict is backgrounded: dropped
-			{At: 480, Kind: SwitchTo, App: "dict"},
-			{At: 540, Kind: Swipe, App: "dict"},
-			{At: 600, Kind: Key, App: "dict"},
-			{At: 660, Kind: Tap, App: "reader"}, // reader backgrounded now: dropped
-			{At: 720, Kind: SwitchTo, App: "reader"},
-			{At: 790, Kind: Swipe, App: "reader"},
-			{At: 860, Kind: Key, App: "reader"},
-			{At: 930, Kind: Swipe, App: "reader"},
-		},
-	}
-}
-
-// arcadeRally — a tap/key barrage into a Java game, with the two hostile
-// edges of input delivery scripted on purpose: a gesture racing the target's
-// kill (injected the same instant the process dies — dropped, never a
-// panic), and a gesture at the final measured tick (injected, then the
-// machine stops: counted as dropped in flight).
-func arcadeRally() *Scenario {
-	return &Scenario{
-		Name:        "arcade-rally",
-		Description: "tap/key barrage into a game; mid-kill and end-of-interval gestures drop",
-		Apps: []App{
-			{Name: "timer", Workload: "countdown.main"},
-			{Name: "game", Workload: "frozenbubble.main"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "timer"},
-			{At: 80, Kind: Launch, App: "game"},
-			{At: 150, Kind: Tap, App: "game"},
-			{At: 220, Kind: Tap, App: "game"},
-			{At: 290, Kind: Key, App: "game"},
-			{At: 360, Kind: Tap, App: "game"},
-			{At: 420, Kind: Tap, App: "timer"}, // backgrounded: dropped
-			{At: 500, Kind: Kill, App: "game"},
-			{At: 500, Kind: Tap, App: "game"}, // races the kill: dropped
-			{At: 560, Kind: Key, App: "game"}, // dead: dropped
-			{At: 620, Kind: Launch, App: "game"},
-			{At: 700, Kind: Tap, App: "game"},
-			{At: 780, Kind: Swipe, App: "game"},
-			{At: 880, Kind: Tap, App: "game"},
-			{At: 1000, Kind: Key, App: "game"}, // final measured tick
-		},
-	}
-}
-
-// binderStorm — the fault-injection plane end to end: one-shot binder
-// failures and corrupt parcels drive three live apps down their error
-// paths (every injection is detected, none is fatal), then a native crash
-// takes the foreground game out mid-gesture-stream and the
-// ActivityManager's service restart brings it straight back — later
-// gestures land on the restarted incarnation. The scripted kill at the
-// end contrasts an orderly teardown with the crash before it.
-func binderStorm() *Scenario {
-	return &Scenario{
-		Name:        "binder-storm",
-		Description: "binder faults and corrupt parcels across three apps; a crashed game restarts and keeps playing",
-		Apps: []App{
-			{Name: "dict", Workload: "aard.main"},
-			{Name: "timer", Workload: "countdown.main"},
-			{Name: "game", Workload: "frozenbubble.main"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "dict"},
-			{At: 70, Kind: Launch, App: "timer"},
-			{At: 140, Kind: Launch, App: "game"},
-			{At: 210, Kind: Tap, App: "game"},
-			{At: 260, Kind: FaultBinder, App: "dict"},
-			{At: 330, Kind: CorruptParcel, App: "timer"},
-			{At: 390, Kind: Tap, App: "game"},
-			{At: 450, Kind: FaultBinder, App: "game"},
-			{At: 520, Kind: CrashService, App: "game"}, // crash + AM restart
-			{At: 600, Kind: Tap, App: "game"},          // restarted incarnation
-			{At: 660, Kind: CorruptParcel, App: "dict"},
-			{At: 730, Kind: Swipe, App: "game"},
-			{At: 800, Kind: FaultBinder, App: "timer"},
-			{At: 880, Kind: Kill, App: "timer"}, // orderly teardown, for contrast
-			{At: 940, Kind: Tap, App: "game"},
-		},
-	}
-}
-
-// mediaserverMeltdown — mediaserver dies twice mid-playback: each kill
-// aborts queued transactions with DEAD_REPLY, the init-style restart
-// adopts the live player sessions under their old ids, and both apps'
-// decode streams resume on the replacement server. Seek gestures bracket
-// each kill so scrubs land before, during (tolerated: the player keeps
-// its handle), and after the restart window.
-func mediaserverMeltdown() *Scenario {
-	return &Scenario{
-		Name:        "mediaserver-meltdown",
-		Description: "mediaserver killed twice mid-playback; sessions adopted across restarts, seeks survive",
-		Apps: []App{
-			{Name: "music", Workload: "music.mp3.view"},
-			{Name: "gallery", Workload: "gallery.mp4.view"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "music"},
-			{At: 90, Kind: Launch, App: "gallery"},
-			{At: 180, Kind: Tap, App: "gallery"}, // scrub via mediaserver
-			{At: 280, Kind: KillMediaserver},
-			{At: 340, Kind: Tap, App: "gallery"}, // scrub on the restarted server
-			{At: 430, Kind: SwitchTo, App: "music"},
-			{At: 520, Kind: Swipe, App: "music"}, // seekbar drag
-			{At: 620, Kind: KillMediaserver},
-			{At: 700, Kind: Tap, App: "music"},
-			{At: 800, Kind: SwitchTo, App: "gallery"},
-			{At: 900, Kind: Tap, App: "gallery"},
-		},
-	}
-}
-
-// appChurn — lifecycle stress: apps are launched, killed, and relaunched
-// under the same name, exercising process teardown, binder endpoint
-// re-registration, and zygote's fork path repeatedly within one session.
-func appChurn() *Scenario {
-	return &Scenario{
-		Name:        "app-churn",
-		Description: "launch/kill/relaunch cycles; teardown and zygote fork under churn",
-		Apps: []App{
-			{Name: "note", Workload: "countdown.main"},
-			{Name: "game", Workload: "jetboy.main"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "note"},
-			{At: 140, Kind: Launch, App: "game"},
-			{At: 300, Kind: Kill, App: "note"},
-			{At: 400, Kind: Launch, App: "note"},
-			{At: 560, Kind: Kill, App: "game"},
-			{At: 660, Kind: Launch, App: "game"},
-			{At: 820, Kind: SwitchTo, App: "note"},
-			{At: 930, Kind: SwitchTo, App: "game"},
-		},
-	}
+	return s, nil
 }
