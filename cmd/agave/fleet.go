@@ -13,13 +13,16 @@ import (
 	"agave/internal/suite"
 )
 
+// defaultShardSize is fleet's -shard-size default and the shard size suite
+// folds its summary at, so both print one report for one plan.
+const defaultShardSize = 8
+
 // fleetFlags bundles the fleet-only flags.
 type fleetFlags struct {
 	workers    int
 	shardSize  int
 	checkpoint string
 	worker     bool
-	asJSON     bool
 }
 
 // fleetWorkerCommand builds the worker subprocess invocation: this binary
@@ -57,7 +60,7 @@ func fleetRunLine(cfgRaw json.RawMessage, spec suite.RunSpec) (fleet.Line, error
 // builds the plan (identically to the suite subcommand), shards it, and
 // either runs it serially in-process (-workers 0) or dispatches worker
 // subprocesses. The rendered report is byte-identical across all of these.
-func fleetCmd(stdout, stderr io.Writer, cfg core.Config, ff fleetFlags, pf planFlags) int {
+func fleetCmd(stdout, stderr io.Writer, cfg core.Config, ff fleetFlags, pf planFlags, asJSON bool) int {
 	if ff.worker {
 		if err := fleet.RunWorker(os.Stdin, stdout, fleetRunLine); err != nil {
 			fmt.Fprintln(stderr, "agave fleet:", err)
@@ -101,7 +104,7 @@ func fleetCmd(stdout, stderr io.Writer, cfg core.Config, ff fleetFlags, pf planF
 		fmt.Fprintln(stderr, "agave fleet:", err)
 		return 1
 	}
-	if ff.asJSON {
+	if asJSON {
 		if err := report.WriteFleetJSON(stdout, rep); err != nil {
 			fmt.Fprintln(stderr, "agave fleet:", err)
 			return 1

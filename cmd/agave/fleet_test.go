@@ -235,9 +235,9 @@ func TestFleetFlagValidation(t *testing.T) {
 		{"bad shard size", fleetArgs("-shard-size", "0"), "-shard-size must be positive"},
 		{"negative workers", fleetArgs("-workers", "-1"), "-workers must not be negative"},
 		{"workers on suite", append([]string{"suite", "-bench", "countdown.main", "-workers", "2"}, quick...),
-			"-workers applies to the fleet subcommand"},
+			"flag provided but not defined: -workers"},
 		{"checkpoint on run", append([]string{"run", "countdown.main", "-checkpoint", "x"}, quick...),
-			"-checkpoint applies to the fleet subcommand"},
+			"flag provided but not defined: -checkpoint"},
 	}
 	for _, tc := range cases {
 		code, _, errOut := invoke(t, tc.args...)

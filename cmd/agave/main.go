@@ -17,47 +17,44 @@
 //	agave scalars [flags]              # Section-III census metrics
 //	agave all [flags]                  # everything above in one pass
 //
-// Flags:
+// Each subcommand declares only the flags it reads, so any other flag is a
+// usage error; `agave <command> -h` lists them. Names (run's one benchmark,
+// scenario's sessions) may sit before, between or after flags. Every
+// subcommand but list reads:
 //
 //	-duration 1000   measured milliseconds of simulated time
 //	-warmup 300      warmup milliseconds before measurement (Android runs)
 //	-seed 1          simulation seed
-//	-format table    output format for figures: table, csv, bars
-//	-bench a,b,c     restrict the benchmark set (default: full suite)
 //	-nojit           disable the trace JIT in the app under test
 //	-dirtyrect       SurfaceFlinger composes only posted surfaces
 //	-cpuprofile f    write a host CPU profile of the invocation to f
 //	-memprofile f    write a host heap profile to f when the invocation ends
 //
-// The suite subcommand executes the cross product of benchmarks × seeds ×
-// ablations on a bounded worker pool; results are emitted in plan order and
-// are bit-identical to a serial run of the same plan:
+// fig1-fig4 and all read:
 //
-//	-parallel 0        worker pool size (0 = all cores, 1 = serial)
-//	-seeds 1,2,3       seed axis of the run matrix (default: -seed)
-//	-ablations         add the nojit and dirtyrect ablations to the matrix
-//	-scenarios a,b     add bundled scenarios to the matrix as a plan axis
-//	-scenario-dir d    add every *.json scenario document in d to the matrix
-//	-gen-scenarios N   add N generated scenarios (seeds -gen-seed..+N-1);
-//	                   -gen-apps/-gen-events/-gen-pressure/-gen-inputs/
-//	                   -gen-faults set the knobs
-//	-json              emit plan, per-run rows, and the fleet report as JSON
+//	-format table    output format for figures: table, csv, bars
 //
-// The cross-seed summary a suite prints after its matrix (and carries as
-// "report" under -json) is the fleet report of the same job: byte-identical
-// to what `agave fleet` prints for the same flags.
+// fig1-fig4, all, table1, scalars, suite and fleet read:
 //
-// The fleet subcommand executes the same matrix sharded across worker
-// subprocesses with constant-memory streaming aggregation — the
-// million-session execution path (see docs/FLEET.md). The report of any
-// worker count, including a checkpoint-resumed run, is byte-identical to
-// the serial in-process run of the same plan, and its fingerprint commits
-// to every per-run result line:
+//	-bench a,b,c     restrict the benchmark set (default: full suite)
 //
-//	-workers 0         worker subprocesses (0 = serial in-process)
-//	-shard-size 8      plan specs per shard (shard geometry, never concurrency)
-//	-checkpoint path   journal completed shards; an existing journal resumes
-//	-worker            internal: run one shard from a stdin envelope
+// scenario, suite and fleet build a run matrix, the cross product of their
+// units × seeds × ablations, and read:
+//
+//	-minfree N       cached-app kill waterline in pages (0 = 8192 = 32 MB)
+//	-seeds 1,2,3     seed axis of the run matrix (default: -seed)
+//	-ablations       add the nojit and dirtyrect ablations to the matrix
+//	-json            emit the plan, per-run rows and report as JSON
+//
+// A benchmark, scenario or seed named twice on its axis is rejected, in
+// -bench as on a matrix: the repeated cells would alias in summaries and
+// count twice in suite-wide shares.
+//
+// scenario and suite run their matrix on a bounded worker pool; results are
+// emitted in plan order and are bit-identical to a serial run of the same
+// plan. They read:
+//
+//	-parallel 0      worker pool size (0 = all cores, 1 = serial)
 //
 // The scenario subcommand runs scripted multi-app sessions: apps launch,
 // switch, background, and die on a deterministic timeline while every
@@ -72,9 +69,10 @@
 // the report's input columns. Fault events (faultBinder, crashService,
 // killMediaserver, corruptParcel — see docs/SCENARIOS.md) drive the
 // fault-injection plane, and the report's finj/fdet/frec/anrs columns carry
-// the dependability outcome, ANRs courtesy of the AnrWatchdog:
+// the dependability outcome, ANRs courtesy of the AnrWatchdog. It alone
+// reads:
 //
-//	-minfree N       cached-app kill waterline in pages (0 = 8192 = 32 MB)
+//	-list            print the bundled scenario library and exit
 //	-file path       run a scenario decoded from a JSON scenario document
 //	-export name     print a bundled scenario as canonical JSON and exit
 //
@@ -82,6 +80,30 @@
 // emit byte-identical bytes at any -parallel value — and a file-loaded copy
 // of a bundled scenario (agave scenario -export commute | agave scenario
 // -file /dev/stdin) reproduces the bundled report byte for byte.
+//
+// suite and fleet add scenario axes to the benchmark matrix and read:
+//
+//	-scenarios a,b     add bundled scenarios to the matrix as a plan axis
+//	-scenario-dir d    add every *.json scenario document in d to the matrix
+//	-gen-scenarios N   add N generated scenarios (seeds -gen-seed..+N-1);
+//	                   -gen-apps/-gen-events/-gen-pressure/-gen-inputs/
+//	                   -gen-faults set the knobs
+//
+// The cross-seed summary a suite prints after its matrix (and carries as
+// "report" under -json) is the fleet report of the same job: byte-identical
+// to what `agave fleet` prints for the same flags.
+//
+// The fleet subcommand executes the same matrix sharded across worker
+// subprocesses with constant-memory streaming aggregation — the
+// million-session execution path (see docs/FLEET.md). The report of any
+// worker count, including a checkpoint-resumed run, is byte-identical to
+// the serial in-process run of the same plan, and its fingerprint commits
+// to every per-run result line. It alone reads:
+//
+//	-workers 0         worker subprocesses (0 = serial in-process)
+//	-shard-size 8      plan specs per shard (shard geometry, never concurrency)
+//	-checkpoint path   journal completed shards; an existing journal resumes
+//	-worker            internal: run one shard from a stdin envelope
 package main
 
 import (
@@ -89,6 +111,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -104,50 +127,119 @@ func main() {
 	os.Exit(Main(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// commands are the subcommands Main dispatches.
+var commands = []string{"list", "run", "suite", "scenario", "fleet",
+	"fig1", "fig2", "fig3", "fig4", "table1", "scalars", "all"}
+
 // Main is the testable entry point: it runs one CLI invocation against the
 // given streams and returns the process exit code (0 ok, 1 run failure,
 // 2 usage error).
 func Main(args []string, stdout, stderr io.Writer) (code int) {
-	if len(args) < 1 {
+	if len(args) < 1 || !slices.Contains(commands, args[0]) {
 		usage(stderr)
 		return 2
 	}
 	cmd := args[0]
+	in := func(cmds ...string) bool { return slices.Contains(cmds, cmd) }
+	figure := in("fig1", "fig2", "fig3", "fig4", "all")
+
+	// Each flag is declared once, for exactly the subcommands that read it,
+	// so the flag package rejects any other. An undeclared flag keeps its
+	// zero value, which no code path of that subcommand reads.
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	durationMS := fs.Int64("duration", 1000, "measured simulated milliseconds")
-	warmupMS := fs.Int64("warmup", 300, "warmup simulated milliseconds")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	minFree := fs.Uint64("minfree", 0, "lowmemorykiller cached-kill waterline in pages (scenario runs; 0 = default)")
-	format := fs.String("format", "table", "figure output: table, csv, bars")
-	benchList := fs.String("bench", "", "comma-separated benchmark subset")
-	noJIT := fs.Bool("nojit", false, "disable the trace JIT")
-	dirtyRect := fs.Bool("dirtyrect", false, "dirty-rect composition")
-	parallel := fs.Int("parallel", 0, "suite worker pool size (0 = all cores)")
-	seedList := fs.String("seeds", "", "comma-separated seed axis of the suite matrix")
-	ablations := fs.Bool("ablations", false, "add nojit and dirtyrect ablations to the matrix")
-	scenarioList := fs.String("scenarios", "", "comma-separated scenarios to add to the suite matrix")
-	asJSON := fs.Bool("json", false, "emit the suite sweep as JSON")
-	listScenarios := fs.Bool("list", false, "list the bundled scenario library")
-	scenarioFile := fs.String("file", "", "run a scenario loaded from a JSON scenario document")
-	exportName := fs.String("export", "", "print a bundled scenario as its canonical JSON document and exit")
-	scenarioDir := fs.String("scenario-dir", "", "add every *.json scenario in a directory to the suite matrix")
-	genScenarios := fs.Int("gen-scenarios", 0, "add N generated scenarios to the suite matrix (seeds gen-seed..gen-seed+N-1)")
-	genSeed := fs.Uint64("gen-seed", 1, "generation seed of the first generated scenario")
-	genApps := fs.Int("gen-apps", 0, "apps per generated scenario (0 = 10, the concurrently-live peak)")
-	genEvents := fs.Int("gen-events", 0, "timeline events per generated scenario (0 = 4 per app)")
-	genPressure := fs.Int("gen-pressure", 0, "memory-pressure knob of generated scenarios (0 = none)")
-	genInputs := fs.Int("gen-inputs", 0, "input gestures (tap/key/swipe) per generated scenario (0 = none)")
-	genFaults := fs.Int("gen-faults", 0, "fault-injection events per generated scenario (0 = none)")
-	workers := fs.Int("workers", 0, "fleet worker subprocesses (0 = serial in-process)")
-	shardSize := fs.Int("shard-size", 8, "fleet plan specs per shard")
-	checkpoint := fs.String("checkpoint", "", "fleet checkpoint journal path (existing journals resume)")
-	workerMode := fs.Bool("worker", false, "internal: run one fleet shard from a stdin envelope")
-	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile of the invocation to `file`")
-	memProfile := fs.String("memprofile", "", "write a host heap profile to `file` when the invocation ends")
+	cfg := core.Config{Quantum: sim.Millisecond}
+	var (
+		durationMS, warmupMS                        int64
+		format, benchList, scenarioList, exportName string
+		cpuProfile, memProfile                      string
+		parallel                                    int
+		asJSON, listScenarios                       bool
+		pf                                          planFlags
+		ff                                          fleetFlags
+	)
+	if cmd != "list" {
+		fs.Int64Var(&durationMS, "duration", 1000, "measured simulated milliseconds")
+		fs.Int64Var(&warmupMS, "warmup", 300, "warmup simulated milliseconds")
+		fs.Uint64Var(&cfg.Seed, "seed", 1, "simulation seed")
+		fs.BoolVar(&cfg.DisableJIT, "nojit", false, "disable the trace JIT")
+		fs.BoolVar(&cfg.DirtyRectComposition, "dirtyrect", false, "dirty-rect composition")
+		fs.StringVar(&cpuProfile, "cpuprofile", "", "write a host CPU profile of the invocation to `file`")
+		fs.StringVar(&memProfile, "memprofile", "", "write a host heap profile to `file` when the invocation ends")
+	}
+	if figure {
+		fs.StringVar(&format, "format", "table", "figure output: table, csv, bars")
+	}
+	if figure || in("table1", "scalars", "suite", "fleet") {
+		fs.StringVar(&benchList, "bench", "", "comma-separated benchmark subset")
+	}
+	if in("scenario", "suite", "fleet") {
+		fs.Uint64Var(&cfg.MinFreePages, "minfree", 0, "lowmemorykiller cached-kill waterline in pages (scenario runs; 0 = default)")
+		fs.StringVar(&pf.seeds, "seeds", "", "comma-separated seed axis of the run matrix")
+		fs.BoolVar(&pf.ablations, "ablations", false, "add nojit and dirtyrect ablations to the matrix")
+		fs.BoolVar(&asJSON, "json", false, "emit the plan, runs and report as JSON")
+	}
+	if in("scenario", "suite") {
+		fs.IntVar(&parallel, "parallel", 0, "worker pool size (0 = all cores)")
+	}
+	if cmd == "scenario" {
+		fs.BoolVar(&listScenarios, "list", false, "list the bundled scenario library")
+		fs.StringVar(&pf.file, "file", "", "run a scenario loaded from a JSON scenario document")
+		fs.StringVar(&exportName, "export", "", "print a bundled scenario as its canonical JSON document and exit")
+	}
+	if in("suite", "fleet") {
+		fs.StringVar(&scenarioList, "scenarios", "", "comma-separated scenarios to add to the matrix")
+		fs.StringVar(&pf.dir, "scenario-dir", "", "add every *.json scenario in a directory to the matrix")
+		fs.IntVar(&pf.gen.n, "gen-scenarios", 0, "add N generated scenarios to the matrix (seeds gen-seed..gen-seed+N-1)")
+		fs.Uint64Var(&pf.gen.seed, "gen-seed", 1, "generation seed of the first generated scenario")
+		fs.IntVar(&pf.gen.apps, "gen-apps", 0, "apps per generated scenario (0 = 10, the concurrently-live peak)")
+		fs.IntVar(&pf.gen.events, "gen-events", 0, "timeline events per generated scenario (0 = 4 per app)")
+		fs.IntVar(&pf.gen.pressure, "gen-pressure", 0, "memory-pressure knob of generated scenarios (0 = none)")
+		fs.IntVar(&pf.gen.inputs, "gen-inputs", 0, "input gestures (tap/key/swipe) per generated scenario (0 = none)")
+		fs.IntVar(&pf.gen.faults, "gen-faults", 0, "fault-injection events per generated scenario (0 = none)")
+	}
+	if cmd == "fleet" {
+		fs.IntVar(&ff.workers, "workers", 0, "fleet worker subprocesses (0 = serial in-process)")
+		fs.IntVar(&ff.shardSize, "shard-size", defaultShardSize, "fleet plan specs per shard")
+		fs.StringVar(&ff.checkpoint, "checkpoint", "", "fleet checkpoint journal path (existing journals resume)")
+		fs.BoolVar(&ff.worker, "worker", false, "internal: run one fleet shard from a stdin envelope")
+	}
 
+	// flag.Parse stops at the first positional, so collect it and resume:
+	// names may sit before, between and after flags.
+	var names []string
+	for rest := args[1:]; ; {
+		if fs.Parse(rest) != nil {
+			return 2
+		}
+		if rest = fs.Args(); len(rest) == 0 {
+			break
+		}
+		names, rest = append(names, rest[0]), rest[1:]
+	}
+	// run names one benchmark and scenario any number of sessions; the
+	// others take none, so `agave suite countdown.main` must not silently
+	// sweep all 25 benchmarks because the user skipped -bench.
+	maxNames := 0
 	switch cmd {
-	case "list":
+	case "run":
+		if len(names) == 0 {
+			fmt.Fprintln(stderr, "agave run: benchmark name required")
+			return 2
+		}
+		maxNames = 1
+	case "scenario":
+		maxNames = len(names)
+	}
+	if len(names) > maxNames {
+		hint := ""
+		if fs.Lookup("bench") != nil {
+			hint = " (benchmarks are selected with -bench)"
+		}
+		fmt.Fprintf(stderr, "agave %s: unexpected argument %q%s\n", cmd, names[maxNames], hint)
+		return 2
+	}
+	if cmd == "list" {
 		fmt.Fprintln(stdout, "Agave workloads:")
 		for _, n := range core.AgaveNames() {
 			fmt.Fprintf(stdout, "  %s\n", n)
@@ -157,132 +249,38 @@ func Main(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stdout, "  %s\n", n)
 		}
 		return 0
-	case "run", "suite", "scenario", "fleet", "fig1", "fig2", "fig3", "fig4", "table1", "scalars", "all":
-		// parsed below
-	default:
-		usage(stderr)
-		return 2
-	}
-
-	var names []string
-	args = args[1:]
-	if cmd == "run" {
-		if len(args) == 0 {
-			fmt.Fprintln(stderr, "agave run: benchmark name required")
-			return 2
-		}
-		names = []string{args[0]}
-		args = args[1:]
-	}
-	if cmd == "scenario" {
-		// Scenario names are positional: `agave scenario commute drive`.
-		for len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-			names = append(names, args[0])
-			args = args[1:]
-		}
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	// The scenario subcommand also accepts names interleaved with flags
-	// (`agave scenario -parallel 8 commute -json`): flag.Parse stops at
-	// the first positional, so keep alternating between collecting
-	// leading names and re-parsing the remainder. Everywhere else stray
-	// positionals are a usage error, not something to silently run
-	// without: `agave suite countdown.main` must not sweep all 25
-	// benchmarks because the user skipped -bench.
-	if cmd == "scenario" {
-		for rest := fs.Args(); len(rest) > 0; rest = fs.Args() {
-			// A bare "-" is a positional to the flag package too;
-			// re-parsing it would never make progress.
-			if strings.HasPrefix(rest[0], "-") && rest[0] != "-" {
-				if err := fs.Parse(rest); err != nil {
-					return 2
-				}
-				continue
-			}
-			names = append(names, rest[0])
-			if err := fs.Parse(rest[1:]); err != nil {
-				return 2
-			}
-		}
-	} else if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "agave %s: unexpected argument %q (benchmarks are selected with -bench)\n",
-			cmd, fs.Arg(0))
-		return 2
-	}
-	if *benchList != "" {
-		names = strings.Split(*benchList, ",")
 	}
 
 	// An empty or negative measured interval is a configuration mistake,
 	// never a measurement: fail loudly instead of emitting all-zero counters.
-	if *durationMS <= 0 {
-		fmt.Fprintf(stderr, "agave %s: -duration must be a positive number of milliseconds (got %d)\n", cmd, *durationMS)
+	if durationMS <= 0 {
+		fmt.Fprintf(stderr, "agave %s: -duration must be a positive number of milliseconds (got %d)\n", cmd, durationMS)
 		return 2
 	}
-	if *warmupMS < 0 {
-		fmt.Fprintf(stderr, "agave %s: -warmup must not be negative (got %d)\n", cmd, *warmupMS)
+	if warmupMS < 0 {
+		fmt.Fprintf(stderr, "agave %s: -warmup must not be negative (got %d)\n", cmd, warmupMS)
 		return 2
 	}
-
-	cfg := core.Config{
-		Seed:                 *seed,
-		Duration:             sim.Ticks(*durationMS) * sim.Millisecond,
-		Warmup:               sim.Ticks(*warmupMS) * sim.Millisecond,
-		Quantum:              sim.Millisecond,
-		DisableJIT:           *noJIT,
-		DirtyRectComposition: *dirtyRect,
-		MinFreePages:         *minFree,
+	cfg.Duration = sim.Ticks(durationMS) * sim.Millisecond
+	cfg.Warmup = sim.Ticks(warmupMS) * sim.Millisecond
+	if figure && format != "table" && format != "csv" && format != "bars" {
+		fmt.Fprintf(stderr, "agave %s: -format must be table, csv or bars (got %q)\n", cmd, format)
+		return 2
 	}
-
-	if cmd == "suite" || cmd == "scenario" || cmd == "fleet" {
-		// -ablations sweeps base/nojit/dirtyrect as matrix cells; a base
-		// config that already forces one of those flags would make the
-		// cell labels lie (the "base" row would really be nojit).
-		if *ablations && (*noJIT || *dirtyRect) {
-			fmt.Fprintf(stderr, "agave %s: -ablations cannot be combined with -nojit or -dirtyrect (the ablation axis already sweeps them)\n", cmd)
-			return 2
-		}
+	// -ablations sweeps base/nojit/dirtyrect as matrix cells; a base config
+	// that already forces one of those flags would make the cell labels lie
+	// (the "base" row would really be nojit).
+	if pf.ablations && (cfg.DisableJIT || cfg.DirtyRectComposition) {
+		fmt.Fprintf(stderr, "agave %s: -ablations cannot be combined with -nojit or -dirtyrect (the ablation axis already sweeps them)\n", cmd)
+		return 2
 	}
-	// The subcommands share one FlagSet, so a flag belonging to the other
-	// subcommand parses fine — reject it instead of silently ignoring a
-	// requested scenario source. Visit sees every explicitly-set flag, so
-	// even a knob set to its default value is caught.
+	// Visit sees every explicitly-set flag, so even a knob set to its
+	// default value is caught. A generator knob without -gen-scenarios
+	// would configure zero generated sessions: reject the forgotten count,
+	// don't ignore the knobs.
 	setFlags := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if cmd != "scenario" {
-		for _, f := range []string{"file", "export"} {
-			if setFlags[f] {
-				fmt.Fprintf(stderr, "agave %s: -%s applies to the scenario subcommand\n", cmd, f)
-				return 2
-			}
-		}
-	}
-	if (cmd == "run" || cmd == "scenario") && setFlags["bench"] {
-		fmt.Fprintf(stderr, "agave %s: -bench does not apply; name what to run positionally (agave %s <name>)\n", cmd, cmd)
-		return 2
-	}
-	if cmd != "suite" && cmd != "fleet" {
-		for _, f := range []string{"scenarios", "scenario-dir", "gen-scenarios", "gen-seed", "gen-apps", "gen-events", "gen-pressure", "gen-inputs", "gen-faults"} {
-			if setFlags[f] {
-				fmt.Fprintf(stderr, "agave %s: -%s applies to the suite and fleet subcommands\n", cmd, f)
-				return 2
-			}
-		}
-	}
-	if cmd != "fleet" {
-		for _, f := range []string{"workers", "shard-size", "checkpoint", "worker"} {
-			if setFlags[f] {
-				fmt.Fprintf(stderr, "agave %s: -%s applies to the fleet subcommand\n", cmd, f)
-				return 2
-			}
-		}
-	}
-	// A generator knob without -gen-scenarios would configure zero
-	// generated sessions: reject the forgotten count, don't ignore the
-	// knobs.
-	if (cmd == "suite" || cmd == "fleet") && *genScenarios == 0 {
+	if pf.gen.n == 0 {
 		for _, f := range []string{"gen-seed", "gen-apps", "gen-events", "gen-pressure", "gen-inputs", "gen-faults"} {
 			if setFlags[f] {
 				fmt.Fprintf(stderr, "agave %s: -%s requires -gen-scenarios N\n", cmd, f)
@@ -290,20 +288,29 @@ func Main(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}
 	}
-	if cmd == "scenario" {
-		// -export and -list print a document or listing and exit;
-		// combining either with names or -file would silently skip the
-		// requested runs.
-		if *exportName != "" && (len(names) > 0 || *scenarioFile != "") {
-			fmt.Fprintln(stderr, "agave scenario: -export cannot be combined with scenario names or -file")
-			return 2
-		}
-		if *listScenarios && (len(names) > 0 || setFlags["file"] || setFlags["export"]) {
-			fmt.Fprintln(stderr, "agave scenario: -list cannot be combined with scenario names, -file, or -export")
-			return 2
-		}
+	// -export and -list print a document or listing and exit; combining
+	// either with names or -file would silently skip the requested runs.
+	if exportName != "" && (len(names) > 0 || pf.file != "") {
+		fmt.Fprintln(stderr, "agave scenario: -export cannot be combined with scenario names or -file")
+		return 2
 	}
-	prof, err := startProfiles(*cpuProfile, *memProfile)
+	if listScenarios && (len(names) > 0 || setFlags["file"] || setFlags["export"]) {
+		fmt.Fprintln(stderr, "agave scenario: -list cannot be combined with scenario names, -file, or -export")
+		return 2
+	}
+	// What runs: run and scenario name it positionally, the others select
+	// benchmarks with -bench, by default the full suite.
+	if benchList != "" {
+		names = splitList(benchList)
+		if n, dup := repeated(names); dup {
+			fmt.Fprintf(stderr, "agave %s: duplicate benchmark %q on the benchmark axis\n", cmd, n)
+			return 1
+		}
+	} else if cmd != "run" && cmd != "scenario" {
+		names = core.SuiteNames()
+	}
+
+	prof, err := startProfiles(cpuProfile, memProfile)
 	if err != nil {
 		fmt.Fprintln(stderr, "agave:", err)
 		return 1
@@ -316,27 +323,16 @@ func Main(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}
 	}()
-	if cmd == "scenario" {
-		return scenarioCmd(stdout, stderr, cfg, names, *parallel, *seedList, *ablations, *asJSON,
-			*listScenarios, *scenarioFile, *exportName)
-	}
-	if cmd == "suite" || cmd == "fleet" {
-		gen := genFlags{n: *genScenarios, seed: *genSeed, apps: *genApps,
-			events: *genEvents, pressure: *genPressure, inputs: *genInputs, faults: *genFaults}
-		pf := planFlags{names: names, seedList: *seedList, ablations: *ablations,
-			scenarioList: *scenarioList, scenarioDir: *scenarioDir, gen: gen}
-		if cmd == "fleet" {
-			return fleetCmd(stdout, stderr, cfg, fleetFlags{
-				workers:    *workers,
-				shardSize:  *shardSize,
-				checkpoint: *checkpoint,
-				worker:     *workerMode,
-				asJSON:     *asJSON,
-			}, pf)
-		}
-		// suite rejects -shard-size, so its summary folds at fleet's
-		// default shard size and matches `agave fleet` byte for byte.
-		return suiteCmd(stdout, stderr, cfg, pf, *parallel, *asJSON, *shardSize)
+	switch cmd {
+	case "scenario":
+		pf.scenarios = names
+		return scenarioCmd(stdout, stderr, cfg, pf, parallel, asJSON, listScenarios, exportName)
+	case "suite":
+		pf.bench, pf.scenarios = names, splitList(scenarioList)
+		return suiteCmd(stdout, stderr, cfg, pf, parallel, asJSON)
+	case "fleet":
+		pf.bench, pf.scenarios = names, splitList(scenarioList)
+		return fleetCmd(stdout, stderr, cfg, ff, pf, asJSON)
 	}
 
 	results, err := core.RunSuite(cfg, names...)
@@ -346,7 +342,7 @@ func Main(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	emit := func(fig report.Figure) {
-		switch *format {
+		switch format {
 		case "csv":
 			report.WriteCSV(stdout, fig)
 		case "bars":
@@ -406,52 +402,33 @@ func Main(args []string, stdout, stderr io.Writer) (code int) {
 	return 0
 }
 
-// parseSeeds resolves the -seeds axis, falling back to the single -seed.
-func parseSeeds(stderr io.Writer, cmd string, base uint64, seedList string) ([]uint64, bool) {
-	seeds := []uint64{base}
-	if seedList == "" {
-		return seeds, true
+// splitList splits a comma-separated flag value into trimmed entries.
+func splitList(s string) []string {
+	if s == "" {
+		return nil
 	}
-	seeds = nil
-	for _, f := range strings.Split(seedList, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			fmt.Fprintf(stderr, "agave %s: bad -seeds entry %q: %v\n", cmd, f, err)
-			return nil, false
-		}
-		seeds = append(seeds, v)
+	entries := strings.Split(s, ",")
+	for i := range entries {
+		entries[i] = strings.TrimSpace(entries[i])
 	}
-	return seeds, true
+	return entries
 }
 
-// uniqueScenarioAxis verifies scenario names are unique across a plan's
-// whole scenario axis — named bundled scenarios plus the ad-hoc set. Two
-// cells sharing a name would render indistinguishable rows (the text matrix
-// carries no provenance column) and alias in summaries.
-func uniqueScenarioAxis(stderr io.Writer, cmd string, names []string, set []*scenario.Scenario) bool {
-	seen := make(map[string]bool, len(names)+len(set))
-	check := func(n string) bool {
-		if seen[n] {
-			fmt.Fprintf(stderr, "agave %s: duplicate scenario name %q on the scenario axis\n", cmd, n)
-			return false
+// repeated returns the first entry that occurs twice on a plan axis. A
+// repeated cell would alias in summaries and weight suite-wide shares twice.
+func repeated[T comparable](axis []T) (T, bool) {
+	seen := make(map[T]bool, len(axis))
+	for _, v := range axis {
+		if seen[v] {
+			return v, true
 		}
-		seen[n] = true
-		return true
+		seen[v] = true
 	}
-	for _, n := range names {
-		if !check(n) {
-			return false
-		}
-	}
-	for _, sc := range set {
-		if !check(sc.Name) {
-			return false
-		}
-	}
-	return true
+	var zero T
+	return zero, false
 }
 
-// genFlags bundles the generated-scenario knobs of the suite subcommand.
+// genFlags bundles the generated-scenario knobs of suite and fleet.
 type genFlags struct {
 	n        int
 	seed     uint64
@@ -462,74 +439,63 @@ type genFlags struct {
 	faults   int
 }
 
-// planFlags bundles the matrix-building flags shared by the suite and fleet
-// subcommands: both subcommands resolve an identical plan from identical
-// flags, so a fleet sweep always has an exact serial counterpart.
+// planFlags bundles what scenario, suite and fleet resolve into a run plan:
+// the three build theirs from identical flags through buildPlan, so a fleet
+// sweep always has an exact serial counterpart.
 type planFlags struct {
-	names        []string
-	seedList     string
-	ablations    bool
-	scenarioList string
-	scenarioDir  string
-	gen          genFlags
+	bench     []string // benchmark axis
+	scenarios []string // bundled scenarios by name
+	file      string   // scenario -file
+	dir       string   // -scenario-dir
+	gen       genFlags
+	seeds     string // -seeds; empty means the one -seed
+	ablations bool
 }
 
-// buildPlan resolves the shared matrix flags into a run plan. On failure it
-// reports (zero plan, exit code, false) with the diagnostic already printed.
+// buildPlan resolves the matrix flags into a run plan. On failure it reports
+// (zero plan, exit code, false) with the diagnostic already printed.
 func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (suite.Plan, int, bool) {
-	names := pf.names
-	if len(names) == 0 {
-		names = core.SuiteNames()
+	fail := func(code int, format string, args ...any) (suite.Plan, int, bool) {
+		fmt.Fprintf(stderr, "agave %s: %s\n", cmd, fmt.Sprintf(format, args...))
+		return suite.Plan{}, code, false
 	}
-	known := make(map[string]bool)
-	for _, n := range core.SuiteNames() {
-		known[n] = true
-	}
-	for _, n := range names {
-		if !known[n] {
-			fmt.Fprintf(stderr, "agave %s: unknown benchmark %q\n", cmd, n)
-			return suite.Plan{}, 1, false
+	for _, n := range pf.bench {
+		if !slices.Contains(core.SuiteNames(), n) {
+			return fail(1, "unknown benchmark %q", n)
 		}
 	}
-	var scenarios []string
-	if pf.scenarioList != "" {
-		knownSc := make(map[string]bool)
-		for _, n := range core.ScenarioNames() {
-			knownSc[n] = true
-		}
-		for _, n := range strings.Split(pf.scenarioList, ",") {
-			n = strings.TrimSpace(n)
-			if !knownSc[n] {
-				fmt.Fprintf(stderr, "agave %s: unknown scenario %q\n", cmd, n)
-				return suite.Plan{}, 1, false
-			}
-			scenarios = append(scenarios, n)
+	for _, n := range pf.scenarios {
+		if !slices.Contains(core.ScenarioNames(), n) {
+			return fail(1, "unknown scenario %q", n)
 		}
 	}
-	// Ad-hoc scenario axes: every *.json document of -scenario-dir, then
-	// -gen-scenarios generated sessions at consecutive generation seeds.
-	// Names must stay unique across the whole scenario axis — two cells
-	// with one name would alias in reports and summaries.
-	gen := pf.gen
+	// Ad-hoc scenario axes: a -file document, every *.json document of
+	// -scenario-dir, then -gen-scenarios generated sessions at consecutive
+	// generation seeds.
 	var set []*scenario.Scenario
-	if pf.scenarioDir != "" {
-		loaded, err := scenario.LoadDir(pf.scenarioDir)
+	if pf.file != "" {
+		sc, err := scenario.FromFile(pf.file)
 		if err != nil {
-			fmt.Fprintf(stderr, "agave %s: %v\n", cmd, err)
-			return suite.Plan{}, 1, false
+			return fail(1, "%v", err)
+		}
+		set = append(set, sc)
+	}
+	if pf.dir != "" {
+		loaded, err := scenario.LoadDir(pf.dir)
+		if err != nil {
+			return fail(1, "%v", err)
 		}
 		set = append(set, loaded...)
 	}
+	gen := pf.gen
 	if gen.n < 0 {
-		fmt.Fprintf(stderr, "agave %s: -gen-scenarios must not be negative (got %d)\n", cmd, gen.n)
-		return suite.Plan{}, 2, false
+		return fail(2, "-gen-scenarios must not be negative (got %d)", gen.n)
 	}
 	// The sibling knobs validate the same way: zero means "use the
 	// default", but a negative value is a typo, not a request.
 	if gen.apps < 0 || gen.events < 0 || gen.pressure < 0 || gen.inputs < 0 || gen.faults < 0 {
-		fmt.Fprintf(stderr, "agave %s: -gen-apps, -gen-events, -gen-pressure, -gen-inputs, and -gen-faults must not be negative (got %d/%d/%d/%d/%d)\n",
-			cmd, gen.apps, gen.events, gen.pressure, gen.inputs, gen.faults)
-		return suite.Plan{}, 2, false
+		return fail(2, "-gen-apps, -gen-events, -gen-pressure, -gen-inputs, and -gen-faults must not be negative (got %d/%d/%d/%d/%d)",
+			gen.apps, gen.events, gen.pressure, gen.inputs, gen.faults)
 	}
 	for i := 0; i < gen.n; i++ {
 		set = append(set, scenario.Generate(scenario.GenConfig{
@@ -541,14 +507,30 @@ func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (sui
 			Faults:   gen.faults,
 		}))
 	}
-	if !uniqueScenarioAxis(stderr, cmd, scenarios, set) {
-		return suite.Plan{}, 1, false
+	// Names must be unique across the whole scenario axis: the text matrix
+	// carries no provenance column.
+	axis := slices.Clone(pf.scenarios)
+	for _, sc := range set {
+		axis = append(axis, sc.Name)
 	}
-	seeds, ok := parseSeeds(stderr, cmd, cfg.Seed, pf.seedList)
-	if !ok {
-		return suite.Plan{}, 2, false
+	if n, dup := repeated(axis); dup {
+		return fail(1, "duplicate scenario name %q on the scenario axis", n)
 	}
-	plan := suite.Plan{Benchmarks: names, Scenarios: scenarios, ScenarioSet: set,
+	seeds := []uint64{cfg.Seed}
+	if pf.seeds != "" {
+		seeds = nil
+		for _, f := range splitList(pf.seeds) {
+			v, err := strconv.ParseUint(f, 10, 64)
+			if err != nil {
+				return fail(2, "bad -seeds entry %q: %v", f, err)
+			}
+			seeds = append(seeds, v)
+		}
+	}
+	if s, dup := repeated(seeds); dup {
+		return fail(1, "duplicate seed %d on the seed axis", s)
+	}
+	plan := suite.Plan{Benchmarks: pf.bench, Scenarios: pf.scenarios, ScenarioSet: set,
 		Seeds: seeds, Ablations: []suite.Ablation{suite.Baseline}}
 	if pf.ablations {
 		plan.Ablations = suite.DefaultAblations
@@ -560,12 +542,12 @@ func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (sui
 // named scenarios, directory-loaded scenario files, and generated scenarios
 // are all plan axes — execute it on the worker pool, and render per-run rows
 // plus the cross-seed summary, which is the fleet report of the same job.
-func suiteCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags, parallel int, asJSON bool, shardSize int) int {
+func suiteCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags, parallel int, asJSON bool) int {
 	plan, code, ok := buildPlan(stderr, "suite", cfg, pf)
 	if !ok {
 		return code
 	}
-	spec, err := report.FleetSpec(cfg, plan, shardSize)
+	spec, err := report.FleetSpec(cfg, plan, defaultShardSize)
 	if err != nil {
 		fmt.Fprintln(stderr, "agave suite:", err)
 		return 1
@@ -608,8 +590,8 @@ func suiteCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags, parallel 
 // depend only on the plan and seeds — never on -parallel — and a file-loaded
 // copy of a bundled scenario renders a byte-identical default report at the
 // same seed (provenance appears only in the JSON document's source field).
-func scenarioCmd(stdout, stderr io.Writer, cfg core.Config, names []string,
-	parallel int, seedList string, ablations, asJSON, list bool, filePath, exportName string) int {
+func scenarioCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags,
+	parallel int, asJSON, list bool, exportName string) int {
 	if list {
 		report.WriteScenarioList(stdout, scenario.Library())
 		return 0
@@ -628,36 +610,13 @@ func scenarioCmd(stdout, stderr io.Writer, cfg core.Config, names []string,
 		stdout.Write(doc)
 		return 0
 	}
-	var set []*scenario.Scenario
-	if filePath != "" {
-		sc, err := scenario.FromFile(filePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "agave scenario: %v\n", err)
-			return 1
-		}
-		set = append(set, sc)
-	}
-	if len(names) == 0 && len(set) == 0 {
+	if len(pf.scenarios) == 0 && pf.file == "" {
 		fmt.Fprintln(stderr, "agave scenario: scenario name required (or -list, -file, -export)")
 		return 2
 	}
-	for _, n := range names {
-		if _, err := scenario.ByName(n); err != nil {
-			fmt.Fprintf(stderr, "agave scenario: %v\n", err)
-			return 1
-		}
-	}
-	if !uniqueScenarioAxis(stderr, "scenario", names, set) {
-		return 1
-	}
-	seeds, ok := parseSeeds(stderr, "scenario", cfg.Seed, seedList)
+	plan, code, ok := buildPlan(stderr, "scenario", cfg, pf)
 	if !ok {
-		return 2
-	}
-	plan := suite.Plan{Scenarios: names, ScenarioSet: set, Seeds: seeds,
-		Ablations: []suite.Ablation{suite.Baseline}}
-	if ablations {
-		plan.Ablations = suite.DefaultAblations
+		return code
 	}
 	outputs, err := core.RunPlan(cfg, plan, parallel)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,12 +43,74 @@ func TestRunRequiresBenchmarkName(t *testing.T) {
 	if code != 2 || !strings.Contains(errOut, "benchmark name required") {
 		t.Fatalf("code=%d stderr=%q", code, errOut)
 	}
+	// The one name may follow the flags...
+	code, out, errOut := invoke(t, append(append([]string{"run"}, quick...), "countdown.main")...)
+	if code != 0 || !strings.HasPrefix(out, "countdown.main:") {
+		t.Fatalf("name after flags: code=%d stderr=%q", code, errOut)
+	}
+	// ...but a second name is a usage error, not a second run.
+	code, _, errOut = invoke(t, "run", "countdown.main", "aard.main")
+	if code != 2 || !strings.Contains(errOut, `unexpected argument "aard.main"`) {
+		t.Fatalf("two names: code=%d stderr=%q", code, errOut)
+	}
 }
 
 func TestBadFlagIsUsageError(t *testing.T) {
-	code, _, _ := invoke(t, "suite", "-no-such-flag")
-	if code != 2 {
-		t.Fatalf("bad flag exit code = %d, want 2", code)
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"suite", "-no-such-flag"}, "flag provided but not defined: -no-such-flag"},
+		{[]string{"fig1", "-format", "xml"}, `agave fig1: -format must be table, csv or bars (got "xml")`},
+	}
+	for _, tc := range cases {
+		code, _, errOut := invoke(t, tc.args...)
+		if code != 2 || !strings.Contains(errOut, tc.want) {
+			t.Errorf("%v: code=%d stderr=%q, want exit 2 and %q", tc.args, code, errOut, tc.want)
+		}
+	}
+}
+
+// TestSubcommandFlags pins which flags each subcommand declares: exactly the
+// ones it reads, so `agave <command> -h` lists them and any other fails to
+// parse instead of being silently ignored.
+func TestSubcommandFlags(t *testing.T) {
+	sim := []string{"cpuprofile", "dirtyrect", "duration", "memprofile", "nojit", "seed", "warmup"}
+	figure := append([]string{"bench", "format"}, sim...)
+	census := append([]string{"bench"}, sim...)
+	matrix := append([]string{"ablations", "json", "minfree", "seeds"}, sim...)
+	axes := []string{"gen-apps", "gen-events", "gen-faults", "gen-inputs", "gen-pressure",
+		"gen-scenarios", "gen-seed", "scenario-dir", "scenarios"}
+	want := map[string][]string{
+		"list":     nil,
+		"run":      sim,
+		"fig1":     figure,
+		"fig2":     figure,
+		"fig3":     figure,
+		"fig4":     figure,
+		"all":      figure,
+		"table1":   census,
+		"scalars":  census,
+		"scenario": append([]string{"export", "file", "list", "parallel"}, matrix...),
+		"suite":    append(append([]string{"bench", "parallel"}, axes...), matrix...),
+		"fleet":    append(append([]string{"bench", "checkpoint", "shard-size", "worker", "workers"}, axes...), matrix...),
+	}
+	for cmd, flags := range want {
+		code, _, errOut := invoke(t, cmd, "-h")
+		if code != 2 {
+			t.Errorf("%s -h: exit %d, want 2", cmd, code)
+		}
+		var got []string
+		for _, line := range strings.Split(errOut, "\n") {
+			if name, ok := strings.CutPrefix(line, "  -"); ok {
+				got = append(got, strings.Fields(name)[0])
+			}
+		}
+		slices.Sort(got)
+		flags = slices.Sorted(slices.Values(flags))
+		if !slices.Equal(got, flags) {
+			t.Errorf("%s declares %d flags %v, want %d %v", cmd, len(got), got, len(flags), flags)
+		}
 	}
 }
 
@@ -674,28 +737,23 @@ func TestScenarioRepeatedNameRejected(t *testing.T) {
 	}
 }
 
-// TestCrossSubcommandScenarioFlagsRejected: the subcommands share one
-// FlagSet, so a flag belonging to the other subcommand parses — it must be
-// rejected, never silently ignored (a requested scenario source silently
-// absent from the matrix is worse than an error).
+// TestCrossSubcommandScenarioFlagsRejected: each subcommand declares only
+// the flags it reads, so a flag of another subcommand fails to parse — never
+// silently ignored (a requested scenario source, seed axis or output format
+// silently absent from the run is worse than an error).
 func TestCrossSubcommandScenarioFlagsRejected(t *testing.T) {
+	undefined := func(flag string) string { return "flag provided but not defined: -" + flag }
 	cases := []struct {
 		name    string
 		args    []string
 		wantErr string
 	}{
-		{"suite -file", []string{"suite", "-bench", "countdown.main", "-file", "x.json"},
-			"-file applies to the scenario subcommand"},
-		{"suite -export", []string{"suite", "-export", "commute"},
-			"-export applies to the scenario subcommand"},
-		{"scenario -scenario-dir", []string{"scenario", "commute", "-scenario-dir", "d"},
-			"-scenario-dir applies to the suite and fleet subcommands"},
-		{"scenario -gen-scenarios", []string{"scenario", "commute", "-gen-scenarios", "3"},
-			"-gen-scenarios applies to the suite and fleet subcommands"},
-		{"scenario -gen-apps", []string{"scenario", "commute", "-gen-apps", "12"},
-			"-gen-apps applies to the suite and fleet subcommands"},
-		{"scenario -gen-seed at default", []string{"scenario", "commute", "-gen-seed", "1"},
-			"-gen-seed applies to the suite and fleet subcommands"},
+		{"suite -file", []string{"suite", "-bench", "countdown.main", "-file", "x.json"}, undefined("file")},
+		{"suite -export", []string{"suite", "-export", "commute"}, undefined("export")},
+		{"scenario -scenario-dir", []string{"scenario", "commute", "-scenario-dir", "d"}, undefined("scenario-dir")},
+		{"scenario -gen-scenarios", []string{"scenario", "commute", "-gen-scenarios", "3"}, undefined("gen-scenarios")},
+		{"scenario -gen-apps", []string{"scenario", "commute", "-gen-apps", "12"}, undefined("gen-apps")},
+		{"scenario -gen-seed at default", []string{"scenario", "commute", "-gen-seed", "1"}, undefined("gen-seed")},
 		{"-export with names", []string{"scenario", "commute", "-export", "social-burst"},
 			"-export cannot be combined"},
 		{"-export with -file", []string{"scenario", "-export", "commute", "-file", "x.json"},
@@ -706,29 +764,69 @@ func TestCrossSubcommandScenarioFlagsRejected(t *testing.T) {
 			"-list cannot be combined"},
 		{"-list with names", []string{"scenario", "commute", "-list"},
 			"-list cannot be combined"},
-		{"run -file", []string{"run", "countdown.main", "-file", "x.json"},
-			"-file applies to the scenario subcommand"},
-		{"fig1 -scenario-dir", []string{"fig1", "-scenario-dir", "d"},
-			"-scenario-dir applies to the suite and fleet subcommands"},
-		{"all -export", []string{"all", "-export", "commute"},
-			"-export applies to the scenario subcommand"},
+		{"run -file", []string{"run", "countdown.main", "-file", "x.json"}, undefined("file")},
+		{"fig1 -scenario-dir", []string{"fig1", "-scenario-dir", "d"}, undefined("scenario-dir")},
+		{"all -export", []string{"all", "-export", "commute"}, undefined("export")},
 		{"gen knob without count", []string{"suite", "-bench", "countdown.main", "-gen-apps", "12"},
 			"-gen-apps requires -gen-scenarios"},
 		{"gen seed without count", []string{"suite", "-bench", "countdown.main", "-gen-seed", "4"},
 			"-gen-seed requires -gen-scenarios"},
-		{"scenario -scenarios", []string{"scenario", "commute", "-scenarios", "memory-storm"},
-			"-scenarios applies to the suite and fleet subcommands"},
-		{"all -scenarios", []string{"all", "-scenarios", "commute"},
-			"-scenarios applies to the suite and fleet subcommands"},
-		{"run -bench", []string{"run", "countdown.main", "-bench", "aard.main"},
-			"-bench does not apply; name what to run positionally"},
-		{"scenario -bench", []string{"scenario", "commute", "-bench", "aard.main"},
-			"-bench does not apply; name what to run positionally"},
+		{"scenario -scenarios", []string{"scenario", "commute", "-scenarios", "memory-storm"}, undefined("scenarios")},
+		{"all -scenarios", []string{"all", "-scenarios", "commute"}, undefined("scenarios")},
+		{"run -bench", []string{"run", "countdown.main", "-bench", "aard.main"}, undefined("bench")},
+		{"scenario -bench", []string{"scenario", "commute", "-bench", "aard.main"}, undefined("bench")},
+		// Flags a subcommand used to accept and never read.
+		{"all -seeds", []string{"all", "-seeds", "1,2,3"}, undefined("seeds")},
+		{"fig1 -ablations", []string{"fig1", "-ablations"}, undefined("ablations")},
+		{"table1 -json", []string{"table1", "-json"}, undefined("json")},
+		{"scalars -parallel", []string{"scalars", "-parallel", "2"}, undefined("parallel")},
+		{"run -list", []string{"run", "countdown.main", "-list"}, undefined("list")},
+		{"all -minfree", []string{"all", "-minfree", "100"}, undefined("minfree")},
+		{"table1 -format", []string{"table1", "-format", "csv"}, undefined("format")},
+		{"scalars -format", []string{"scalars", "-format", "csv"}, undefined("format")},
+		{"run -format", []string{"run", "countdown.main", "-format", "csv"}, undefined("format")},
+		{"scenario -format", []string{"scenario", "commute", "-format", "csv"}, undefined("format")},
+		{"suite -format", []string{"suite", "-format", "csv"}, undefined("format")},
+		{"suite -list", []string{"suite", "-list"}, undefined("list")},
+		{"fleet -parallel", []string{"fleet", "-parallel", "2"}, undefined("parallel")},
+		{"fleet -format", []string{"fleet", "-format", "csv"}, undefined("format")},
+		{"fleet -list", []string{"fleet", "-list"}, undefined("list")},
+		{"list -bogus", []string{"list", "-bogus"}, undefined("bogus")},
+		{"list extra", []string{"list", "extra"}, `agave list: unexpected argument "extra"`},
 	}
 	for _, tc := range cases {
 		code, _, errOut := invoke(t, tc.args...)
 		if code != 2 || !strings.Contains(errOut, tc.wantErr) {
 			t.Errorf("%s: code=%d stderr=%q", tc.name, code, errOut)
+		}
+	}
+}
+
+// TestPlanAxesRejectRepeats: a benchmark, scenario or seed repeated on its
+// axis is a run failure, not a silently double-weighted cell, and -bench
+// entries are trimmed like -scenarios entries.
+func TestPlanAxesRejectRepeats(t *testing.T) {
+	cases := []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"suite", "-bench", "countdown.main,countdown.main", "-seeds", "1,2"}, 1,
+			`agave suite: duplicate benchmark "countdown.main" on the benchmark axis`},
+		{[]string{"suite", "-bench", "countdown.main", "-seeds", "1,1"}, 1,
+			"agave suite: duplicate seed 1 on the seed axis"},
+		{[]string{"table1", "-bench", "countdown.main,countdown.main,aard.main"}, 1,
+			`agave table1: duplicate benchmark "countdown.main" on the benchmark axis`},
+		{[]string{"fleet", "-bench", "countdown.main", "-seeds", "2, 2"}, 1,
+			"agave fleet: duplicate seed 2 on the seed axis"},
+		{[]string{"scenario", "commute", "-seeds", "3,3"}, 1,
+			"agave scenario: duplicate seed 3 on the seed axis"},
+		{append([]string{"fig1", "-bench", "countdown.main, aard.main"}, quick...), 0, ""},
+	}
+	for _, tc := range cases {
+		code, _, errOut := invoke(t, tc.args...)
+		if code != tc.code || !strings.Contains(errOut, tc.want) {
+			t.Errorf("%v: code=%d stderr=%q, want exit %d and %q", tc.args, code, errOut, tc.code, tc.want)
 		}
 	}
 }

@@ -1,31 +1,18 @@
 // Command agavelint runs the repository's determinism-and-attribution
-// analyzer suite (internal/lint/analyzers) over Go packages. It answers two
-// callers with one binary:
-//
-//   - Standalone: "agavelint [moduledir]" walks the module, type-checks every
-//     non-test package against $GOROOT/src, and prints surviving findings.
-//     This is the mode CI runs; it needs no build cache and no network.
-//
-//   - Vet tool: "go vet -vettool=$(which agavelint) ./..." drives the binary
-//     through the unit-checker protocol — go vet probes -V=full and -flags,
-//     then invokes the tool once per package with a JSON .cfg describing the
-//     files and the export data of every dependency. Cross-package analysis
-//     (mutexorder's lock-order graph) only sees one package per unit in this
-//     mode; the standalone run is the authoritative gate.
+// analyzer suite (internal/lint/analyzers) over Go packages:
+// "agavelint [moduledir]" walks the module, type-checks every non-test
+// package against $GOROOT/src, and prints surviving findings. This is the
+// gate CI runs; it needs no build cache and no network, and it sees the
+// whole module at once, which mutexorder's cross-package lock-order graph
+// needs.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 // docs/LINT.md documents each analyzer and the //agave:allow directive.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -42,21 +29,6 @@ func main() {
 
 // Main is the testable entry point.
 func Main(args []string, stdout, stderr io.Writer) int {
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" {
-			return printVersion(stdout, stderr)
-		}
-	}
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-flags" || args[0] == "--flags":
-			// We register no analyzer flags with go vet.
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return runUnit(args[0], stderr)
-		}
-	}
 	dir := "."
 	switch len(args) {
 	case 0:
@@ -67,30 +39,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return runStandalone(dir, stdout, stderr)
-}
-
-// printVersion answers go vet's -V=full probe. Vet caches analysis results
-// keyed by the tool's identity, so the line must carry a content hash of the
-// executable: rebuild the linter and the cache key changes with it.
-func printVersion(stdout, stderr io.Writer) int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(stderr, "agavelint:", err)
-		return 2
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Fprintln(stderr, "agavelint:", err)
-		return 2
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintln(stderr, "agavelint:", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "agavelint version devel buildID=%x\n", h.Sum(nil))
-	return 0
 }
 
 // runStandalone loads every package of the module rooted at or above dir and
@@ -151,110 +99,4 @@ func findModule(dir string) (modDir, modPath string, err error) {
 		}
 		d = parent
 	}
-}
-
-// vetConfig is the subset of go vet's unit-checker .cfg file the tool needs.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnit analyzes one package the way go vet describes it: source files
-// parsed from disk, dependencies imported from the compiler export data the
-// build cache already holds.
-func runUnit(cfgPath string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "agavelint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "agavelint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// Vet wants the output file to exist even when there is nothing to say;
-	// it is how facts would flow between units, and we export none.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(stderr, "agavelint:", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		// The invariants guard simulation code; test files legitimately
-		// use wall clocks and ad-hoc ordering, so the test variants vet
-		// also describes are trimmed back to the production sources.
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			fmt.Fprintln(stderr, "agavelint:", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return 0
-	}
-
-	lookup := func(path string) (io.ReadCloser, error) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{
-		Importer:    importer.ForCompiler(fset, cfg.Compiler, lookup),
-		FakeImportC: true,
-	}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(stderr, "agavelint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-
-	pkg := &load.Package{Path: cfg.ImportPath, Dir: cfg.Dir, Files: files, Pkg: tpkg, Info: info}
-	findings, err := lint.Run(fset, []*load.Package{pkg}, analyzers.All(), analyzers.Names())
-	if err != nil {
-		fmt.Fprintln(stderr, "agavelint:", err)
-		return 2
-	}
-	for _, f := range findings {
-		fmt.Fprintln(stderr, f.String())
-	}
-	if len(findings) > 0 {
-		return 1
-	}
-	return 0
 }
