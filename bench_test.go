@@ -154,7 +154,7 @@ func BenchmarkScenarioFromFile(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(r.Stats.Total()), "total_refs")
-		b.ReportMetric(float64(r.Session.Events), "events")
+		b.ReportMetric(float64(len(r.Session.Scenario.Timeline)), "events")
 	}
 }
 
@@ -172,7 +172,7 @@ func BenchmarkScenarioGenerated(b *testing.B) {
 			b.Fatal(err)
 		}
 		ticks += float64(r.Duration)
-		b.ReportMetric(float64(r.Session.MaxLive), "max_live")
+		b.ReportMetric(float64(r.Session.Scenario.MaxLiveApps()), "max_live")
 		b.ReportMetric(float64(r.Processes), "processes")
 		b.ReportMetric(float64(r.Stats.Total()), "total_refs")
 	}
@@ -201,7 +201,7 @@ func BenchmarkScenarioDense(b *testing.B) {
 			b.Fatal(err)
 		}
 		ticks += float64(r.Duration)
-		b.ReportMetric(float64(r.Session.MaxLive), "max_live")
+		b.ReportMetric(float64(r.Session.Scenario.MaxLiveApps()), "max_live")
 		b.ReportMetric(float64(r.Session.InputEvents), "input_events")
 		b.ReportMetric(float64(r.Processes), "processes")
 		b.ReportMetric(float64(r.Stats.Total()), "total_refs")

@@ -238,6 +238,16 @@ func TestFleetFlagValidation(t *testing.T) {
 			"flag provided but not defined: -workers"},
 		{"checkpoint on run", append([]string{"run", "countdown.main", "-checkpoint", "x"}, quick...),
 			"flag provided but not defined: -checkpoint"},
+		{"seeds on worker", []string{"fleet", "-worker", "-seeds", "1,2,3"},
+			"-worker reads its plan and config from stdin; -seeds cannot be combined with it"},
+		{"bench on worker", []string{"fleet", "-worker", "-bench", "bogus"},
+			"-worker reads its plan and config from stdin; -bench cannot be combined with it"},
+		{"duration on worker", []string{"fleet", "-worker", "-duration", "80"},
+			"-worker reads its plan and config from stdin; -duration cannot be combined with it"},
+		{"ablations on worker", []string{"fleet", "-worker", "-ablations"},
+			"-worker reads its plan and config from stdin; -ablations cannot be combined with it"},
+		{"workers on worker", []string{"fleet", "-worker", "-workers", "2"},
+			"-worker reads its plan and config from stdin; -workers cannot be combined with it"},
 	}
 	for _, tc := range cases {
 		code, _, errOut := invoke(t, tc.args...)

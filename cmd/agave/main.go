@@ -103,7 +103,8 @@
 //	-workers 0         worker subprocesses (0 = serial in-process)
 //	-shard-size 8      plan specs per shard (shard geometry, never concurrency)
 //	-checkpoint path   journal completed shards; an existing journal resumes
-//	-worker            internal: run one shard from a stdin envelope
+//	-worker            internal: run one shard from a stdin envelope; it
+//	                   combines with no flag but -cpuprofile/-memprofile
 package main
 
 import (
@@ -216,6 +217,20 @@ func Main(args []string, stdout, stderr io.Writer) (code int) {
 			break
 		}
 		names, rest = append(names, rest[0]), rest[1:]
+	}
+	// A fleet worker reads its plan and config from the stdin envelope, so
+	// any other flag beside -worker would be dropped without effect.
+	if ff.worker {
+		extra := ""
+		fs.Visit(func(f *flag.Flag) {
+			if extra == "" && f.Name != "worker" && f.Name != "cpuprofile" && f.Name != "memprofile" {
+				extra = f.Name
+			}
+		})
+		if extra != "" {
+			fmt.Fprintf(stderr, "agave fleet: -worker reads its plan and config from stdin; -%s cannot be combined with it\n", extra)
+			return 2
+		}
 	}
 	// run names one benchmark and scenario any number of sessions; the
 	// others take none, so `agave suite countdown.main` must not silently

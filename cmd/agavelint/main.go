@@ -30,12 +30,18 @@ func main() {
 // Main is the testable entry point.
 func Main(args []string, stdout, stderr io.Writer) int {
 	dir := "."
-	switch len(args) {
-	case 0:
-	case 1:
+	switch {
+	case len(args) == 0:
+	case len(args) == 1 && !strings.HasPrefix(args[0], "-"):
 		dir = args[0]
 	default:
 		fmt.Fprintln(stderr, "usage: agavelint [moduledir]")
+		return 2
+	}
+	// findModule walks up from dir, so a mistyped path would otherwise
+	// lint whatever module encloses it.
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		fmt.Fprintf(stderr, "agavelint: %s: not a directory\n", dir)
 		return 2
 	}
 	return runStandalone(dir, stdout, stderr)

@@ -21,6 +21,27 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 }
 
+// TestNonDirectoryArgumentIsUsageError: a flag or a path that is not a
+// directory exits 2 before anything loads, so a mistyped argument never
+// lints the module that encloses it.
+func TestNonDirectoryArgumentIsUsageError(t *testing.T) {
+	for _, tc := range []struct {
+		arg, want string
+	}{
+		{"-h", "usage: agavelint [moduledir]"},
+		{"-bogus", "usage: agavelint [moduledir]"},
+		{"../../no/such/dir", "agavelint: ../../no/such/dir: not a directory"},
+		{"../../go.mod", "agavelint: ../../go.mod: not a directory"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := Main([]string{tc.arg}, &stdout, &stderr)
+		if code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("agavelint %s = %d, stdout %q, stderr %q; want 2, no stdout, %q",
+				tc.arg, code, stdout.String(), stderr.String(), tc.want)
+		}
+	}
+}
+
 // writeModule lays out a throwaway module and returns its root.
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()

@@ -15,6 +15,9 @@
 // lowmemorykiller evicts processes by oom_adj score — cached apps first, the
 // foreground app never. Kill timing there is a consequence of load, not an
 // input.
+//
+// Sessions run through core.RunScenarioDef on the core.Config and into the
+// core.Result that single-app benchmark runs use.
 package main
 
 import (
@@ -22,6 +25,7 @@ import (
 	"fmt"
 	"log"
 
+	"agave/internal/core"
 	"agave/internal/scenario"
 	"agave/internal/sim"
 	"agave/internal/stats"
@@ -33,6 +37,8 @@ func main() {
 	if *durationMS <= 0 {
 		log.Fatalf("-duration must be a positive number of milliseconds (got %d)", *durationMS)
 	}
+	cfg := core.DefaultConfig()
+	cfg.Duration = sim.Ticks(*durationMS) * sim.Millisecond
 
 	for _, name := range []string{"commute", "memory-storm", "cached-app-eviction"} {
 		sc, err := scenario.ByName(name)
@@ -45,21 +51,16 @@ func main() {
 			fmt.Printf("  %s\n", ev)
 		}
 
-		res, err := scenario.Run(sc, scenario.Config{
-			Seed:     1,
-			Duration: sim.Ticks(*durationMS) * sim.Millisecond,
-			Warmup:   300 * sim.Millisecond,
-			Quantum:  sim.Millisecond,
-		})
+		res, err := core.RunScenarioDef(sc, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		fmt.Printf("\n%d events over %d ms: %d memory references, %d processes (%d live at end), %d threads\n",
-			res.Events, *durationMS, res.Stats.Total(), res.Processes, res.LiveProcesses, res.Threads)
-		if res.LMKKills > 0 || res.Trims > 0 {
+			len(sc.Timeline), *durationMS, res.Stats.Total(), res.Processes, res.LiveProcesses, res.Threads)
+		if s := res.Session; s.LMKKills > 0 || s.Trims > 0 {
 			fmt.Printf("memory pressure: %d onTrimMemory callbacks, %d lowmemorykiller kills %v\n",
-				res.Trims, res.LMKKills, res.LMKVictims)
+				s.Trims, s.LMKKills, s.LMKVictims)
 		}
 		fmt.Println("\nper-process attribution (top of the fold):")
 		for _, row := range stats.NewBreakdown(res.Stats.ByProcess()).TopN(8) {

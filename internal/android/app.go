@@ -38,8 +38,6 @@ type AppConfig struct {
 	// unspecialized zygote children the paper notes are forked "for
 	// every other process the application spawns".
 	Helpers int
-	// NoJIT disables the trace JIT in this app's VM (ablation A1).
-	NoJIT bool
 }
 
 // App is a running application: a zygote child with its own VM view, binder
@@ -156,9 +154,6 @@ func (sys *System) NewApp(cfg AppConfig) *App {
 	}
 	a.VM = dalvik.ForkVM(sys.ZygoteVM, a.Proc, true)
 	a.Looper = NewLooper(k, cfg.Process+"."+cfg.Label)
-	if cfg.NoJIT {
-		a.VM.JITEnabled = false
-	}
 	if cfg.AsyncWorkers > 0 {
 		a.Tasks = NewAsyncPool(a.Proc, cfg.AsyncWorkers)
 	}

@@ -101,19 +101,7 @@ func ByName(name string) (*Workload, error) {
 // Launch builds the benchmark application process (named "benchmark", as in
 // the paper's process legends) and starts the workload.
 func Launch(sys *android.System, w *Workload) *android.App {
-	cfg := android.AppConfig{
-		Process:      "benchmark",
-		Label:        w.Name,
-		ExtraLibs:    w.ExtraLibs,
-		Fullscreen:   !w.Background,
-		Foreground:   !w.Background,
-		AsyncWorkers: w.AsyncWorkers,
-		Helpers:      w.Helpers,
-	}
-	a := sys.NewApp(cfg)
-	a.OnInput = inputHandler(w)
-	a.Start(w.Main)
-	return a
+	return launch(sys, w, "benchmark", w.Name)
 }
 
 // LaunchAs builds an application process for w under an explicit process
@@ -121,20 +109,23 @@ func Launch(sys *android.System, w *Workload) *android.App {
 // concurrent app attributes its references to its own process exactly the
 // way a single-app run attributes to "benchmark". The name also labels the
 // app's dex image, JNI stub library, and binder endpoint, so it must be
-// unique among live apps. noJIT disables the app VM's trace JIT (ablation
-// A1, applied per app).
-func LaunchAs(sys *android.System, w *Workload, name string, noJIT bool) *android.App {
-	cfg := android.AppConfig{
-		Process:      name,
-		Label:        name,
+// unique among live apps.
+func LaunchAs(sys *android.System, w *Workload, name string) *android.App {
+	return launch(sys, w, name, name)
+}
+
+// launch forks the app process from zygote under the given process name
+// and label and starts the workload's main body.
+func launch(sys *android.System, w *Workload, process, label string) *android.App {
+	a := sys.NewApp(android.AppConfig{
+		Process:      process,
+		Label:        label,
 		ExtraLibs:    w.ExtraLibs,
 		Fullscreen:   !w.Background,
 		Foreground:   !w.Background,
 		AsyncWorkers: w.AsyncWorkers,
 		Helpers:      w.Helpers,
-		NoJIT:        noJIT,
-	}
-	a := sys.NewApp(cfg)
+	})
 	a.OnInput = inputHandler(w)
 	a.Start(w.Main)
 	return a

@@ -1,7 +1,8 @@
 // Package core is the public face of the reproduction: the unified Agave +
-// SPEC benchmark registry, run configuration, and the runner that boots the
-// simulated Android stack, executes a workload, and collects the attributed
-// reference statistics the paper's figures are built from.
+// SPEC benchmark registry, run configuration, and the one runner: RunAgave,
+// RunSPEC and the session engine RunScenarioDef each boot a simulated
+// machine from a Config and collect the attributed reference statistics the
+// paper's figures are built from into a Result.
 //
 // Typical use:
 //
@@ -32,12 +33,13 @@ type Config struct {
 	Duration sim.Ticks
 	// Warmup runs the stack before measurement begins (Android runs
 	// only): boot transients are excluded, as the paper measures steady
-	// application execution.
+	// application execution. A scenario session launches its apps after
+	// the warmup, so there it excludes the system boot alone.
 	Warmup sim.Ticks
 	// Quantum is the scheduler time slice.
 	Quantum sim.Ticks
-	// DisableJIT turns the trace JIT off in the benchmark app
-	// (ablation A1).
+	// DisableJIT turns the trace JIT off in the benchmark app, or in
+	// every app of a scenario session (ablation A1).
 	DisableJIT bool
 	// DirtyRectComposition switches SurfaceFlinger to composing only
 	// posted surfaces (ablation A3).
@@ -86,9 +88,10 @@ type Result struct {
 	Checksum uint64 // SPEC only: the kernel's fold-proof accumulator
 
 	// Session carries the session-level result when the run was a
-	// multi-app scenario (nil for benchmark runs): the app roster, event
-	// count, and peak live-app census of the run that actually executed.
-	Session *scenario.Result
+	// multi-app scenario (nil for benchmark runs): the scenario that
+	// actually executed and its pressure, input and dependability
+	// outcomes.
+	Session *Session
 }
 
 // AgaveNames lists the 19 Agave workloads in paper order.
@@ -159,11 +162,9 @@ func RunSPEC(name string, cfg Config) (*Result, error) {
 	return collect(name, true, k, cfg, env.Checksum), nil
 }
 
-// RunScenario executes one bundled multi-app scenario by name: the scripted
-// session engine boots the stack, warms it up, then drives the scenario's
-// lifecycle timeline across cfg.Duration while attributing every reference
-// per process, exactly as single-app runs do. The result's Benchmark field
-// carries the scenario name.
+// RunScenario executes one bundled multi-app scenario by name on the
+// session engine, RunScenarioDef. The result's Benchmark field carries the
+// scenario name.
 func RunScenario(name string, cfg Config) (*Result, error) {
 	sc, err := scenario.ByName(name)
 	if err != nil {
@@ -172,37 +173,8 @@ func RunScenario(name string, cfg Config) (*Result, error) {
 	return RunScenarioDef(sc, cfg)
 }
 
-// RunScenarioDef executes a scenario definition directly — the entry point
-// for sessions that are not in the bundled registry: documents decoded from
-// scenario files and generator output. The definition is validated by the
-// engine before anything boots, so an ill-formed ad-hoc scenario fails
-// cleanly.
-func RunScenarioDef(sc *scenario.Scenario, cfg Config) (*Result, error) {
-	r, err := scenario.Run(sc, scenario.Config{
-		Seed:                 cfg.Seed,
-		Duration:             cfg.Duration,
-		Warmup:               cfg.Warmup,
-		Quantum:              cfg.Quantum,
-		DisableJIT:           cfg.DisableJIT,
-		DirtyRectComposition: cfg.DirtyRectComposition,
-		MinFreePages:         cfg.MinFreePages,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Benchmark:     r.Scenario,
-		Stats:         r.Stats,
-		Processes:     r.Processes,
-		Threads:       r.Threads,
-		LiveProcesses: r.LiveProcesses,
-		CodeRegions:   r.CodeRegions,
-		DataRegions:   r.DataRegions,
-		Duration:      r.Duration,
-		Session:       r,
-	}, nil
-}
-
+// collect builds the Result of a finished run: the counter matrix and the
+// end-of-run census.
 func collect(name string, isSpec bool, k *kernel.Kernel, cfg Config, checksum uint64) *Result {
 	return &Result{
 		Benchmark:     name,

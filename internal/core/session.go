@@ -1,4 +1,4 @@
-package scenario
+package core
 
 import (
 	"fmt"
@@ -6,65 +6,19 @@ import (
 	"agave/internal/android"
 	"agave/internal/apps"
 	"agave/internal/kernel"
+	"agave/internal/scenario"
 	"agave/internal/sim"
-	"agave/internal/stats"
 )
 
-// Config controls one scenario run. It deliberately mirrors core.Config:
-// scenarios are measured exactly like single-app runs — boot, warm up,
-// reset counters, measure — with the timeline scripted across the measured
-// interval.
-type Config struct {
-	// Seed drives every stochastic decision; equal seeds give
-	// bit-identical results.
-	Seed uint64
-	// Duration is the measured simulated interval; the timeline's
-	// Fractions are positions within it.
-	Duration sim.Ticks
-	// Warmup runs the booted (but app-less) stack before measurement:
-	// scenario measurements include app launches by design, so only the
-	// system boot transient is excluded.
-	Warmup sim.Ticks
-	// Quantum is the scheduler time slice all live apps share.
-	Quantum sim.Ticks
-	// DisableJIT turns the trace JIT off in every scenario app.
-	DisableJIT bool
-	// DirtyRectComposition switches SurfaceFlinger to composing only
-	// posted surfaces.
-	DirtyRectComposition bool
-	// MinFreePages is the lowmemorykiller's cached-app kill waterline in
-	// pages; the visible and foreground rungs are derived from it
-	// (0 = the default 32 MB). The CLI's -minfree knob lands here.
-	MinFreePages uint64
-}
-
-// Result is the outcome of one scenario run: the same attributed counter
-// matrix and census scalars a single-app run yields, plus session-level
-// counts.
-type Result struct {
-	Scenario string
-	// Source is the scenario's provenance (empty = bundled library; see
-	// Scenario.Source), copied through so reports can label where each
-	// session definition came from.
-	Source string
-	// Apps is the session's app roster (name → workload), copied from the
-	// scenario so downstream consumers can resolve per-app attribution
-	// without re-looking the scenario up in any registry.
-	Apps  []App
-	Stats *stats.Collector
-
-	Processes int
-	Threads   int
-	// LiveProcesses counts processes still alive at the end — the
-	// difference to Processes is the teardown the session performed.
-	LiveProcesses int
-	CodeRegions   int
-	DataRegions   int
-
-	// Events is the number of timeline events applied.
-	Events int
-	// MaxLive is the peak number of simultaneously-live scenario apps.
-	MaxLive int
+// Session is the session-level outcome of a multi-app scenario run: the
+// scenario that ran, plus what the run measured beyond the census every
+// Result carries.
+type Session struct {
+	// Scenario is the definition that ran: its name, provenance (see
+	// scenario.Scenario.Source), app roster and timeline, so reports can
+	// resolve per-app attribution without re-looking the scenario up in
+	// any registry.
+	Scenario *scenario.Scenario
 
 	// LMKKills counts processes the lowmemorykiller killed; LMKVictims
 	// names them in kill order. Both are zero/empty when the session
@@ -86,7 +40,7 @@ type Result struct {
 	InputDropped    int
 	// InputApps is the per-target input outcome, sorted by app name;
 	// empty when the timeline injected no input.
-	InputApps []InputAppStats
+	InputApps []android.InputAppStats
 
 	// The dependability section. FaultsInjected counts fault events that
 	// actually fired (a fault at a runtime-dead target drops and counts
@@ -100,16 +54,7 @@ type Result struct {
 	FaultsDetected  int
 	FaultsRecovered int
 	ANRs            int
-
-	Duration sim.Ticks
 }
-
-// InputAppStats is one scenario app's input outcome: delivery counts plus
-// end-to-end dispatch-latency aggregates (injection on the driver thread to
-// handler start on the app's main thread, in ticks) over the dispatched
-// events. It is the framework dispatcher's per-target record, carried into
-// the result verbatim.
-type InputAppStats = android.InputAppStats
 
 // driver is the running session state: the scenario's apps by name and the
 // current foreground app. It lives on the ScenarioDriver thread — the
@@ -127,21 +72,25 @@ type driver struct {
 	scriptDone bool
 }
 
-// Run executes one scripted session: boot, warm up, then drive the timeline
-// across the measured interval while every live app runs its workload.
-func Run(s *Scenario, cfg Config) (*Result, error) {
-	if err := s.Validate(); err != nil {
+// RunScenarioDef is the session engine. It executes a scenario definition —
+// bundled, decoded from a scenario file, or generated — the way single-app
+// runs are measured: boot, warm up, reset the counters, then drive the
+// timeline across cfg.Duration while every live app runs its workload and
+// every reference is attributed per process. The definition is validated
+// before anything boots, so an ill-formed ad-hoc scenario fails cleanly.
+func RunScenarioDef(sc *scenario.Scenario, cfg Config) (*Result, error) {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("scenario %s: non-positive duration", s.Name)
+		return nil, fmt.Errorf("scenario %s: non-positive duration", sc.Name)
 	}
 	d := &driver{
 		cfg:    cfg,
-		byName: make(map[string]*apps.Workload, len(s.Apps)),
-		live:   make(map[string]*android.App, len(s.Apps)),
+		byName: make(map[string]*apps.Workload, len(sc.Apps)),
+		live:   make(map[string]*android.App, len(sc.Apps)),
 	}
-	for _, a := range s.Apps {
+	for _, a := range sc.Apps {
 		w, err := apps.ByName(a.Workload)
 		if err != nil {
 			return nil, err // unreachable after Validate
@@ -175,8 +124,8 @@ func Run(s *Scenario, cfg Config) (*Result, error) {
 	start := k.Clock.Now()
 	k.SpawnThread(sys.SystemServer, "ScenarioDriver", "ScenarioDriver", func(ex *kernel.Exec) {
 		ex.PushCode(sys.SystemServer.Layout.Text)
-		for _, ev := range s.Timeline {
-			ex.SleepUntil(ev.at(start, cfg.Duration))
+		for _, ev := range sc.Timeline {
+			ex.SleepUntil(eventTime(ev, start, cfg.Duration))
 			d.apply(ex, ev)
 		}
 		d.scriptDone = true
@@ -187,94 +136,111 @@ func Run(s *Scenario, cfg Config) (*Result, error) {
 	// A scheduler quantum can overshoot the deadline past the timers of
 	// events scripted at the very end of the interval (At near 1000).
 	// Step the machine forward until the whole script has executed, so
-	// every validated event is applied — Result.Events is a promise.
+	// every validated event is applied.
 	for !d.scriptDone {
 		k.Run(k.Clock.Now() + 1)
 	}
 
-	res := &Result{
-		Scenario:      s.Name,
-		Source:        s.Source,
-		Apps:          append([]App(nil), s.Apps...),
-		Stats:         k.Stats,
-		Processes:     k.ProcessCount(),
-		Threads:       k.ThreadCount(),
-		LiveProcesses: k.LiveProcessCount(),
-		CodeRegions:   k.Stats.RegionCount(stats.IFetch),
-		DataRegions:   k.Stats.RegionCount(stats.DataKinds...),
-		Events:        len(s.Timeline),
-		MaxLive:       s.MaxLiveApps(),
-		LMKKills:      k.LMKKills(),
-		LMKVictims:    append([]string(nil), k.LMKVictims()...),
-		Trims:         sys.Trims(),
-		Duration:      cfg.Duration,
+	res := collect(sc.Name, false, k, cfg, 0)
+	s := &Session{
+		Scenario:   sc,
+		LMKKills:   k.LMKKills(),
+		LMKVictims: append([]string(nil), k.LMKVictims()...),
+		Trims:      sys.Trims(),
+		InputApps:  sys.InputStats(),
 	}
-	res.InputApps = sys.InputStats()
-	for _, st := range res.InputApps {
-		res.InputEvents += st.Injected
-		res.InputDispatched += st.Dispatched
-		res.InputDropped += st.Dropped
+	for _, st := range s.InputApps {
+		s.InputEvents += st.Injected
+		s.InputDispatched += st.Dispatched
+		s.InputDropped += st.Dropped
 	}
-	res.FaultsInjected, res.FaultsDetected, res.FaultsRecovered, res.ANRs = sys.Inject.Counts()
+	s.FaultsInjected, s.FaultsDetected, s.FaultsRecovered, s.ANRs = sys.Inject.Counts()
+	res.Session = s
 	return res, nil
 }
 
+// eventTime resolves an event's position to an absolute simulated time
+// within a measured interval beginning at start and lasting duration. The
+// interval is half-open — the machine stops the instant the clock reaches
+// start+duration — so At=1000 is clamped to the final measured tick; without
+// the clamp an end-of-interval event would land one tick past the last
+// measured one and its effects would fall outside the measurement. Events
+// close to the end may still land beyond the scheduling horizon (a quantum
+// can overshoot the deadline); the engine keeps stepping the machine until
+// the script has fully executed, so they are applied, never dropped.
+func eventTime(e scenario.Event, start, duration sim.Ticks) sim.Ticks {
+	t := start + duration*sim.Ticks(e.At)/1000
+	if end := start + duration; t >= end {
+		t = end - 1
+	}
+	return t
+}
+
+// launch starts the named scenario app. The trace-JIT ablation is applied
+// here, before the app's threads first run, as RunAgave applies it to its
+// one app.
+func (d *driver) launch(name string) *android.App {
+	a := apps.LaunchAs(d.sys, d.byName[name], name)
+	if d.cfg.DisableJIT {
+		a.VM.JITEnabled = false
+	}
+	return a
+}
+
 // apply performs one validated timeline event on the driver thread.
-func (d *driver) apply(ex *kernel.Exec, ev Event) {
+func (d *driver) apply(ex *kernel.Exec, ev scenario.Event) {
 	sys := d.sys
 	switch ev.Kind {
-	case Launch:
-		w := d.byName[ev.App]
-		a := apps.LaunchAs(sys, w, ev.App, d.cfg.DisableJIT)
-		d.live[ev.App] = a
-		if !w.Background {
+	case scenario.Launch:
+		d.live[ev.App] = d.launch(ev.App)
+		if !d.byName[ev.App].Background {
 			// The launched activity takes the foreground; whoever held
 			// it is paused, exactly as a real launch backgrounds the
 			// previous task.
 			d.pauseForeground(ex, ev.App)
 			d.foreground = ev.App
 		}
-	case SwitchTo:
+	case scenario.SwitchTo:
 		if d.foreground == ev.App {
 			return
 		}
 		d.pauseForeground(ex, ev.App)
 		sys.ResumeApp(ex, d.live[ev.App])
 		d.foreground = ev.App
-	case Background:
+	case scenario.Background:
 		sys.PauseApp(ex, d.live[ev.App])
 		if d.foreground == ev.App {
 			d.foreground = ""
 		}
-	case Kill:
+	case scenario.Kill:
 		sys.KillApp(ex, d.live[ev.App])
 		delete(d.live, ev.App)
 		if d.foreground == ev.App {
 			d.foreground = ""
 		}
-	case Tap:
+	case scenario.Tap:
 		sys.InjectTap(ex, ev.App)
-	case Key:
+	case scenario.Key:
 		sys.InjectKey(ex, ev.App)
-	case Swipe:
+	case scenario.Swipe:
 		sys.InjectSwipe(ex, ev.App)
-	case Idle:
+	case scenario.Idle:
 		// A deliberate gap: the system runs undisturbed.
-	case Pressure:
+	case scenario.Pressure:
 		// External memory demand: the allocation syscall cost charges to
 		// the driver; whether anything dies is the lowmemorykiller's call.
 		ex.Syscall(800, 200)
 		sys.K.Balloon(ev.Pages)
-	case FaultBinder:
+	case scenario.FaultBinder:
 		// A target that died at run time (the lowmemorykiller got it) drops
 		// the fault without effect — the runtime counterpart of the
 		// validator's liveness rule.
 		sys.InjectBinderFault(ex, ev.App)
-	case CorruptParcel:
+	case scenario.CorruptParcel:
 		sys.InjectCorruptParcel(ex, ev.App)
-	case CrashService:
+	case scenario.CrashService:
 		d.crashService(ex, ev)
-	case KillMediaserver:
+	case scenario.KillMediaserver:
 		sys.CrashMediaserver(ex)
 	}
 }
@@ -284,7 +250,7 @@ func (d *driver) apply(ex *kernel.Exec, ev Event) {
 // back under the same name. The script considers the app continuously live
 // — later events target the restarted incarnation. A runtime-dead target
 // drops the fault.
-func (d *driver) crashService(ex *kernel.Exec, ev Event) {
+func (d *driver) crashService(ex *kernel.Exec, ev scenario.Event) {
 	sys := d.sys
 	a, ok := d.live[ev.App]
 	if !ok || a.Dead {
@@ -297,11 +263,10 @@ func (d *driver) crashService(ex *kernel.Exec, ev Event) {
 	if wasFg {
 		d.foreground = ""
 	}
-	w := d.byName[ev.App]
-	restarted := apps.LaunchAs(sys, w, ev.App, d.cfg.DisableJIT)
+	restarted := d.launch(ev.App)
 	d.live[ev.App] = restarted
 	sys.Inject.NoteRecovered()
-	if w.Background {
+	if d.byName[ev.App].Background {
 		return
 	}
 	if wasFg {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 
+	"agave/internal/android"
 	"agave/internal/core"
 	"agave/internal/scenario"
 	"agave/internal/sim"
@@ -89,10 +90,10 @@ type ScenarioRow struct {
 }
 
 // ScenarioRows flattens scenario suite outputs (skipping failed runs and
-// non-scenario specs) in plan order. Session-level fields — event count,
-// peak live apps, the per-app attribution roster — come from the run's own
-// result, so rows describe the session that actually executed (bundled or
-// not), never a registry lookup.
+// non-scenario specs) in plan order. Session-level fields — provenance,
+// event count, peak live apps, the per-app attribution roster — come from
+// the scenario the run carries, so rows describe the session that actually
+// executed (bundled or not), never a registry lookup.
 func ScenarioRows(outputs []suite.RunOutput[*core.Result]) []ScenarioRow {
 	rows := make([]ScenarioRow, 0, len(outputs))
 	for _, o := range outputs {
@@ -113,9 +114,9 @@ func ScenarioRows(outputs []suite.RunOutput[*core.Result]) []ScenarioRow {
 			Fingerprint:   r.Stats.Fingerprint(),
 		}
 		if s := r.Session; s != nil {
-			row.Source = s.Source
-			row.Events = s.Events
-			row.MaxLiveApps = s.MaxLive
+			row.Source = s.Scenario.Source
+			row.Events = len(s.Scenario.Timeline)
+			row.MaxLiveApps = s.Scenario.MaxLiveApps()
 			row.LMKKills = s.LMKKills
 			row.LMKVictims = append([]string(nil), s.LMKVictims...)
 			row.Trims = s.Trims
@@ -126,12 +127,12 @@ func ScenarioRows(outputs []suite.RunOutput[*core.Result]) []ScenarioRow {
 			row.FaultsDetected = s.FaultsDetected
 			row.FaultsRecovered = s.FaultsRecovered
 			row.ANRs = s.ANRs
-			inputs := make(map[string]scenario.InputAppStats, len(s.InputApps))
+			inputs := make(map[string]android.InputAppStats, len(s.InputApps))
 			for _, st := range s.InputApps {
 				inputs[st.App] = st
 			}
 			byProc := stats.NewBreakdown(r.Stats.ByProcess())
-			for _, app := range s.Apps {
+			for _, app := range s.Scenario.Apps {
 				appRow := ScenarioAppRow{
 					Name:     app.Name,
 					Workload: app.Workload,

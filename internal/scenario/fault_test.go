@@ -1,93 +1,9 @@
 package scenario
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
-
-// TestChaosLibraryScenariosInjectDetectRecover pins the acceptance bar on
-// the two bundled chaos sessions: both must inject and detect faults, both
-// must complete recoveries (a restarted service or mediaserver), and both
-// must replay bit-identically.
-func TestChaosLibraryScenariosInjectDetectRecover(t *testing.T) {
-	for _, name := range []string{"binder-storm", "mediaserver-meltdown"} {
-		sc, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Run(sc, quickCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Events != len(sc.Timeline) {
-			t.Errorf("%s: applied %d events, want %d", name, r.Events, len(sc.Timeline))
-		}
-		if r.FaultsInjected == 0 {
-			t.Errorf("%s: no faults injected", name)
-		}
-		if r.FaultsDetected == 0 {
-			t.Errorf("%s: no fault detected", name)
-		}
-		if r.FaultsRecovered == 0 {
-			t.Errorf("%s: no recovery completed", name)
-		}
-		r2, err := Run(sc, quickCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Stats.Fingerprint() != r2.Stats.Fingerprint() {
-			t.Errorf("%s: chaos session is not seed-deterministic", name)
-		}
-		if r.FaultsInjected != r2.FaultsInjected || r.FaultsDetected != r2.FaultsDetected ||
-			r.FaultsRecovered != r2.FaultsRecovered || r.ANRs != r2.ANRs {
-			t.Errorf("%s: dependability counters diverged between runs: %d/%d/%d/%d vs %d/%d/%d/%d",
-				name, r.FaultsInjected, r.FaultsDetected, r.FaultsRecovered, r.ANRs,
-				r2.FaultsInjected, r2.FaultsDetected, r2.FaultsRecovered, r2.ANRs)
-		}
-	}
-}
-
-// TestCrashServiceRestartsAndLaterEventsLand: a crashService mid-session
-// must leave the app targetable — the script's later switchto and tap aim at
-// the restarted incarnation, and the session ends with the recovery counted.
-func TestCrashServiceRestartsAndLaterEventsLand(t *testing.T) {
-	sc := &Scenario{
-		Name: "crash-restart",
-		Apps: []App{
-			{Name: "game", Workload: "frozenbubble.main"},
-			{Name: "dict", Workload: "aard.main"},
-		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "game"},
-			{At: 100, Kind: Launch, App: "dict"},
-			{At: 300, Kind: CrashService, App: "game"}, // crashes behind dict
-			{At: 500, Kind: SwitchTo, App: "game"},     // targets the restart
-			{At: 650, Kind: Tap, App: "game"},
-			{At: 800, Kind: CrashService, App: "game"}, // crashes while foreground
-			{At: 950, Kind: Tap, App: "game"},
-		},
-	}
-	if err := sc.Validate(); err != nil {
-		t.Fatalf("crashService must keep its target script-live: %v", err)
-	}
-	r, err := Run(sc, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Events != len(sc.Timeline) {
-		t.Fatalf("applied %d events, want %d", r.Events, len(sc.Timeline))
-	}
-	if r.FaultsInjected != 2 || r.FaultsDetected != 2 {
-		t.Fatalf("injected/detected = %d/%d, want 2/2", r.FaultsInjected, r.FaultsDetected)
-	}
-	if r.FaultsRecovered != 2 {
-		t.Fatalf("recovered = %d, want 2 (one relaunch per crash)", r.FaultsRecovered)
-	}
-	if r.InputDispatched == 0 {
-		t.Fatal("no tap reached the restarted foreground app")
-	}
-}
 
 // TestValidatorRejectsFaultsAtNonLiveTargets: the script must aim targeted
 // faults at apps it has live, with the field-indexed error the codec
@@ -162,50 +78,5 @@ func TestValidatorRejectsFaultsAtNonLiveTargets(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-// TestGeneratorFaultsKnob: the Faults knob weaves fault events into a valid
-// timeline (targeted faults only at script-live apps), the knob value lands
-// in the scenario name, generation stays a pure function, and the session
-// runs with every event applied.
-func TestGeneratorFaultsKnob(t *testing.T) {
-	cfg := GenConfig{Seed: 9, Apps: 4, Events: 16, Faults: 8}
-	s := Generate(cfg)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("generated chaos session invalid: %v", err)
-	}
-	if s.Name != "gen-s9-a4-e16-p0-i0-f8" {
-		t.Fatalf("name = %q", s.Name)
-	}
-	var faults int
-	for _, ev := range s.Timeline {
-		switch ev.Kind {
-		case FaultBinder, CrashService, KillMediaserver, CorruptParcel:
-			faults++
-		}
-	}
-	if faults != 8 {
-		t.Fatalf("generated %d fault events, want 8", faults)
-	}
-	if !reflect.DeepEqual(s, Generate(cfg)) {
-		t.Fatal("fault-bearing generation is not deterministic")
-	}
-	// The liveness guarantee must hold across seeds, not just one draw.
-	for seed := uint64(1); seed <= 10; seed++ {
-		g := Generate(GenConfig{Seed: seed, Apps: 3, Events: 12, Faults: 6})
-		if err := g.Validate(); err != nil {
-			t.Fatalf("seed %d: generated chaos session invalid: %v", seed, err)
-		}
-	}
-	r, err := Run(s, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Events != len(s.Timeline) {
-		t.Fatalf("applied %d events, want %d", r.Events, len(s.Timeline))
-	}
-	if r.FaultsInjected == 0 {
-		t.Fatal("generated chaos session injected nothing")
 	}
 }

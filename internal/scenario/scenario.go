@@ -1,22 +1,20 @@
-// Package scenario is the scripted multi-app session engine of the Agave
-// reproduction. The paper's central argument is that Android's behavior
-// emerges from interaction across the stack — yet classic benchmark runs
-// boot one app and hold it foreground for the whole measured interval. A
-// Scenario instead scripts a deterministic timeline of lifecycle events
-// (Launch, SwitchTo, Background, Kill, Idle), memory pressure, input
-// gestures (Tap, Key, Swipe — delivered through system_server's
-// InputDispatcher to the focused app's looper), and injected faults
-// (FaultBinder, CrashService, KillMediaserver, CorruptParcel — driven
-// through the framework's injection plane, with ActivityManager-style
-// recovery and an ANR watchdog measuring the fallout) over several named
-// apps drawn from the existing workload suite: apps launch mid-measurement,
-// pause and resume through their main-thread loopers, die under
-// ActivityManager teardown, run concurrently under the ordinary scheduler
-// quantum, and do input-driven work that moves the measured CPU and memory
-// profile.
-// Every reference is attributed per (process, thread, region) exactly as in
-// single-app runs — each app is its own process — so stats.Fingerprint
-// remains the determinism and comparison primitive.
+// Package scenario is the session document of the Agave reproduction: the
+// model of a scripted multi-app session, its validation, the canonical JSON
+// codec, the seeded generator and the bundled library. The paper's central
+// argument is that Android's behavior emerges from interaction across the
+// stack — yet classic benchmark runs boot one app and hold it foreground
+// for the whole measured interval. A Scenario instead scripts a
+// deterministic timeline of lifecycle events (Launch, SwitchTo, Background,
+// Kill, Idle), memory pressure, input gestures (Tap, Key, Swipe — delivered
+// through system_server's InputDispatcher to the focused app's looper), and
+// injected faults (FaultBinder, CrashService, KillMediaserver,
+// CorruptParcel — driven through the framework's injection plane, with
+// ActivityManager-style recovery and an ANR watchdog measuring the fallout)
+// over several named apps drawn from the existing workload suite.
+//
+// The package describes sessions; core.RunScenarioDef runs them, with every
+// reference attributed per (process, thread, region) exactly as in
+// single-app runs — each app is its own process.
 //
 // Event times are expressed as thousandths of the measured interval, so a
 // scenario's shape is duration-invariant: a 150 ms regression run and a
@@ -28,7 +26,6 @@ import (
 	"sort"
 
 	"agave/internal/apps"
-	"agave/internal/sim"
 )
 
 // Kind is a lifecycle event type.
@@ -315,21 +312,4 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	return nil
-}
-
-// at resolves the event's position to an absolute simulated time within a
-// measured interval beginning at start and lasting duration. The interval is
-// half-open — the machine stops the instant the clock reaches
-// start+duration — so At=1000 is clamped to the final measured tick; without
-// the clamp an end-of-interval event would land one tick past the last
-// measured one and its effects would fall outside the measurement. Events
-// close to the end may still land beyond the scheduling horizon (a quantum
-// can overshoot the deadline); the engine keeps stepping the machine until
-// the script has fully executed, so they are applied, never dropped.
-func (e Event) at(start, duration sim.Ticks) sim.Ticks {
-	t := start + duration*sim.Ticks(e.At)/1000
-	if end := start + duration; t >= end {
-		t = end - 1
-	}
-	return t
 }
