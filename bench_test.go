@@ -106,7 +106,11 @@ func BenchmarkScenario(b *testing.B) {
 	for _, name := range []string{"social-burst", "app-churn", "media-marathon"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := core.RunScenario(name, benchConfig())
+				sc, err := scenario.ByName(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r, err := core.RunScenarioDef(sc, benchConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -126,7 +130,11 @@ func BenchmarkScenarioPressure(b *testing.B) {
 	for _, name := range []string{"memory-storm", "cached-app-eviction"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := core.RunScenario(name, benchConfig())
+				sc, err := scenario.ByName(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r, err := core.RunScenarioDef(sc, benchConfig())
 				if err != nil {
 					b.Fatal(err)
 				}

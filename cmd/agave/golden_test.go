@@ -31,7 +31,7 @@ import (
 	"strings"
 	"testing"
 
-	"agave/internal/core"
+	"agave/internal/scenario"
 )
 
 var update = flag.Bool("update", false, "canonicalise testdata/scenarios documents and regenerate testdata/goldens replay reports")
@@ -78,7 +78,7 @@ func writeOrCompare(t *testing.T, path string, got []byte) {
 // a foreign file in testdata/scenarios is always reported, never deleted,
 // because it is an authored session missing from the library's name list.
 func TestScenarioExportsAreCurrent(t *testing.T) {
-	for _, name := range core.ScenarioNames() {
+	for _, name := range scenario.Names() {
 		code, out, errOut := invoke(t, "scenario", "-export", name)
 		if code != 0 {
 			t.Fatalf("%s: export failed: code=%d stderr=%q", name, code, errOut)
@@ -88,7 +88,7 @@ func TestScenarioExportsAreCurrent(t *testing.T) {
 	// Orphan sweep: a renamed or removed scenario leaves a golden behind
 	// that the regenerate-and-diff CI gate can never flag.
 	known := make(map[string]bool)
-	for _, name := range core.ScenarioNames() {
+	for _, name := range scenario.Names() {
 		known[name+".json"] = true
 	}
 	for _, dir := range []string{"scenarios", "goldens"} {
@@ -128,7 +128,7 @@ func TestGoldenReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays every bundled scenario")
 	}
-	for _, name := range core.ScenarioNames() {
+	for _, name := range scenario.Names() {
 		t.Run(name, func(t *testing.T) {
 			scenarioFile := repoPath(t, "testdata", "scenarios", name+".json")
 			if _, err := os.Stat(scenarioFile); err != nil {

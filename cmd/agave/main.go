@@ -479,15 +479,20 @@ func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (sui
 			return fail(1, "unknown benchmark %q", n)
 		}
 	}
+	// The scenario axis, resolved to definitions: bundled sessions by name,
+	// a -file document, every *.json document of -scenario-dir, then
+	// -gen-scenarios generated sessions at consecutive generation seeds.
+	var set []*scenario.Scenario
 	for _, n := range pf.scenarios {
-		if !slices.Contains(core.ScenarioNames(), n) {
+		if !slices.Contains(scenario.Names(), n) {
 			return fail(1, "unknown scenario %q", n)
 		}
+		sc, err := scenario.ByName(n)
+		if err != nil {
+			return fail(1, "%v", err)
+		}
+		set = append(set, sc)
 	}
-	// Ad-hoc scenario axes: a -file document, every *.json document of
-	// -scenario-dir, then -gen-scenarios generated sessions at consecutive
-	// generation seeds.
-	var set []*scenario.Scenario
 	if pf.file != "" {
 		sc, err := scenario.FromFile(pf.file)
 		if err != nil {
@@ -524,11 +529,7 @@ func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (sui
 	}
 	// Names must be unique across the whole scenario axis: the text matrix
 	// carries no provenance column.
-	axis := slices.Clone(pf.scenarios)
-	for _, sc := range set {
-		axis = append(axis, sc.Name)
-	}
-	if n, dup := repeated(axis); dup {
+	if n, dup := repeated(suite.Plan{ScenarioSet: set}.ScenarioNames()); dup {
 		return fail(1, "duplicate scenario name %q on the scenario axis", n)
 	}
 	seeds := []uint64{cfg.Seed}
@@ -545,7 +546,7 @@ func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (sui
 	if s, dup := repeated(seeds); dup {
 		return fail(1, "duplicate seed %d on the seed axis", s)
 	}
-	plan := suite.Plan{Benchmarks: pf.bench, Scenarios: pf.scenarios, ScenarioSet: set,
+	plan := suite.Plan{Benchmarks: pf.bench, ScenarioSet: set,
 		Seeds: seeds, Ablations: []suite.Ablation{suite.Baseline}}
 	if pf.ablations {
 		plan.Ablations = suite.DefaultAblations
@@ -554,8 +555,8 @@ func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (sui
 }
 
 // suiteCmd executes the suite subcommand: build the run matrix — benchmarks,
-// named scenarios, directory-loaded scenario files, and generated scenarios
-// are all plan axes — execute it on the worker pool, and render per-run rows
+// then one scenario axis of bundled, directory-loaded and generated
+// sessions — execute it on the worker pool, and render per-run rows
 // plus the cross-seed summary, which is the fleet report of the same job.
 func suiteCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags, parallel int, asJSON bool) int {
 	plan, code, ok := buildPlan(stderr, "suite", cfg, pf)
@@ -585,7 +586,7 @@ func suiteCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags, parallel 
 		return 0
 	}
 	units := fmt.Sprintf("%d benchmarks", len(plan.Benchmarks))
-	if n := len(plan.Scenarios) + len(plan.ScenarioSet); n > 0 {
+	if n := len(plan.ScenarioSet); n > 0 {
 		units += fmt.Sprintf(" + %d scenarios", n)
 	}
 	fmt.Fprintf(stdout, "suite: %d runs (%s × %d seeds × %d ablations)\n\n",
@@ -646,7 +647,7 @@ func scenarioCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags,
 		return 0
 	}
 	fmt.Fprintf(stdout, "scenario: %d runs (%d scenarios × %d seeds × %d ablations)\n\n",
-		plan.Size(), len(plan.Scenarios)+len(plan.ScenarioSet), len(plan.Seeds), len(plan.Ablations))
+		plan.Size(), len(plan.ScenarioSet), len(plan.Seeds), len(plan.Ablations))
 	report.WriteScenarioMatrix(stdout, outputs)
 	return 0
 }

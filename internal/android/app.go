@@ -207,7 +207,7 @@ func jniLibName(label string) string {
 // process's main thread after its package.
 func (a *App) Start(body func(ex *kernel.Exec, a *App)) {
 	a.mainBody = body
-	a.Sys.noteLaunched(a)
+	a.Sys.noteForeground(a)
 	a.Sys.K.SpawnThread(a.Proc, "main", a.Cfg.Label, func(ex *kernel.Exec) {
 		ex.PushCode(a.Proc.Layout.Text)
 		a.frameworkDexFor(ex)

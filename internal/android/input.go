@@ -79,16 +79,6 @@ type InputAppStats struct {
 	ANRs int
 }
 
-// inputChannel accumulates one target's counters.
-type inputChannel struct {
-	injected  int
-	delivered int
-	latMin    sim.Ticks
-	latMax    sim.Ticks
-	latSum    sim.Ticks
-	anrs      int
-}
-
 // InputDispatcher is system_server's input pipeline state: the event queue
 // its dispatcher thread drains, and the per-target accounting. Events travel
 // by value, from the queue to the app's looper to its handler.
@@ -96,22 +86,24 @@ type InputDispatcher struct {
 	sys *System
 	q   *kernel.MsgQueue[InputEvent]
 
-	chans map[string]*inputChannel
+	// chans holds each target's counters; Dropped is derived when
+	// InputStats reports them.
+	chans map[string]*InputAppStats
 }
 
 func newInputDispatcher(sys *System) *InputDispatcher {
 	return &InputDispatcher{
 		sys:   sys,
 		q:     kernel.NewMsgQueue[InputEvent](sys.K, "input.dispatch"),
-		chans: make(map[string]*inputChannel),
+		chans: make(map[string]*InputAppStats),
 	}
 }
 
 // channel returns (creating on first use) the target's counter record.
-func (d *InputDispatcher) channel(target string) *inputChannel {
+func (d *InputDispatcher) channel(target string) *InputAppStats {
 	c, ok := d.chans[target]
 	if !ok {
-		c = &inputChannel{}
+		c = &InputAppStats{App: target}
 		d.chans[target] = c
 	}
 	return c
@@ -123,7 +115,7 @@ func (d *InputDispatcher) channel(target string) *inputChannel {
 func (d *InputDispatcher) inject(ex *kernel.Exec, target string, kinds ...InputKind) {
 	c := d.channel(target)
 	for _, k := range kinds {
-		c.injected++
+		c.Injected++
 		d.q.Send(ex, InputEvent{Kind: k, Target: target, Posted: ex.Now()})
 	}
 }
@@ -162,21 +154,21 @@ func (d *InputDispatcher) route(ex *kernel.Exec, ev InputEvent) {
 // on the receiving app's main thread, at handler start.
 func (d *InputDispatcher) noteDelivered(target string, lat sim.Ticks) {
 	c := d.channel(target)
-	if c.delivered == 0 || lat < c.latMin {
-		c.latMin = lat
+	if c.Dispatched == 0 || lat < c.LatencyMin {
+		c.LatencyMin = lat
 	}
-	if lat > c.latMax {
-		c.latMax = lat
+	if lat > c.LatencyMax {
+		c.LatencyMax = lat
 	}
-	c.latSum += lat
-	c.delivered++
+	c.LatencySum += lat
+	c.Dispatched++
 }
 
 // noteANR records a watchdog Application Not Responding flag against the
 // labelled app, alongside its input-latency statistics: an ANR is the
 // pathological tail of the same dispatch pipeline.
 func (d *InputDispatcher) noteANR(target string) {
-	d.channel(target).anrs++
+	d.channel(target).ANRs++
 }
 
 // InputStats reports the per-target input outcome, sorted by target name.
@@ -192,17 +184,9 @@ func (sys *System) InputStats() []InputAppStats {
 	sort.Strings(names)
 	out := make([]InputAppStats, 0, len(names))
 	for _, n := range names {
-		c := d.chans[n]
-		out = append(out, InputAppStats{
-			App:        n,
-			Injected:   c.injected,
-			Dispatched: c.delivered,
-			Dropped:    c.injected - c.delivered,
-			LatencyMin: c.latMin,
-			LatencyMax: c.latMax,
-			LatencySum: c.latSum,
-			ANRs:       c.anrs,
-		})
+		c := *d.chans[n]
+		c.Dropped = c.Injected - c.Dispatched
+		out = append(out, c)
 	}
 	return out
 }

@@ -127,7 +127,7 @@ func (sys *System) ResumeApp(ex *kernel.Exec, a *App) {
 	if _, err := sys.Binder.Call(ex, "activity", 2, lifecycleParcel(a.Cfg.Label, "resume")); err != nil {
 		panic(err)
 	}
-	sys.noteResumed(a)
+	sys.noteForeground(a)
 	a.Looper.Post(ex, Message{What: msgResume})
 }
 

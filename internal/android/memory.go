@@ -33,10 +33,10 @@ func (sys *System) registerApp(a *App) {
 	sys.amApps = append(sys.amApps, a)
 }
 
-// noteLaunched records an app start: a launched activity takes the
-// foreground (backgrounding whoever held it); services and the resident
+// noteForeground records an app start or resume: the app's activity takes
+// the foreground (backgrounding whoever held it); services and the resident
 // launcher/systemui apps only join the ladder.
-func (sys *System) noteLaunched(a *App) {
+func (sys *System) noteForeground(a *App) {
 	if a != sys.Launcher && a != sys.SystemUI && a.Cfg.Foreground {
 		if f := sys.amForeground; f != nil && f != a {
 			sys.cacheApp(f)
@@ -55,18 +55,6 @@ func (sys *System) notePaused(a *App) {
 	}
 	if a != sys.Launcher && a != sys.SystemUI && a.Cfg.Foreground && !a.Dead {
 		sys.cacheApp(a)
-	}
-	sys.updateOomAdj()
-}
-
-// noteResumed records a foreground switch.
-func (sys *System) noteResumed(a *App) {
-	if a != sys.Launcher && a != sys.SystemUI && a.Cfg.Foreground {
-		if f := sys.amForeground; f != nil && f != a {
-			sys.cacheApp(f)
-		}
-		sys.uncacheApp(a)
-		sys.amForeground = a
 	}
 	sys.updateOomAdj()
 }

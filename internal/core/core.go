@@ -17,7 +17,6 @@ import (
 	"agave/internal/android"
 	"agave/internal/apps"
 	"agave/internal/kernel"
-	"agave/internal/scenario"
 	"agave/internal/sim"
 	"agave/internal/spec"
 	"agave/internal/stats"
@@ -100,9 +99,6 @@ func AgaveNames() []string { return apps.Names() }
 // SPECNames lists the six SPEC CPU2006 baselines in paper order.
 func SPECNames() []string { return spec.Names() }
 
-// ScenarioNames lists the bundled multi-app scenarios in canonical order.
-func ScenarioNames() []string { return scenario.Names() }
-
 // SuiteNames lists every benchmark: 19 Agave then 6 SPEC.
 func SuiteNames() []string { return append(AgaveNames(), SPECNames()...) }
 
@@ -162,17 +158,6 @@ func RunSPEC(name string, cfg Config) (*Result, error) {
 	return collect(name, true, k, cfg, env.Checksum), nil
 }
 
-// RunScenario executes one bundled multi-app scenario by name on the
-// session engine, RunScenarioDef. The result's Benchmark field carries the
-// scenario name.
-func RunScenario(name string, cfg Config) (*Result, error) {
-	sc, err := scenario.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return RunScenarioDef(sc, cfg)
-}
-
 // collect builds the Result of a finished run: the counter matrix and the
 // end-of-run census.
 func collect(name string, isSpec bool, k *kernel.Kernel, cfg Config, checksum uint64) *Result {
@@ -210,10 +195,8 @@ func RunOne(base Config, s suite.RunSpec) (*Result, sim.Ticks, error) {
 	cfg := base.forSpec(s)
 	var r *Result
 	var err error
-	if s.Scenario && s.Def != nil {
+	if s.Def != nil {
 		r, err = RunScenarioDef(s.Def, cfg)
-	} else if s.Scenario {
-		r, err = RunScenario(s.Benchmark, cfg)
 	} else {
 		r, err = Run(s.Benchmark, cfg)
 	}

@@ -113,7 +113,6 @@ type VM struct {
 	heapCommit   uint64 // bytes of HeapVMA currently resident (>= heapTop)
 	allocSinceGC uint64
 	gcRuns       uint64
-	trimsDone    uint64
 
 	gcQueue      *kernel.MsgQueue[gcReq]
 	compileQueue *kernel.MsgQueue[compileReq]
@@ -305,9 +304,6 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 // GCRuns reports completed collection cycles (for tests and ablations).
 func (vm *VM) GCRuns() uint64 { return vm.gcRuns }
 
-// Trims reports completed TrimMemory passes.
-func (vm *VM) Trims() uint64 { return vm.trimsDone }
-
 // trimSlack is how much headroom above the live bump pointer a trim keeps
 // committed, so the next few allocations do not immediately fault pages
 // back in.
@@ -334,7 +330,6 @@ func (vm *VM) TrimMemory(ex *kernel.Exec) uint64 {
 	}
 	released := vm.Proc.AS.Discard(vm.HeapVMA, vm.heapCommit-keep)
 	vm.heapCommit -= released
-	vm.trimsDone++
 	return released
 }
 

@@ -13,7 +13,7 @@ func Verify(f *File) error {
 	if len(f.Methods) == 0 {
 		return fmt.Errorf("dex: %s: no methods", f.Name)
 	}
-	for mi, m := range f.Methods {
+	for _, m := range f.Methods {
 		if m.In < 0 || m.In > NumRegs {
 			return fmt.Errorf("dex: %s.%s: bad arg count %d", f.Name, m.Name, m.In)
 		}
@@ -44,10 +44,6 @@ func Verify(f *File) error {
 				callee := f.Methods[ins.B]
 				if int(ins.A) != callee.In {
 					return fmt.Errorf("dex: %s.%s+%d: invoke %s with %d args, wants %d", f.Name, m.Name, pc, callee.Name, ins.A, callee.In)
-				}
-				if mi == int(ins.B) && m.In == callee.In {
-					// Self-recursion is allowed; nothing to check.
-					_ = mi
 				}
 			}
 		}

@@ -194,13 +194,14 @@ type Aggregator struct {
 
 	open    map[int]*shardFold
 	pending map[int]*ShardResult
-	next    int
+	// next is the id of the next shard to merge, so also how many shards
+	// have merged.
+	next int
 
 	digest  Digest
 	cells   []*Cell
 	cellIdx map[cellKey]int
 	runs    int
-	done    int
 }
 
 // NewAggregator builds an aggregator for a plan of total specs, sharded at
@@ -335,20 +336,19 @@ func (a *Aggregator) admit(p *ShardResult) error {
 			}
 		}
 		a.runs += q.Lines
-		a.done++
 		a.next++
 	}
 }
 
 // Done reports whether every shard has been merged.
-func (a *Aggregator) Done() bool { return a.done == a.shards }
+func (a *Aggregator) Done() bool { return a.next == a.shards }
 
 // Report seals the aggregation and returns the final report. Cells appear
 // in first-merged order, which is plan order because shards merge in id
 // order and specs within a shard fold in plan order.
 func (a *Aggregator) Report() (*Report, error) {
 	if !a.Done() {
-		return nil, fmt.Errorf("fleet: report requested with %d of %d shards merged", a.done, a.shards)
+		return nil, fmt.Errorf("fleet: report requested with %d of %d shards merged", a.next, a.shards)
 	}
 	return &Report{
 		PlanHash:    a.planHash,

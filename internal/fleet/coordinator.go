@@ -184,7 +184,7 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 				return err
 			}
 		}
-		progress(agg.done + len(agg.pending))
+		progress(agg.next + len(agg.pending))
 		return nil
 	}
 	if err := suite.Each(opts.Workers, agg.shards, runShard); err != nil {

@@ -86,12 +86,12 @@ type WireAblation struct {
 	DirtyRect bool   `json:"dirtyrect,omitempty"`
 }
 
-// WirePlan is a suite plan in wire form: ad-hoc scenario definitions are
-// carried as their canonical scenario-codec encoding, so the plan survives
-// the subprocess boundary bit-exactly and hashes deterministically.
+// WirePlan is a suite plan in wire form: every scenario definition —
+// bundled, file-loaded or generated — is carried as its canonical
+// scenario-codec encoding, so the plan survives the subprocess boundary
+// bit-exactly and its hash commits to what each session runs.
 type WirePlan struct {
 	Benchmarks   []string          `json:"benchmarks,omitempty"`
-	Scenarios    []string          `json:"scenarios,omitempty"`
 	ScenarioDocs []json.RawMessage `json:"scenario_docs,omitempty"`
 	Seeds        []uint64          `json:"seeds,omitempty"`
 	Ablations    []WireAblation    `json:"ablations,omitempty"`
@@ -99,11 +99,7 @@ type WirePlan struct {
 
 // NewWirePlan converts a suite plan to wire form.
 func NewWirePlan(p suite.Plan) (WirePlan, error) {
-	wp := WirePlan{
-		Benchmarks: p.Benchmarks,
-		Scenarios:  p.Scenarios,
-		Seeds:      p.Seeds,
-	}
+	wp := WirePlan{Benchmarks: p.Benchmarks, Seeds: p.Seeds}
 	for _, sc := range p.ScenarioSet {
 		doc, err := scenario.Encode(sc)
 		if err != nil {
@@ -123,11 +119,7 @@ func NewWirePlan(p suite.Plan) (WirePlan, error) {
 
 // SuitePlan converts the wire plan back to a suite plan.
 func (wp WirePlan) SuitePlan() (suite.Plan, error) {
-	p := suite.Plan{
-		Benchmarks: wp.Benchmarks,
-		Scenarios:  wp.Scenarios,
-		Seeds:      wp.Seeds,
-	}
+	p := suite.Plan{Benchmarks: wp.Benchmarks, Seeds: wp.Seeds}
 	for i, doc := range wp.ScenarioDocs {
 		sc, err := scenario.Decode(doc)
 		if err != nil {

@@ -71,14 +71,17 @@ func failShards13(cfg json.RawMessage, s suite.RunSpec) (Line, error) {
 
 func testPlan(t testing.TB) WirePlan {
 	t.Helper()
-	sc, err := scenario.ByName("memory-storm")
-	if err != nil {
-		t.Fatal(err)
+	var set []*scenario.Scenario
+	for _, name := range []string{"binder-storm", "memory-storm"} {
+		sc, err := scenario.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set = append(set, sc)
 	}
 	wp, err := NewWirePlan(suite.Plan{
 		Benchmarks:  []string{"alpha", "beta"},
-		Scenarios:   []string{"binder-storm"},
-		ScenarioSet: []*scenario.Scenario{sc},
+		ScenarioSet: set,
 		Seeds:       []uint64{1, 2, 3},
 		Ablations:   []suite.Ablation{{Name: "base"}, {Name: "nojit", DisableJIT: true}},
 	})

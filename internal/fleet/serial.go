@@ -64,7 +64,7 @@ func RunSerial(spec *Spec, opts SerialOptions) (*Report, error) {
 			}
 		}
 		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "fleet: %d/%d shards\n", agg.done, agg.shards)
+			fmt.Fprintf(opts.Progress, "fleet: %d/%d shards\n", agg.next, agg.shards)
 		}
 	}
 	return agg.Report()

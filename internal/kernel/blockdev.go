@@ -28,7 +28,6 @@ type ioRequest struct {
 
 // BlockDevice models the storage device plus its ata_sff/0 service thread.
 type BlockDevice struct {
-	k     *Kernel
 	queue *MsgQueue[*ioRequest]
 	proc  *Process
 
@@ -37,7 +36,7 @@ type BlockDevice struct {
 }
 
 func newBlockDevice(k *Kernel) *BlockDevice {
-	d := &BlockDevice{k: k, queue: NewMsgQueue[*ioRequest](k, "ata.requests")}
+	d := &BlockDevice{queue: NewMsgQueue[*ioRequest](k, "ata.requests")}
 	d.proc = k.NewKernelProcess("ata_sff/0")
 	k.SpawnThread(d.proc, "ata_sff/0", "ata_sff/0", d.serviceLoop)
 	return d

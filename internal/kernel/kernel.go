@@ -73,8 +73,6 @@ type Kernel struct {
 	usedPages    uint64
 	balloonPages uint64
 	lmk          lmkState
-
-	stopping bool
 }
 
 // New boots an empty machine: swapper and the ata_sff/0 storage thread
@@ -205,7 +203,6 @@ func (k *Kernel) Wake(t *Thread) {
 	if t.State != StateBlocked && t.State != StateSleeping {
 		return
 	}
-	t.waitingOn = nil
 	k.enqueue(t)
 }
 
@@ -237,7 +234,6 @@ func (k *Kernel) Run(deadline sim.Ticks) {
 			t.State = StateBlocked
 		case cpu.YieldSleep:
 			t.State = StateSleeping
-			t.wakeAt = y.WakeAt
 			// A thread has at most one pending sleep (it runs again only
 			// after the wakeup fires), so its dedicated timer is free here.
 			t.sleepTimer.When = y.WakeAt
@@ -276,7 +272,6 @@ func (k *Kernel) idle(deadline sim.Ticks) {
 // afterwards. Every run path defers it, so the pool gets its contexts back
 // even when a run panics.
 func (k *Kernel) Shutdown() {
-	k.stopping = true
 	for _, t := range k.threads {
 		if t.ctx == nil {
 			continue

@@ -49,8 +49,7 @@ type Process struct {
 
 	Threads []*Thread
 
-	kern    *Kernel
-	nextTID int
+	kern *Kernel
 	// memReleased marks a dead process whose resident pages have been
 	// returned to the machine-wide budget.
 	memReleased bool
@@ -96,10 +95,7 @@ type Thread struct {
 	// body is the thread function; kept as a field so Start can launch the
 	// package-level trampoline threadMain with the thread itself as argument
 	// instead of allocating a capturing closure per spawn.
-	body   func(ex *Exec)
-	wakeAt sim.Ticks
-	// waitingOn is the queue the thread is blocked on, for diagnostics.
-	waitingOn *WaitQueue
+	body func(ex *Exec)
 
 	// sleepTimer is the thread's dedicated wakeup timer. A thread has at
 	// most one sleep pending (it only runs again once the wakeup fires), so
@@ -254,7 +250,6 @@ func (k *Kernel) SpawnThread(p *Process, name, group string, body func(ex *Exec)
 	}
 	t.sleepTimer.Target = t
 	k.nextTID++
-	p.nextTID++
 	if len(p.Threads) == 0 && p.Layout != nil && p.Layout.Stack != nil {
 		t.Stack = p.Layout.Stack
 	} else if p.Layout != nil {

@@ -89,7 +89,6 @@ func (k *Kernel) InitWaitQueue(wq *WaitQueue, name string) {
 func (ex *Exec) Wait(wq *WaitQueue) {
 	ex.Syscall(180, 30)
 	wq.waiters.push(ex.T)
-	ex.T.waitingOn = wq
 	ex.ctx.Block()
 }
 
@@ -97,7 +96,6 @@ func (ex *Exec) Wait(wq *WaitQueue) {
 // accounted the kernel entry themselves).
 func (ex *Exec) WaitFree(wq *WaitQueue) {
 	wq.waiters.push(ex.T)
-	ex.T.waitingOn = wq
 	ex.ctx.Block()
 }
 

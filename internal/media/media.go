@@ -57,7 +57,6 @@ type Server struct {
 	libmedia    *mem.VMA
 	hwBuf       *mem.VMA // audio DMA buffer (/dev/eac on the goldfish board)
 
-	driver   *binder.Driver
 	comp     *gfx.Compositor
 	sessions []*session
 	mixKick  *kernel.WaitQueue
@@ -101,7 +100,6 @@ func NewServer(proc *kernel.Process, lm *loader.LinkMap, driver *binder.Driver, 
 		stagefright: lm.VMA("libstagefright.so"),
 		libaudio:    lm.VMA("libaudioflinger.so"),
 		libmedia:    lm.VMA("libmedia.so"),
-		driver:      driver,
 		comp:        comp,
 		mixKick:     k.NewWaitQueue("audioflinger.mix"),
 	}

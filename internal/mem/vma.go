@@ -131,14 +131,6 @@ func (v *VMA) Slice(off, n uint64) []byte {
 // Bytes returns a mutable view of the whole VMA.
 func (v *VMA) Bytes() []byte { return v.Slice(0, v.Size()) }
 
-// AddrOf converts a byte offset within the VMA to a virtual address.
-func (v *VMA) AddrOf(off uint64) Addr {
-	if off > v.Size() {
-		panic(fmt.Sprintf("mem: offset %d outside %s", off, v.Name))
-	}
-	return v.Start + off
-}
-
 // ensure gives v a private, writable store whose backing array covers at
 // least [0, end). It handles the two slow paths Slice kicks out to:
 //

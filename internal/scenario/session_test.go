@@ -131,9 +131,6 @@ func TestKillTearsProcessesDown(t *testing.T) {
 			t.Errorf("%s: live processes %d not below total %d after kills",
 				name, res.LiveProcesses, res.Processes)
 		}
-		if len(res.Session.Scenario.Timeline) != len(sc.Timeline) {
-			t.Errorf("%s: applied %d events, want %d", name, len(res.Session.Scenario.Timeline), len(sc.Timeline))
-		}
 	}
 }
 
@@ -321,9 +318,6 @@ func TestChaosLibraryScenariosInjectDetectRecover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r.Session.Scenario.Timeline) != len(sc.Timeline) {
-			t.Errorf("%s: applied %d events, want %d", name, len(r.Session.Scenario.Timeline), len(sc.Timeline))
-		}
 		if r.Session.FaultsInjected == 0 {
 			t.Errorf("%s: no faults injected", name)
 		}
@@ -376,9 +370,6 @@ func TestCrashServiceRestartsAndLaterEventsLand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Session.Scenario.Timeline) != len(sc.Timeline) {
-		t.Fatalf("applied %d events, want %d", len(r.Session.Scenario.Timeline), len(sc.Timeline))
-	}
 	if r.Session.FaultsInjected != 2 || r.Session.FaultsDetected != 2 {
 		t.Fatalf("injected/detected = %d/%d, want 2/2", r.Session.FaultsInjected, r.Session.FaultsDetected)
 	}
@@ -426,9 +417,6 @@ func TestGeneratorFaultsKnob(t *testing.T) {
 	r, err := core.RunScenarioDef(s, sessionCfg())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(r.Session.Scenario.Timeline) != len(s.Timeline) {
-		t.Fatalf("applied %d events, want %d", len(r.Session.Scenario.Timeline), len(s.Timeline))
 	}
 	if r.Session.FaultsInjected == 0 {
 		t.Fatal("generated chaos session injected nothing")
@@ -574,9 +562,6 @@ func TestInputMidKillAndFinalTickNeverPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputTotalsConsistent(t, r.Session)
-	if len(r.Session.Scenario.Timeline) != len(sc.Timeline) {
-		t.Fatalf("applied %d events, want %d", len(r.Session.Scenario.Timeline), len(sc.Timeline))
-	}
 	// tap(2) + tap(2) + key(1) + swipe(5) = 10 samples; everything from
 	// the kill onward (8 samples) must be dropped.
 	if r.Session.InputEvents != 10 {

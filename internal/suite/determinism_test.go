@@ -8,6 +8,7 @@ package suite_test
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"agave/internal/core"
@@ -30,7 +31,7 @@ import (
 // injection plane: armed binder failures, service crash/restart cycles, and
 // mediaserver kills with session adoption, all of which must land at the
 // same simulated instants under any worker count.
-func determinismPlan() suite.Plan {
+func determinismPlan(t testing.TB) suite.Plan {
 	return suite.Plan{
 		Benchmarks: []string{
 			"frozenbubble.main", // Java game (JIT-sensitive)
@@ -39,7 +40,7 @@ func determinismPlan() suite.Plan {
 			"401.bzip2",         // SPEC baseline
 			"462.libquantum",    // SPEC baseline
 		},
-		Scenarios: []string{
+		ScenarioSet: bundled(t,
 			"social-burst",         // 4 concurrently-live apps
 			"app-churn",            // kill/relaunch lifecycle stress
 			"memory-storm",         // emergent lowmemorykiller kills
@@ -47,10 +48,25 @@ func determinismPlan() suite.Plan {
 			"arcade-rally",         // InputDispatcher traffic + mid-kill drops
 			"binder-storm",         // binder faults + corrupt parcels + crash/restart
 			"mediaserver-meltdown", // mediaserver kills + session adoption
-		},
+		),
 		Seeds:     []uint64{1, 7},
 		Ablations: suite.DefaultAblations,
 	}
+}
+
+// bundled resolves library sessions to their definitions, as a plan
+// builder does.
+func bundled(t testing.TB, names ...string) []*scenario.Scenario {
+	t.Helper()
+	set := make([]*scenario.Scenario, len(names))
+	for i, name := range names {
+		sc, err := scenario.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set[i] = sc
+	}
+	return set
 }
 
 func quickCfg() core.Config {
@@ -64,7 +80,7 @@ func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("72-run sweep")
 	}
-	plan := determinismPlan()
+	plan := determinismPlan(t)
 	if plan.Size() < 25 {
 		t.Fatalf("plan has %d runs, determinism bar is >= 25", plan.Size())
 	}
@@ -204,35 +220,6 @@ func TestAdHocScenarioSweepBitIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestScenarioSetSpecsExpandAfterNamedScenarios pins the extended plan
-// order: benchmarks, then named scenarios, then the ad-hoc scenario set,
-// with Def carried on set specs only.
-func TestScenarioSetSpecsExpandAfterNamedScenarios(t *testing.T) {
-	gen := scenario.Generate(scenario.GenConfig{Seed: 2, Apps: 2, Events: 6})
-	plan := suite.Plan{
-		Benchmarks:  []string{"countdown.main"},
-		Scenarios:   []string{"commute"},
-		ScenarioSet: []*scenario.Scenario{gen},
-		Seeds:       []uint64{1},
-	}
-	specs := plan.Specs()
-	if len(specs) != 3 || plan.Size() != 3 {
-		t.Fatalf("expanded %d specs (Size %d), want 3", len(specs), plan.Size())
-	}
-	if specs[0].Scenario || specs[0].Def != nil {
-		t.Fatalf("benchmark spec malformed: %+v", specs[0])
-	}
-	if !specs[1].Scenario || specs[1].Def != nil || specs[1].Benchmark != "commute" {
-		t.Fatalf("named scenario spec malformed: %+v", specs[1])
-	}
-	if !specs[2].Scenario || specs[2].Def != gen || specs[2].Benchmark != gen.Name {
-		t.Fatalf("scenario-set spec malformed: %+v", specs[2])
-	}
-	if got := specs[2].UnitName(); got != "scenario:"+gen.Name {
-		t.Fatalf("UnitName = %q", got)
-	}
-}
-
 // TestRunPlanMatchesRunSuite pins the public-API contract: the serial
 // results slice the figure commands fold equals the 4-worker RunPlan of the
 // same benchmarks at the same seed.
@@ -289,39 +276,40 @@ func TestRunPlanUnknownBenchmark(t *testing.T) {
 	}
 }
 
-func TestRunPlanUnknownScenario(t *testing.T) {
-	plan := suite.Plan{Scenarios: []string{"no-such-session"}}
-	_, err := core.RunPlan(quickCfg(), plan, 4)
-	if err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-}
-
 // TestScenarioSpecsExpandAfterBenchmarks pins the plan order contract:
-// benchmarks first, then scenarios, each crossed with every seed and
-// ablation, with the scenario bit set and the "scenario:" display prefix.
+// benchmarks first, then the scenario set in its order — here a bundled
+// session, then a generated one — each crossed with every seed. Every
+// scenario spec carries its definition, Scenario is set exactly when Def
+// is, and scenario units display with the "scenario:" prefix.
 func TestScenarioSpecsExpandAfterBenchmarks(t *testing.T) {
+	gen := scenario.Generate(scenario.GenConfig{Seed: 2, Apps: 2, Events: 6})
+	set := append(bundled(t, "commute"), gen)
 	plan := suite.Plan{
-		Benchmarks: []string{"countdown.main"},
-		Scenarios:  []string{"commute"},
-		Seeds:      []uint64{1, 2},
+		Benchmarks:  []string{"countdown.main"},
+		ScenarioSet: set,
+		Seeds:       []uint64{1, 2},
 	}
 	specs := plan.Specs()
-	if len(specs) != 4 || plan.Size() != 4 {
-		t.Fatalf("expanded %d specs (Size %d), want 4", len(specs), plan.Size())
+	if len(specs) != 6 || plan.Size() != 6 {
+		t.Fatalf("expanded %d specs (Size %d), want 6", len(specs), plan.Size())
 	}
 	for i, want := range []struct {
-		name     string
-		scenario bool
+		name string
+		def  *scenario.Scenario
 	}{
-		{"countdown.main", false}, {"countdown.main", false},
-		{"commute", true}, {"commute", true},
+		{"countdown.main", nil}, {"countdown.main", nil},
+		{"commute", set[0]}, {"commute", set[0]},
+		{gen.Name, gen}, {gen.Name, gen},
 	} {
-		if specs[i].Benchmark != want.name || specs[i].Scenario != want.scenario {
-			t.Fatalf("spec %d = %+v, want %s scenario=%v", i, specs[i], want.name, want.scenario)
+		s := specs[i]
+		if s.Index != i || s.Seed != uint64(i%2+1) || s.Benchmark != want.name || s.Def != want.def {
+			t.Fatalf("spec %d = %s (def %p), want %s/seed=%d (def %p)", i, s, s.Def, want.name, i%2+1, want.def)
 		}
-	}
-	if got := specs[3].UnitName(); got != "scenario:commute" {
-		t.Fatalf("UnitName = %q", got)
+		if s.Scenario != (s.Def != nil) {
+			t.Fatalf("spec %d (%s): Scenario = %v with Def %p", i, s, s.Scenario, s.Def)
+		}
+		if prefixed := strings.HasPrefix(s.UnitName(), "scenario:"); prefixed != s.Scenario {
+			t.Fatalf("spec %d: UnitName = %q", i, s.UnitName())
+		}
 	}
 }

@@ -66,12 +66,10 @@ func (a Ablation) Label() string {
 // Empty Seeds defaults to {1}; empty Ablations defaults to {Baseline}.
 type Plan struct {
 	Benchmarks []string
-	// Scenarios names bundled library scenarios.
-	Scenarios []string
-	// ScenarioSet holds ad-hoc scenario definitions — loaded from files or
-	// produced by the generator — that run as plan cells exactly like the
-	// named bundled ones: crossed with every seed and ablation, under the
-	// same ordered-collection determinism guarantee.
+	// ScenarioSet is the scenario axis: one definition per session —
+	// bundled, loaded from a file, or produced by the generator — resolved
+	// when the plan is built, so every run of a session executes the same
+	// document, in this process or a fleet worker.
 	ScenarioSet []*scenario.Scenario
 	Seeds       []uint64
 	Ablations   []Ablation
@@ -79,20 +77,15 @@ type Plan struct {
 
 // Size reports how many runs the plan expands to.
 func (p Plan) Size() int {
-	units := len(p.Benchmarks) + len(p.Scenarios) + len(p.ScenarioSet)
+	units := len(p.Benchmarks) + len(p.ScenarioSet)
 	return units * max(len(p.Seeds), 1) * max(len(p.Ablations), 1)
 }
 
-// ScenarioNames flattens the plan's whole scenario axis — named bundled
-// scenarios, then the ad-hoc set — in the same order Specs expands it.
-// Report writers use this so the JSON plan header can never desynchronize
-// from the run rows.
+// ScenarioNames lists the names of the plan's scenario axis in the order
+// Specs expands it. Report writers use this so the JSON plan header can
+// never desynchronize from the run rows.
 func (p Plan) ScenarioNames() []string {
-	if len(p.Scenarios) == 0 && len(p.ScenarioSet) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(p.Scenarios)+len(p.ScenarioSet))
-	names = append(names, p.Scenarios...)
+	var names []string
 	for _, sc := range p.ScenarioSet {
 		names = append(names, sc.Name)
 	}
@@ -100,9 +93,9 @@ func (p Plan) ScenarioNames() []string {
 }
 
 // Specs expands the plan into the deterministic run order: benchmarks
-// first, then named scenarios, then the ad-hoc scenario set — each
-// unit-major, then seed, then ablation. This order — not completion order —
-// is the order results are collected and emitted in.
+// first, then the scenario set — each unit-major, then seed, then ablation.
+// This order — not completion order — is the order results are collected
+// and emitted in.
 func (p Plan) Specs() []RunSpec {
 	seeds := p.Seeds
 	if len(seeds) == 0 {
@@ -113,13 +106,13 @@ func (p Plan) Specs() []RunSpec {
 		ablations = []Ablation{Baseline}
 	}
 	specs := make([]RunSpec, 0, p.Size())
-	add := func(name string, isScenario bool, def *scenario.Scenario) {
+	add := func(name string, def *scenario.Scenario) {
 		for _, s := range seeds {
 			for _, a := range ablations {
 				specs = append(specs, RunSpec{
 					Index:     len(specs),
 					Benchmark: name,
-					Scenario:  isScenario,
+					Scenario:  def != nil,
 					Def:       def,
 					Seed:      s,
 					Ablation:  a,
@@ -128,13 +121,10 @@ func (p Plan) Specs() []RunSpec {
 		}
 	}
 	for _, b := range p.Benchmarks {
-		add(b, false, nil)
-	}
-	for _, s := range p.Scenarios {
-		add(s, true, nil)
+		add(b, nil)
 	}
 	for _, sc := range p.ScenarioSet {
-		add(sc.Name, true, sc)
+		add(sc.Name, sc)
 	}
 	return specs
 }
@@ -173,10 +163,11 @@ type RunSpec struct {
 	// Benchmark names the unit under run: a benchmark, or — when Scenario
 	// is set — a scripted multi-app scenario.
 	Benchmark string
-	Scenario  bool
-	// Def carries the scenario definition when the unit is an ad-hoc
-	// scenario (file-loaded or generated); nil means Benchmark names a
-	// bundled library scenario (or a plain benchmark).
+	// Scenario reports whether the unit is a scenario; it is set exactly
+	// when Def is.
+	Scenario bool
+	// Def is the scenario definition the spec runs; nil means Benchmark
+	// names a benchmark.
 	Def      *scenario.Scenario
 	Seed     uint64
 	Ablation Ablation
