@@ -24,7 +24,7 @@
 //
 //	-duration 1000   measured milliseconds of simulated time
 //	-warmup 300      warmup milliseconds before measurement (Android runs)
-//	-seed 1          simulation seed
+//	-seed 1          seed that labels the run (no model draws from it)
 //	-nojit           disable the trace JIT in the app under test
 //	-dirtyrect       SurfaceFlinger composes only posted surfaces
 //	-cpuprofile f    write a host CPU profile of the invocation to f
@@ -45,6 +45,10 @@
 //	-seeds 1,2,3     seed axis of the run matrix (default: -seed)
 //	-ablations       add the nojit and dirtyrect ablations to the matrix
 //	-json            emit the plan, per-run rows and report as JSON
+//
+// A seed labels a run and selects nothing: no model draws a random number,
+// so every seed of a unit gives the same result. Generated scenarios take
+// their own seeds from -gen-seed.
 //
 // A benchmark, scenario or seed named twice on its axis is rejected, in
 // -bench as on a matrix: the repeated cells would alias in summaries and
@@ -162,7 +166,7 @@ func Main(args []string, stdout, stderr io.Writer) (code int) {
 	if cmd != "list" {
 		fs.Int64Var(&durationMS, "duration", 1000, "measured simulated milliseconds")
 		fs.Int64Var(&warmupMS, "warmup", 300, "warmup simulated milliseconds")
-		fs.Uint64Var(&cfg.Seed, "seed", 1, "simulation seed")
+		fs.Uint64Var(&cfg.Seed, "seed", 1, "seed that labels the run (no model draws from it)")
 		fs.BoolVar(&cfg.DisableJIT, "nojit", false, "disable the trace JIT")
 		fs.BoolVar(&cfg.DirtyRectComposition, "dirtyrect", false, "dirty-rect composition")
 		fs.StringVar(&cpuProfile, "cpuprofile", "", "write a host CPU profile of the invocation to `file`")
@@ -176,7 +180,7 @@ func Main(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if in("scenario", "suite", "fleet") {
 		fs.Uint64Var(&cfg.MinFreePages, "minfree", 0, "lowmemorykiller cached-kill waterline in pages (scenario runs; 0 = default)")
-		fs.StringVar(&pf.seeds, "seeds", "", "comma-separated seed axis of the run matrix")
+		fs.StringVar(&pf.seeds, "seeds", "", "comma-separated seed axis of the run matrix (seeds label runs)")
 		fs.BoolVar(&pf.ablations, "ablations", false, "add nojit and dirtyrect ablations to the matrix")
 		fs.BoolVar(&asJSON, "json", false, "emit the plan, runs and report as JSON")
 	}
@@ -484,9 +488,6 @@ func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (sui
 	// -gen-scenarios generated sessions at consecutive generation seeds.
 	var set []*scenario.Scenario
 	for _, n := range pf.scenarios {
-		if !slices.Contains(scenario.Names(), n) {
-			return fail(1, "unknown scenario %q", n)
-		}
 		sc, err := scenario.ByName(n)
 		if err != nil {
 			return fail(1, "%v", err)

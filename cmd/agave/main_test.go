@@ -423,7 +423,7 @@ func TestScenarioRequiresName(t *testing.T) {
 
 func TestScenarioUnknownName(t *testing.T) {
 	code, _, errOut := invoke(t, "scenario", "no-such-session")
-	if code != 1 || !strings.Contains(errOut, "no-such-session") {
+	if code != 1 || errOut != "agave scenario: unknown scenario \"no-such-session\"\n" {
 		t.Fatalf("code=%d stderr=%q", code, errOut)
 	}
 }
@@ -844,10 +844,10 @@ func TestSuiteNegativeGenKnobsRejected(t *testing.T) {
 }
 
 // TestScenarioExportUnknownName: exporting something not in the library
-// fails with the library's error.
+// fails with the library's error, prefixed once, exactly as running it does.
 func TestScenarioExportUnknownName(t *testing.T) {
 	code, _, errOut := invoke(t, "scenario", "-export", "no-such-session")
-	if code != 1 || !strings.Contains(errOut, `unknown scenario "no-such-session"`) {
+	if code != 1 || errOut != "agave scenario: unknown scenario \"no-such-session\"\n" {
 		t.Fatalf("code=%d stderr=%q", code, errOut)
 	}
 }

@@ -44,7 +44,7 @@ func main() {
 	if *durationMS <= 0 {
 		log.Fatalf("-duration must be a positive number of milliseconds (got %d)", *durationMS)
 	}
-	k := kernel.New(kernel.Config{Quantum: sim.Millisecond, Seed: 7})
+	k := kernel.New(kernel.Config{Quantum: sim.Millisecond})
 	defer k.Shutdown()
 	sys := android.Boot(k)
 

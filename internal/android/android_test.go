@@ -192,10 +192,6 @@ func TestMediaPlaybackThroughBinder(t *testing.T) {
 		if err := p.Start(ex, sys.Binder); err != nil {
 			t.Error(err)
 		}
-		ex.SleepFor(300 * sim.Millisecond)
-		if err := p.Stop(ex, sys.Binder); err != nil {
-			t.Error(err)
-		}
 	})
 	k.Run(600 * sim.Millisecond)
 	if sys.Media.MP3FramesDecoded == 0 {

@@ -70,9 +70,9 @@ type InputAppStats struct {
 	// (target dead, paused, or not focused), consumed unhandled by a
 	// paused activity, or still in flight when the measurement ended.
 	Dropped int
-	// LatencyMin/Max/Sum aggregate end-to-end dispatch latency
+	// LatencyMax and LatencySum aggregate end-to-end dispatch latency
 	// (injection to handler start) over the Dispatched events, in ticks.
-	LatencyMin, LatencyMax, LatencySum sim.Ticks
+	LatencyMax, LatencySum sim.Ticks
 	// ANRs counts Application Not Responding flags the watchdog raised
 	// against the app: episodes where its main looper sat blocked past the
 	// dispatch timeout with this app's traffic (input included) pending.
@@ -154,9 +154,6 @@ func (d *InputDispatcher) route(ex *kernel.Exec, ev InputEvent) {
 // on the receiving app's main thread, at handler start.
 func (d *InputDispatcher) noteDelivered(target string, lat sim.Ticks) {
 	c := d.channel(target)
-	if c.Dispatched == 0 || lat < c.LatencyMin {
-		c.LatencyMin = lat
-	}
 	if lat > c.LatencyMax {
 		c.LatencyMax = lat
 	}

@@ -57,8 +57,3 @@ func uiPump(ex *kernel.Exec, a *android.App, bytecodes uint64) {
 	})
 	ex.StackWork(bytecodes / 8)
 }
-
-// scratchAnon returns the app's default anonymous working buffer.
-func scratchAnon(a *android.App, size uint64) *mem.VMA {
-	return a.AnonBuffer("scratch", size)
-}

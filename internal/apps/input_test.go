@@ -47,7 +47,7 @@ func TestTapScrubsMediaPlayerThroughDispatcher(t *testing.T) {
 	if st.Dispatched+st.Dropped != st.Injected {
 		t.Fatalf("accounting leak: %d + %d != %d", st.Dispatched, st.Dropped, st.Injected)
 	}
-	if st.LatencySum == 0 || st.LatencyMax < st.LatencyMin {
+	if st.LatencySum == 0 || st.LatencySum < st.LatencyMax {
 		t.Fatalf("latency stats malformed: %+v", st)
 	}
 	if sys.Media.Seeks == 0 {

@@ -41,7 +41,6 @@ type Handler func(ex *kernel.Exec, txn *Transaction)
 
 // Service is a registered Binder endpoint.
 type Service struct {
-	Name    string
 	Proc    *kernel.Process
 	Handler Handler
 
@@ -146,7 +145,6 @@ func (d *Driver) Register(proc *kernel.Process, name string, nThreads int, h Han
 		panic(fmt.Sprintf("binder: duplicate service %q", name))
 	}
 	s := &Service{
-		Name:    name,
 		Proc:    proc,
 		Handler: h,
 		queue:   kernel.NewMsgQueue[*Transaction](d.k, "binder."+name),

@@ -25,8 +25,9 @@ import (
 
 // Config controls a benchmark run.
 type Config struct {
-	// Seed drives every stochastic decision; equal seeds give
-	// bit-identical results.
+	// Seed labels the run: it names the run on the plan's seed axis, in
+	// reports and on the fleet wire. No model draws a random number, so
+	// every seed gives the same bit-identical result.
 	Seed uint64
 	// Duration is the measured simulated interval (after warmup).
 	Duration sim.Ticks
@@ -127,7 +128,7 @@ func RunAgave(name string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := kernel.New(kernel.Config{Quantum: cfg.Quantum, Seed: cfg.Seed})
+	k := kernel.New(kernel.Config{Quantum: cfg.Quantum})
 	defer k.Shutdown()
 	sys := android.Boot(k)
 	sys.Compositor.DirtyRectOnly = cfg.DirtyRectComposition
@@ -151,7 +152,7 @@ func RunSPEC(name string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := kernel.New(kernel.Config{Quantum: cfg.Quantum, Seed: cfg.Seed})
+	k := kernel.New(kernel.Config{Quantum: cfg.Quantum})
 	defer k.Shutdown()
 	env := spec.Launch(k, b)
 	k.Run(cfg.Duration)

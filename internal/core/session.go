@@ -103,7 +103,6 @@ func RunScenarioDef(sc *scenario.Scenario, cfg Config) (*Result, error) {
 	// memory, not only because the timeline says so.
 	k := kernel.New(kernel.Config{
 		Quantum:  cfg.Quantum,
-		Seed:     cfg.Seed,
 		MemPages: kernel.DefaultMemPages,
 		MinFree:  kernel.DefaultMinFree(cfg.MinFreePages),
 	})

@@ -232,12 +232,10 @@ func (c *Context) Charge(n sim.Ticks) {
 	}
 }
 
-// Used reports ticks consumed since Run resumed the thread.
-func (c *Context) Used() sim.Ticks { return c.used }
-
-// Left reports the ticks left in the current quantum, quantum − Used. It is
-// positive whenever the body runs: a Charge that reaches the quantum's end
-// yields before it returns.
+// Left reports the ticks left in the current quantum: the quantum less the
+// ticks charged since Run resumed the thread. It is positive whenever the
+// body runs: a Charge that reaches the quantum's end yields before it
+// returns.
 func (c *Context) Left() sim.Ticks { return c.quantum - c.used }
 
 // YieldNow ends the quantum early without consuming extra ticks; the thread

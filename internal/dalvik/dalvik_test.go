@@ -190,7 +190,7 @@ func TestVMServiceThreadsExist(t *testing.T) {
 	k := harness(t, true, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {})
 	groups := map[string]bool{}
 	for _, th := range k.Threads() {
-		groups[th.Group] = true
+		groups[k.Stats.ThreadName(th.StatID)] = true
 	}
 	for _, want := range []string{"GC", "Compiler", "HeapWorker", "Signal Catcher", "JDWP"} {
 		if !groups[want] {

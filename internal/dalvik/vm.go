@@ -228,9 +228,6 @@ func (vm *VM) LoadDex(ex *kernel.Exec, file *dex.File) *LoadedDex {
 	return d
 }
 
-// Dex returns the loaded image for name, or nil.
-func (vm *VM) Dex(name string) *LoadedDex { return vm.dexes[name] }
-
 // Adopt wraps an already-mapped image (for example the loader-mapped
 // "framework.jar@classes.dex" region) as a LoadedDex backed by file, so
 // framework-bytecode interpretation reads the image the linker mapped. The

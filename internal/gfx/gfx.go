@@ -147,9 +147,6 @@ func (c *Compositor) CreateSurface(ex *kernel.Exec, owner *kernel.Process, name 
 	return s
 }
 
-// Surfaces returns the registered surfaces in Z order.
-func (c *Compositor) Surfaces() []*Surface { return c.surfaces }
-
 // loop is the SurfaceFlinger thread: wake at vsync, compose if anything was
 // posted. Composition reads each visible surface's gralloc pixels through
 // the mspace-resident pipelines and writes the blended result to fb0.
@@ -245,9 +242,6 @@ func NewCanvas(owner *kernel.Process, lm *loader.LinkMap, target *Surface) *Canv
 	cv.scratch = owner.Layout.MapAnon(owner.AS, 4<<20)
 	return cv
 }
-
-// Scratch exposes the canvas's bitmap arena (decoders render into it).
-func (cv *Canvas) Scratch() *mem.VMA { return cv.scratch }
 
 // FillRect fills a w×h region of the target surface.
 func (cv *Canvas) FillRect(ex *kernel.Exec, w, h int) {

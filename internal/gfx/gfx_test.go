@@ -51,7 +51,7 @@ func TestZOrderMaintained(t *testing.T) {
 		c.CreateSurface(ex, app, "middle", 10, 10, 5)
 	})
 	k.Run(5 * sim.Millisecond)
-	ss := c.Surfaces()
+	ss := c.surfaces
 	if len(ss) != 3 || ss[0].Name != "bottom" || ss[1].Name != "middle" || ss[2].Name != "top" {
 		t.Fatalf("z order wrong: %v %v %v", ss[0].Name, ss[1].Name, ss[2].Name)
 	}
@@ -151,7 +151,7 @@ func TestCanvasOps(t *testing.T) {
 		cv.FillRect(ex, 400, 300)
 		cv.Blit(ex, 100, 100)
 		cv.Text(ex, 25)
-		cv.DecodeImage(ex, cv.Scratch(), 200, 150)
+		cv.DecodeImage(ex, cv.scratch, 200, 150)
 	})
 	k.Run(20 * sim.Millisecond)
 	byProc := k.Stats.ByProcess()

@@ -64,9 +64,6 @@ type pendEntry struct {
 // within one quantum Now is constant.
 func (ex *Exec) Now() sim.Ticks { return ex.K.Clock.Now() }
 
-// RNG returns the process-private random source.
-func (ex *Exec) RNG() *sim.RNG { return ex.P.RNG }
-
 func (ex *Exec) account(region stats.RegionID, kind stats.Kind, n uint64) {
 	if n == 0 {
 		return
@@ -202,9 +199,6 @@ type Work struct {
 	Reads  uint64 // data reads per iteration
 	Writes uint64 // data writes per iteration
 	Data   *mem.VMA
-	// Data2 optionally receives the same read/write counts as Data
-	// (two-operand loops); nil for single-region loops.
-	Data2 *mem.VMA
 }
 
 // Do executes iters iterations of w, accounting and charging them as chunks
@@ -232,10 +226,6 @@ func (ex *Exec) Do(w Work, iters uint64) {
 		if w.Data != nil {
 			ex.account(w.Data.Region, stats.DataRead, m*w.Reads)
 			ex.account(w.Data.Region, stats.DataWrite, m*w.Writes)
-		}
-		if w.Data2 != nil {
-			ex.account(w.Data2.Region, stats.DataRead, m*w.Reads)
-			ex.account(w.Data2.Region, stats.DataWrite, m*w.Writes)
 		}
 		ex.retire(j, n*w.Fetch)
 		done += m

@@ -76,16 +76,6 @@ func TestDoAccountsExactCounts(t *testing.T) {
 	}
 }
 
-func TestDoWithTwoRegions(t *testing.T) {
-	k := execHarness(t, func(ex *Exec, p *Process) {
-		anon := p.Layout.MapAnon(p.AS, 1<<16)
-		ex.Do(Work{Fetch: 1, Reads: 1, Data: p.Layout.Heap, Data2: anon}, 500)
-	})
-	if r := k.Stats.ByRegion(stats.DataRead); r[mem.RegionHeap] != 500 || r[mem.RegionAnonymous] != 500 {
-		t.Fatalf("two-region Do wrong: %v", r)
-	}
-}
-
 func TestDoZeroItersIsNoop(t *testing.T) {
 	k := execHarness(t, func(ex *Exec, p *Process) {
 		ex.Do(Work{Fetch: 5, Reads: 1, Data: p.Layout.Heap}, 0)

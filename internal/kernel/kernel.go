@@ -12,7 +12,8 @@ import (
 type Config struct {
 	// Quantum is the scheduler time slice.
 	Quantum sim.Ticks
-	// Seed drives every stochastic decision in the simulation.
+	// Seed labels the run; nothing reads it. No model draws a random
+	// number, so every seed boots the same machine.
 	Seed uint64
 	// MemPages is the machine's physical page budget. Resident pages are
 	// always accounted; a zero budget leaves the machine effectively
@@ -39,7 +40,6 @@ type Kernel struct {
 
 	Timers sim.TimerQueue
 
-	rng     *sim.RNG
 	nextPID int
 	nextTID int
 	procs   []*Process
@@ -85,7 +85,6 @@ func New(cfg Config) *Kernel {
 	k := &Kernel{
 		Stats:   stats.NewCollector(),
 		Cfg:     cfg,
-		rng:     sim.NewRNG(cfg.Seed),
 		nextPID: 0,
 		nextTID: 0,
 	}
@@ -93,7 +92,6 @@ func New(cfg Config) *Kernel {
 	k.swapT = &Thread{
 		TID:    k.nextTID,
 		Name:   "swapper",
-		Group:  "swapper",
 		Proc:   k.Swapper,
 		State:  StateRunnable,
 		StatID: k.Stats.Thread("swapper"),
@@ -140,9 +138,6 @@ func (k *Kernel) Balloon(deltaPages int64) {
 	}
 	k.balloonPages = uint64(int64(k.balloonPages) + deltaPages)
 }
-
-// RNG returns the kernel's root random source.
-func (k *Kernel) RNG() *sim.RNG { return k.rng }
 
 // Processes returns every process ever created, in creation order.
 func (k *Kernel) Processes() []*Process { return k.procs }

@@ -34,13 +34,9 @@ type Process struct {
 	Name   string
 	AS     *mem.AddressSpace
 	Layout *mem.Layout
-	Parent *Process
 
 	// StatID is the interned stats process ID for Name.
 	StatID stats.ProcID
-
-	// RNG is the process-private deterministic random source.
-	RNG *sim.RNG
 
 	// OomAdj is the lowmemorykiller badness score the ActivityManager
 	// model assigns (higher = killed sooner). Processes start at
@@ -71,15 +67,14 @@ func (p *Process) LiveThreads() int {
 
 // Thread is one simulated kernel-schedulable thread.
 type Thread struct {
-	TID  int
-	Name string // instance name, e.g. "AsyncTask #2"
-	// Group is the name Table I ranks by, e.g. "AsyncTask". Pool workers
-	// share a group; singleton threads use their own name.
-	Group string
+	TID   int
+	Name  string // instance name, e.g. "AsyncTask #2"
 	Proc  *Process
 	State ThreadState
 
-	// StatID is the interned stats thread ID for Group.
+	// StatID is the interned stats thread ID of the thread's group, the
+	// name Table I ranks by (e.g. "AsyncTask"). Pool workers share a
+	// group; singleton threads use their own name.
 	StatID stats.ThreadID
 
 	// Stack is the thread's stack VMA: the "stack" region for main
@@ -125,7 +120,6 @@ func (k *Kernel) newBareProcess(name string) *Process {
 		Name:   name,
 		AS:     mem.NewAddressSpace(k.Stats),
 		StatID: k.Stats.Proc(name),
-		RNG:    k.rng.Fork(),
 		OomAdj: OomNeverKill,
 		kern:   k,
 	}
@@ -158,10 +152,8 @@ func (k *Kernel) Fork(parent *Process, name string) *Process {
 		Name:   name,
 		AS:     parent.AS.Clone(),
 		StatID: k.Stats.Proc(name),
-		RNG:    k.rng.Fork(),
 		OomAdj: OomNeverKill,
 		kern:   k,
-		Parent: parent,
 	}
 	child.AS.OnResident = k.addResidentPages
 	k.addResidentPages(int64(child.AS.ResidentPages()))
@@ -242,7 +234,6 @@ func (k *Kernel) SpawnThread(p *Process, name, group string, body func(ex *Exec)
 	t := &Thread{
 		TID:    k.nextTID,
 		Name:   name,
-		Group:  group,
 		Proc:   p,
 		State:  StateRunnable,
 		StatID: k.Stats.Thread(group),

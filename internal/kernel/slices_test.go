@@ -50,10 +50,6 @@ func refDo(ex *Exec, w Work, iters uint64) {
 			ex.account(w.Data.Region, stats.DataRead, n*w.Reads)
 			ex.account(w.Data.Region, stats.DataWrite, n*w.Writes)
 		}
-		if w.Data2 != nil {
-			ex.account(w.Data2.Region, stats.DataRead, n*w.Reads)
-			ex.account(w.Data2.Region, stats.DataWrite, n*w.Writes)
-		}
 		refCharge(ex, n*w.Fetch)
 		done += n
 	}
@@ -152,9 +148,8 @@ func TestSlicesMatchPerChunkLoops(t *testing.T) {
 				cases = append(cases, bulkCase{
 					name: fmt.Sprintf("q%d/off%d/do-fetch%d", q, off, f), quantum: q, offset: off,
 					body: func(h helpers, ex *Exec, p *Process) {
-						anon := p.Layout.MapAnon(p.AS, 1<<16)
 						for _, n := range counts {
-							h.do(ex, Work{Fetch: f, Reads: 2, Writes: 1, Data: p.Layout.Heap, Data2: anon}, n)
+							h.do(ex, Work{Fetch: f, Reads: 2, Writes: 1, Data: p.Layout.Heap}, n)
 						}
 					},
 				})

@@ -159,77 +159,49 @@ func MediaServerSet() []string {
 	)
 }
 
-// Image is one mapped library.
-type Image struct {
-	Lib Library
-	VMA *mem.VMA
-}
-
-// LinkMap is a process's set of mapped libraries, by name.
+// LinkMap is a process's set of mapped libraries: each library's name to
+// its text mapping.
 type LinkMap struct {
-	images map[string]*Image
-
-	// slab backs the Image structs: link maps are rebuilt per fork, and a
-	// per-library allocation was a measurable share of scenario allocs.
-	slab []Image
-}
-
-// newImage hands out a zeroed Image struct from the chunked slab.
-func (lm *LinkMap) newImage() *Image {
-	if len(lm.slab) == 0 {
-		lm.slab = make([]Image, 16)
-	}
-	img := &lm.slab[0]
-	lm.slab = lm.slab[1:]
-	return img
+	vmas map[string]*mem.VMA
 }
 
 // Load maps every named library into as (using layout's bump pointer) and
 // returns the link map. Unknown names are mapped with a default small
 // footprint so app-private libraries ("libdoom.so") need no catalog entry.
 func Load(as *mem.AddressSpace, layout *mem.Layout, names []string) *LinkMap {
-	lm := &LinkMap{images: make(map[string]*Image, len(names)), slab: make([]Image, len(names))}
+	lm := &LinkMap{vmas: make(map[string]*mem.VMA, len(names))}
 	for _, name := range names {
-		lm.LoadOne(as, layout, name)
+		lm.loadOne(as, layout, name)
 	}
 	return lm
 }
 
-// LoadOne maps a single library if not already present and returns its image.
-func (lm *LinkMap) LoadOne(as *mem.AddressSpace, layout *mem.Layout, name string) *Image {
-	if img, ok := lm.images[name]; ok {
-		return img
+// loadOne maps a single library if not already present and returns its
+// mapping.
+func (lm *LinkMap) loadOne(as *mem.AddressSpace, layout *mem.Layout, name string) *mem.VMA {
+	if v, ok := lm.vmas[name]; ok {
+		return v
 	}
 	lib, ok := Lookup(name)
 	if !ok {
 		lib = Library{Name: name, Size: 160 * KB}
 	}
 	text, _ := layout.MapLibrary(as, lib.Name, lib.Size, 0)
-	img := lm.newImage()
-	img.Lib = lib
-	img.VMA = text
-	lm.images[name] = img
-	return img
+	lm.vmas[name] = text
+	return text
 }
 
 // Rebind builds a link map over an address space that already holds (some
 // of) the named mappings — the situation after fork, where the child
 // inherited the parent's libraries. Names not yet mapped are loaded.
 func Rebind(as *mem.AddressSpace, layout *mem.Layout, names []string) *LinkMap {
-	lm := &LinkMap{images: make(map[string]*Image, len(names)), slab: make([]Image, len(names))}
+	lm := &LinkMap{vmas: make(map[string]*mem.VMA, len(names))}
 	for _, name := range names {
 		if v := as.FindByName(name); v != nil {
-			lib, ok := Lookup(name)
-			if !ok {
-				lib = Library{Name: name, Size: v.Size()}
-			}
-			img := lm.newImage()
-			img.Lib = lib
-			img.VMA = v
-			lm.images[name] = img
+			lm.vmas[name] = v
 			continue
 		}
-		lm.LoadOne(as, layout, name)
+		lm.loadOne(as, layout, name)
 	}
 	return lm
 }
@@ -237,22 +209,19 @@ func Rebind(as *mem.AddressSpace, layout *mem.Layout, names []string) *LinkMap {
 // VMA returns the mapping of the named library, panicking when absent —
 // a workload model referencing an unmapped library is a bug.
 func (lm *LinkMap) VMA(name string) *mem.VMA {
-	img, ok := lm.images[name]
+	v, ok := lm.vmas[name]
 	if !ok {
 		panic(fmt.Sprintf("loader: library %q not mapped", name))
 	}
-	return img.VMA
+	return v
 }
 
 // Names lists mapped library names, sorted for deterministic iteration.
 func (lm *LinkMap) Names() []string {
-	out := make([]string, 0, len(lm.images))
-	for n := range lm.images {
+	out := make([]string, 0, len(lm.vmas))
+	for n := range lm.vmas {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
-
-// Count reports the number of mapped libraries.
-func (lm *LinkMap) Count() int { return len(lm.images) }

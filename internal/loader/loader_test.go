@@ -36,8 +36,8 @@ func TestCatalogSizeSupportsRegionCensus(t *testing.T) {
 func TestLoadMapsEverything(t *testing.T) {
 	as, layout := newSpace()
 	lm := Load(as, layout, BaseSet())
-	if lm.Count() != len(BaseSet()) {
-		t.Fatalf("mapped %d, want %d", lm.Count(), len(BaseSet()))
+	if len(lm.vmas) != len(BaseSet()) {
+		t.Fatalf("mapped %d, want %d", len(lm.vmas), len(BaseSet()))
 	}
 	v := lm.VMA("libdvm.so")
 	if v == nil || v.Name != "libdvm.so" {
@@ -60,13 +60,13 @@ func TestLoadUnknownGetsDefaultFootprint(t *testing.T) {
 func TestLoadOneIdempotent(t *testing.T) {
 	as, layout := newSpace()
 	lm := Load(as, layout, []string{"libc.so"})
-	a := lm.LoadOne(as, layout, "libc.so")
-	b := lm.LoadOne(as, layout, "libc.so")
+	a := lm.loadOne(as, layout, "libc.so")
+	b := lm.loadOne(as, layout, "libc.so")
 	if a != b {
-		t.Fatal("double load created two images")
+		t.Fatal("double load created two mappings")
 	}
-	if lm.Count() != 1 {
-		t.Fatalf("count = %d", lm.Count())
+	if len(lm.vmas) != 1 {
+		t.Fatalf("count = %d", len(lm.vmas))
 	}
 }
 
@@ -86,8 +86,8 @@ func TestRebindFindsInherited(t *testing.T) {
 	Load(as, layout, []string{"libc.so", "libdvm.so"})
 	child := as.Clone()
 	lm := Rebind(child, layout, []string{"libc.so", "libdvm.so", "libvlccore.so"})
-	if lm.Count() != 3 {
-		t.Fatalf("rebind mapped %d, want 3", lm.Count())
+	if len(lm.vmas) != 3 {
+		t.Fatalf("rebind mapped %d, want 3", len(lm.vmas))
 	}
 	// Inherited libraries must resolve to the child's VMAs, not be
 	// remapped.
@@ -113,8 +113,8 @@ func TestSetsAreLoadable(t *testing.T) {
 	for _, set := range [][]string{BaseSet(), SystemServerSet(), MediaServerSet()} {
 		as, layout := newSpace()
 		lm := Load(as, layout, set)
-		if lm.Count() != len(set) {
-			t.Fatalf("set of %d mapped %d", len(set), lm.Count())
+		if len(lm.vmas) != len(set) {
+			t.Fatalf("set of %d mapped %d", len(set), len(lm.vmas))
 		}
 	}
 	if len(SystemServerSet()) <= len(BaseSet()) || len(MediaServerSet()) <= len(BaseSet()) {

@@ -17,12 +17,13 @@ import (
 	"agave/internal/sim"
 )
 
-// Binder operation codes for the "media.player" service.
+// Binder operation codes for the "media.player" service. Codes are stable,
+// so 4 stays unassigned.
 const (
 	opOpenMP3 int32 = iota + 1
 	opOpenMP4
 	opStart
-	opStop
+	_
 	opSeek
 )
 
@@ -122,14 +123,6 @@ func (s *Server) handle(ex *kernel.Exec, txn *binder.Transaction) {
 		if sess := s.find(id); sess != nil {
 			sess.active = true
 			sess.start.WakeAll()
-			txn.Reply.WriteInt32(0)
-		} else {
-			txn.Reply.WriteInt32(-1)
-		}
-	case opStop:
-		id, _ := txn.Data.ReadInt32()
-		if sess := s.find(id); sess != nil {
-			sess.active = false
 			txn.Reply.WriteInt32(0)
 		} else {
 			txn.Reply.WriteInt32(-1)
@@ -412,11 +405,6 @@ func (p *Player) AttachSurface(surf *gfx.Surface) { p.srv.AttachSurface(p.id, su
 // Start begins playback (Binder call).
 func (p *Player) Start(ex *kernel.Exec, d *binder.Driver) error {
 	return p.call(ex, d, opStart, "start")
-}
-
-// Stop halts playback (Binder call).
-func (p *Player) Stop(ex *kernel.Exec, d *binder.Driver) error {
-	return p.call(ex, d, opStop, "stop")
 }
 
 // Seek repositions playback (Binder call): the mediaserver side walks the

@@ -40,8 +40,8 @@ func TestOpenStartStopMP3(t *testing.T) {
 			t.Error(err)
 		}
 		ex.SleepFor(200 * sim.Millisecond)
-		if err := p.Stop(ex, d); err != nil {
-			t.Error(err)
+		if n := srv.StopOwned(client); n != 1 {
+			t.Errorf("StopOwned stopped %d sessions, want 1", n)
 		}
 	})
 	k.Run(500 * sim.Millisecond)
@@ -51,11 +51,11 @@ func TestOpenStartStopMP3(t *testing.T) {
 	if srv.Mixes == 0 {
 		t.Fatal("mixer never ran")
 	}
-	// Decode stops after Stop: frame count must plateau.
+	// Decode stops after StopOwned: frame count must plateau.
 	n := srv.MP3FramesDecoded
 	k.Run(700 * sim.Millisecond)
 	if srv.MP3FramesDecoded > n+2 {
-		t.Fatalf("decode continued after Stop: %d -> %d", n, srv.MP3FramesDecoded)
+		t.Fatalf("decode continued after StopOwned: %d -> %d", n, srv.MP3FramesDecoded)
 	}
 }
 
@@ -127,14 +127,16 @@ func TestOpenUnknownKind(t *testing.T) {
 	}
 }
 
+// TestStopUnknownSession: a player op on an id the server never handed out
+// fails with the server's -1 reply instead of touching a session.
 func TestStopUnknownSession(t *testing.T) {
 	k, d, srv, client := setup(t)
 	ran := false
 	k.SpawnThread(client, "main", "main", func(ex *kernel.Exec) {
 		ex.PushCode(client.Layout.Text)
 		p := &Player{srv: srv, id: 999}
-		if err := p.Stop(ex, d); err == nil {
-			t.Error("Stop of unknown session succeeded")
+		if err := p.Seek(ex, d); err == nil {
+			t.Error("Seek of unknown session succeeded")
 		}
 		ran = true
 	})

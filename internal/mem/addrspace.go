@@ -12,7 +12,7 @@ import (
 //
 // The address space also keeps the resident-set accounting the kernel's
 // memory-pressure model is fed by: every Map/Unmap/Discard/Commit updates
-// a per-class page count, and the OnResident hook reports the delta to the
+// the resident page count, and the OnResident hook reports the delta to the
 // owner (the kernel's global physical-page budget). Only writable non-kernel
 // mappings count — read-only file pages are evictable cache and the kernel
 // direct map is shared physical memory, so neither pins pages. Shared
@@ -29,11 +29,6 @@ type AddressSpace struct {
 	OnResident func(deltaPages int64)
 
 	residentPages uint64
-	classPages    [ClassRuntime + 1]uint64
-
-	// lookup cache: the last VMA hit. Valid because the simulator advances
-	// one thread at a time.
-	last *VMA
 
 	// vmaSlab is a chunked allocator for VMA structs: Map is called dozens
 	// of times per process launch, and individual VMA allocations were a
@@ -47,20 +42,9 @@ func NewAddressSpace(c *stats.Collector) *AddressSpace {
 	return &AddressSpace{collector: c}
 }
 
-// Collector exposes the stats collector used for region interning.
-func (as *AddressSpace) Collector() *stats.Collector { return as.collector }
-
 // ResidentPages reports the pressure-relevant resident set of the whole
 // address space, in pages.
 func (as *AddressSpace) ResidentPages() uint64 { return as.residentPages }
-
-// ResidentPagesByClass reports the resident pages of one region class.
-func (as *AddressSpace) ResidentPagesByClass(c Class) uint64 {
-	if int(c) >= len(as.classPages) {
-		return 0
-	}
-	return as.classPages[c]
-}
 
 // countable reports whether a mapping pins physical pages in the pressure
 // model: writable (dirty-able) and not the shared kernel image.
@@ -68,8 +52,8 @@ func countable(v *VMA) bool {
 	return v.Perms&PermWrite != 0 && v.Class != ClassKernel
 }
 
-// addResident applies a resident-byte delta to v and to the per-class and
-// whole-space page counts, reporting the page delta through OnResident.
+// addResident applies a resident-byte delta to v and to the whole-space
+// page count, reporting the page delta through OnResident.
 // deltaBytes must be page-aligned.
 func (as *AddressSpace) addResident(v *VMA, deltaBytes int64) {
 	if deltaBytes == 0 || !countable(v) {
@@ -78,21 +62,8 @@ func (as *AddressSpace) addResident(v *VMA, deltaBytes int64) {
 	pages := deltaBytes / PageSize
 	v.resident = uint64(int64(v.resident) + deltaBytes)
 	as.residentPages = uint64(int64(as.residentPages) + pages)
-	if int(v.Class) < len(as.classPages) {
-		as.classPages[v.Class] = uint64(int64(as.classPages[v.Class]) + pages)
-	}
 	if as.OnResident != nil {
 		as.OnResident(pages)
-	}
-}
-
-// invalidate drops the lookup cache when a mutation touches [start, end).
-// Every mutation of the map (Map, Unmap) funnels through this, so the
-// cache can never outlive a VMA whose range it covers: a freed-and-remapped
-// range always resolves through the authoritative sorted slice.
-func (as *AddressSpace) invalidate(start, end Addr) {
-	if as.last != nil && as.last.Start < end && start < as.last.End {
-		as.last = nil
 	}
 }
 
@@ -105,7 +76,7 @@ func (as *AddressSpace) Map(start Addr, size uint64, name string, perms Perm, cl
 		return nil, fmt.Errorf("mem: zero-size mapping %q", name)
 	}
 	end := start + size
-	if i := as.overlapIndexExcept(start, end, nil); i >= 0 {
+	if i := as.overlapIndex(start, end); i >= 0 {
 		return nil, fmt.Errorf("mem: mapping %q [%#x,%#x) overlaps %s", name, start, end, as.vmas[i])
 	}
 	v := as.newVMA()
@@ -116,7 +87,6 @@ func (as *AddressSpace) Map(start Addr, size uint64, name string, perms Perm, cl
 	v.Class = class
 	v.Region = as.collector.Region(name)
 	as.insert(v)
-	as.invalidate(v.Start, v.End)
 	as.addResident(v, int64(size))
 	return v, nil
 }
@@ -158,7 +128,6 @@ func (as *AddressSpace) Unmap(v *VMA) error {
 		return fmt.Errorf("mem: unmap of unknown VMA %s", v)
 	}
 	as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
-	as.invalidate(v.Start, v.End)
 	as.addResident(v, -int64(v.resident))
 	return nil
 }
@@ -196,12 +165,7 @@ func (as *AddressSpace) Commit(v *VMA, bytes uint64) uint64 {
 
 // Find resolves addr to its containing VMA, or nil when unmapped.
 func (as *AddressSpace) Find(addr Addr) *VMA {
-	if as.last != nil && as.last.Contains(addr) {
-		return as.last
-	}
-	i := as.search(addr)
-	if i < len(as.vmas) && as.vmas[i].Contains(addr) {
-		as.last = as.vmas[i]
+	if i := as.search(addr); i < len(as.vmas) && as.vmas[i].Contains(addr) {
 		return as.vmas[i]
 	}
 	return nil
@@ -216,10 +180,6 @@ func (as *AddressSpace) FindByName(name string) *VMA {
 	}
 	return nil
 }
-
-// VMAs returns the mappings in address order. The caller must not mutate the
-// slice.
-func (as *AddressSpace) VMAs() []*VMA { return as.vmas }
 
 // Count reports the number of mappings.
 func (as *AddressSpace) Count() int { return len(as.vmas) }
@@ -250,9 +210,6 @@ func (as *AddressSpace) Clone() *AddressSpace {
 		nv.resident = v.resident
 		if countable(nv) {
 			child.residentPages += nv.resident / PageSize
-			if int(nv.Class) < len(child.classPages) {
-				child.classPages[nv.Class] += nv.resident / PageSize
-			}
 		}
 		switch {
 		case v.Shared || v.Perms&PermWrite == 0:
@@ -295,13 +252,11 @@ func (as *AddressSpace) search(addr Addr) int {
 	return sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > addr })
 }
 
-// overlapIndexExcept returns the lowest index of a VMA other than skip that
-// overlaps [start, end), or -1.
-func (as *AddressSpace) overlapIndexExcept(start, end Addr, skip *VMA) int {
-	for i := as.search(start); i < len(as.vmas) && as.vmas[i].Start < end; i++ {
-		if as.vmas[i] != skip {
-			return i
-		}
+// overlapIndex returns the lowest index of a VMA that overlaps
+// [start, end), or -1.
+func (as *AddressSpace) overlapIndex(start, end Addr) int {
+	if i := as.search(start); i < len(as.vmas) && as.vmas[i].Start < end {
+		return i
 	}
 	return -1
 }

@@ -267,7 +267,7 @@ func TestAddressSpaceInvariantProperty(t *testing.T) {
 			}
 		}
 		// Sorted & disjoint.
-		vs := as.VMAs()
+		vs := as.vmas
 		for i := 1; i < len(vs); i++ {
 			if vs[i-1].End > vs[i].Start {
 				return false
@@ -283,31 +283,6 @@ func TestAddressSpaceInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestLookupCacheInvalidatedOnMutation pins the cache-coherence fix: the
-// stale path is cache-a-VMA, unmap it, remap an overlapping range — the old
-// code only cleared the cache when the unmapped VMA was the cached one at
-// unmap time, and a later mutation covering the cached range could otherwise
-// leave Find answering from a freed VMA. Every mutation (Map, Unmap) now
-// invalidates any cache entry its range covers.
-func TestLookupCacheInvalidatedOnMutation(t *testing.T) {
-	as := newAS()
-	a := mustMap(t, as, 0x1000, 0x1000, "a")
-	if as.Find(0x1800) != a {
-		t.Fatal("warm-up Find missed")
-	}
-	if err := as.Unmap(a); err != nil {
-		t.Fatal(err)
-	}
-	if as.last != nil {
-		t.Fatal("Unmap left the lookup cache pointing at a freed VMA")
-	}
-	// Overlapping remap of the freed range must resolve to the new VMA.
-	b := mustMap(t, as, 0x0800, 0x2000, "b")
-	if got := as.Find(0x1800); got != b {
-		t.Fatalf("Find after overlapping remap = %v, want %v", got, b)
 	}
 }
 
@@ -337,9 +312,6 @@ func TestResidentAccounting(t *testing.T) {
 	}
 	if got := as.ResidentPages(); got != 8 {
 		t.Fatalf("resident after kernel map = %d pages, want 8", got)
-	}
-	if got := as.ResidentPagesByClass(ClassAnon); got != 8 {
-		t.Fatalf("anon class pages = %d, want 8", got)
 	}
 
 	// Discard releases pages without unmapping; Commit brings them back,
@@ -378,9 +350,6 @@ func TestCloneCarriesResidentAccounting(t *testing.T) {
 	if child.ResidentPages() != as.ResidentPages() {
 		t.Fatalf("clone resident = %d, parent = %d", child.ResidentPages(), as.ResidentPages())
 	}
-	if child.ResidentPagesByClass(ClassAnon) != as.ResidentPagesByClass(ClassAnon) {
-		t.Fatal("clone per-class accounting diverged")
-	}
 }
 
 func mustMap(t *testing.T, as *AddressSpace, start Addr, size uint64, name string) *VMA {
@@ -397,12 +366,12 @@ func mustMapPerm(t *testing.T, as *AddressSpace, start Addr, size uint64, name s
 	return v
 }
 
-// refOverlapIndexExcept is the linear overlap scan the address space used
-// before its lookups became binary searches: the lowest index of a VMA other
-// than skip that overlaps [start, end), or -1.
-func refOverlapIndexExcept(vmas []*VMA, start, end Addr, skip *VMA) int {
+// refOverlapIndex is the linear overlap scan the address space used before
+// its lookups became binary searches: the lowest index of a VMA that
+// overlaps [start, end), or -1.
+func refOverlapIndex(vmas []*VMA, start, end Addr) int {
 	for i, v := range vmas {
-		if v != skip && v.Start < end && start < v.End {
+		if v.Start < end && start < v.End {
 			return i
 		}
 	}
@@ -414,7 +383,7 @@ func refOverlapIndexExcept(vmas []*VMA, start, end Addr, skip *VMA) int {
 func refFindGap(vmas []*VMA, hint Addr, size uint64) Addr {
 	start := roundUp(hint)
 	for {
-		i := refOverlapIndexExcept(vmas, start, start+size, nil)
+		i := refOverlapIndex(vmas, start, start+size)
 		if i < 0 {
 			return start
 		}
@@ -426,7 +395,7 @@ func refFindGap(vmas []*VMA, hint Addr, size uint64) Addr {
 // Unmap sequences on a NewLayout space and checks every answer against the
 // linear reference scans: the lowest gap at or above the hint and the same
 // overlap error. After every op the map must be sorted and disjoint and the
-// resident counters must equal the sum over countable VMAs.
+// resident counter must equal the sum over countable VMAs.
 func TestAddressSpaceMatchesLinearReference(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := sim.NewRNG(seed)
@@ -448,7 +417,7 @@ func TestAddressSpaceMatchesLinearReference(t *testing.T) {
 		}
 		// gaps lists the holes between consecutive mappings.
 		gaps := func() (g [][2]Addr) {
-			vs := as.VMAs()
+			vs := as.vmas
 			for i := 1; i < len(vs); i++ {
 				if vs[i-1].End < vs[i].Start {
 					g = append(g, [2]Addr{vs[i-1].End, vs[i].Start})
@@ -458,7 +427,7 @@ func TestAddressSpaceMatchesLinearReference(t *testing.T) {
 		}
 
 		for op := 0; op < 1500; op++ {
-			vs := as.VMAs()
+			vs := as.vmas
 			switch r := rng.Intn(100); {
 			case r < 35: // MapAnywhere
 				var hint Addr
@@ -495,7 +464,7 @@ func TestAddressSpaceMatchesLinearReference(t *testing.T) {
 				start := randAddr(lo, hi) &^ (PageSize - 1)
 				size := randSize()
 				end := start + roundUp(size)
-				ref := refOverlapIndexExcept(vs, start, end, nil)
+				ref := refOverlapIndex(vs, start, end)
 				var wantErr string
 				if ref >= 0 {
 					wantErr = fmt.Sprintf("mem: mapping %q [%#x,%#x) overlaps %s", "fixed", start, end, vs[ref])
@@ -534,27 +503,20 @@ func TestAddressSpaceMatchesLinearReference(t *testing.T) {
 }
 
 // checkAddressSpace asserts the map is sorted and disjoint and that the
-// resident counters equal the sum over countable VMAs.
+// resident counter equals the sum over countable VMAs.
 func checkAddressSpace(t *testing.T, as *AddressSpace) {
 	t.Helper()
 	var total uint64
-	var byClass [ClassRuntime + 1]uint64
-	vs := as.VMAs()
+	vs := as.vmas
 	for i, v := range vs {
 		if v.Start >= v.End || (i > 0 && vs[i-1].End > v.Start) {
 			t.Fatalf("map not sorted and disjoint at %d: %v", i, vs)
 		}
 		if countable(v) {
 			total += v.resident / PageSize
-			byClass[v.Class] += v.resident / PageSize
 		}
 	}
 	if got := as.ResidentPages(); got != total {
 		t.Fatalf("ResidentPages = %d, sum over VMAs %d", got, total)
-	}
-	for c := range byClass {
-		if got := as.ResidentPagesByClass(Class(c)); got != byClass[c] {
-			t.Fatalf("ResidentPagesByClass(%d) = %d, sum over VMAs %d", c, got, byClass[c])
-		}
 	}
 }

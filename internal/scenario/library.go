@@ -38,10 +38,11 @@ func Names() []string { return slices.Clone(bundled) }
 
 // ByName decodes one bundled scenario with the strict codec that -file and
 // -scenario-dir use. Its Source stays empty: bundled sessions carry no
-// provenance.
+// provenance. An unknown name's error is `unknown scenario "x"`, with no
+// package prefix, so a command can print it behind its own.
 func ByName(name string) (*Scenario, error) {
 	if !slices.Contains(bundled, name) {
-		return nil, fmt.Errorf("scenario: unknown scenario %q", name)
+		return nil, fmt.Errorf("unknown scenario %q", name)
 	}
 	path := "testdata/scenarios/" + name + ".json"
 	data, err := agave.Scenarios.ReadFile(path)

@@ -1,8 +1,8 @@
 package sim
 
 // RNG is a small, fast, deterministic pseudo-random source
-// (xorshift64-star). Every stochastic decision in the simulator draws from a
-// seeded RNG so runs are bit-reproducible.
+// (xorshift64-star). The scenario generator draws from it, so a generated
+// session is a pure function of its seed; no simulated model draws from it.
 type RNG struct {
 	state uint64
 }
@@ -49,7 +49,3 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// Fork derives an independent child generator. Children produced in the same
-// order always receive the same seeds.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }
