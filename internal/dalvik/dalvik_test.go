@@ -144,7 +144,7 @@ func TestGCRunsUnderAllocationPressure(t *testing.T) {
 			vm.Exec(ex, d, "objectChurn", 1000)
 		}
 		ex.SleepFor(10 * sim.Millisecond)
-		if vm.GCRuns() == 0 {
+		if vm.gcRuns == 0 {
 			t.Error("no GC cycles despite churn")
 		}
 	})
@@ -201,13 +201,15 @@ func TestVMServiceThreadsExist(t *testing.T) {
 
 func TestHeapWrapModelsFullGC(t *testing.T) {
 	harness(t, false, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
-		before := vm.GCRuns()
+		before := vm.gcRuns
 		// Allocate more than the whole heap in chunks.
 		for i := 0; i < 30; i++ {
 			vm.AllocArray(ex, (HeapSize/4)/30*8)
 		}
-		_ = before
-		if vm.HeapUsed() > HeapSize {
+		if vm.gcRuns == before {
+			t.Error("wrapping the heap ran no full GC")
+		}
+		if vm.heapTop > HeapSize {
 			t.Error("heap top ran past the arena")
 		}
 	})
@@ -240,5 +242,79 @@ func TestDeterministicInterpRun(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("interpreter runs diverged: %d vs %d", a, b)
+	}
+}
+
+// bareVM attaches a VM without service threads to a fresh process of k. The
+// heap-page tests drive its store directly, without running the kernel.
+func bareVM(k *kernel.Kernel, name string) *VM {
+	p := k.NewProcess(name, 1<<20, 1<<20)
+	return Attach(p, loader.Load(p.AS, p.Layout, loader.BaseSet()), false)
+}
+
+// TestHeapWordStraddlesPages: InterpBulk leaves the bump pointer unaligned,
+// so an object's word can straddle two heap pages, and it must read back
+// whole.
+func TestHeapWordStraddlesPages(t *testing.T) {
+	k := kernel.New(kernel.Config{Quantum: 50 * sim.Microsecond})
+	defer k.Shutdown()
+	vm := bareVM(k, "benchmark")
+	vm.store32(mem.PageSize-2, 0xdeadbeef)
+	if got := vm.load32(mem.PageSize - 2); got != 0xdeadbeef {
+		t.Fatalf("word at PageSize-2 read back %#x", got)
+	}
+	if got := vm.load32(mem.PageSize); got != 0xdead {
+		t.Fatalf("word at PageSize read %#x, want the straddling word's high half 0xdead", got)
+	}
+}
+
+// TestHeapUnwrittenWordReadsZero: an absent page reads as zero, and reading
+// it materializes nothing.
+func TestHeapUnwrittenWordReadsZero(t *testing.T) {
+	k := kernel.New(kernel.Config{Quantum: 50 * sim.Microsecond})
+	defer k.Shutdown()
+	vm := bareVM(k, "benchmark")
+	if got := vm.load32(HeapSize / 2); got != 0 {
+		t.Fatalf("unwritten word read %#x", got)
+	}
+	vm.zero(HeapSize/2, 4*mem.PageSize)
+	if len(vm.pages) != 0 {
+		t.Fatalf("reading and zeroing unwritten memory materialized %d pages", len(vm.pages))
+	}
+}
+
+// TestHeapAccessOutsideArenaPanics: the arena's last word is addressable,
+// and a word reaching one byte past it is a model bug that panics.
+func TestHeapAccessOutsideArenaPanics(t *testing.T) {
+	k := kernel.New(kernel.Config{Quantum: 50 * sim.Microsecond})
+	defer k.Shutdown()
+	vm := bareVM(k, "benchmark")
+	vm.store32(HeapSize-4, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a word past the heap arena did not panic")
+		}
+	}()
+	vm.load32(HeapSize - 3)
+}
+
+// TestForkVMCopiesHeapPages: a forked child reads what the zygote wrote
+// before the fork, and later writes on either side do not reach the other.
+func TestForkVMCopiesHeapPages(t *testing.T) {
+	k := kernel.New(kernel.Config{Quantum: 50 * sim.Microsecond})
+	defer k.Shutdown()
+	zygote := bareVM(k, "zygote")
+	zygote.store32(64, 42)
+	child := ForkVM(zygote, k.Fork(zygote.Proc, "app"), false)
+	if got := child.load32(64); got != 42 {
+		t.Fatalf("child read %d, want the zygote's 42", got)
+	}
+	child.store32(64, 7)
+	if got := zygote.load32(64); got != 42 {
+		t.Fatalf("child's write reached the zygote: read %d", got)
+	}
+	zygote.store32(68, 9)
+	if got := child.load32(68); got != 0 {
+		t.Fatalf("zygote's write reached the child: read %d", got)
 	}
 }

@@ -1,10 +1,12 @@
 // Package dalvik models the Dalvik virtual machine as the paper observes it:
 // an interpreter whose dispatch loop executes from libdvm.so text, bytecode
-// fetched as data reads from mapped dex images, a managed object heap in the
-// "dalvik-heap" region, class metadata in "dalvik-LinearAlloc", a trace JIT
-// writing into "dalvik-jit-code-cache", and the VM service threads
-// ("Compiler", "GC", "HeapWorker", "Signal Catcher", "JDWP") that Table I of
-// the paper ranks among the busiest in the system.
+// fetches charged as data reads of mapped dex images, a managed object heap
+// in the "dalvik-heap" region (its words, in the VM's own page store, are
+// the only simulated bytes a program reads back), class metadata in
+// "dalvik-LinearAlloc", a trace JIT writing into "dalvik-jit-code-cache",
+// and the VM service threads ("Compiler", "GC", "HeapWorker", "Signal
+// Catcher", "JDWP") that Table I of the paper ranks among the busiest in
+// the system.
 package dalvik
 
 import (
@@ -60,41 +62,34 @@ type LoadedDex struct {
 	File *dex.File
 	VMA  *mem.VMA
 
-	// pre caches each method's code pre-decoded from the serialized image
-	// (images are immutable once mapped), so the interpreter's dispatch
-	// loop never re-decodes instruction words. It comes from the per-file
-	// decodedImage cache and is shared read-only by every VM loading the
-	// file; interpreted and compiled activations both dispatch over it.
+	// pre caches each method's code pre-decoded from the serialized image,
+	// so the interpreter's dispatch loop never decodes instruction words. It
+	// comes from the per-file decodedImages cache and is shared read-only by
+	// every VM loading the file; interpreted and compiled activations both
+	// dispatch over it.
 	pre [][]dex.Instr
 }
 
-// decodedImage is the immutable, shareable part of a loaded dex: the
-// serialized bytes and the per-method code pre-decoded from them. It is
-// derived purely from the *dex.File, so it is computed once per file and
-// shared read-only by every VM — across kernels and suite workers — that
-// loads it; re-serializing and re-decoding per process load dominated
-// scenario allocations.
-type decodedImage struct {
-	img []byte
-	pre [][]dex.Instr
-}
+// decodedImages caches the immutable, shareable part of a loaded dex: the
+// per-method code pre-decoded from the serialized image. It is derived
+// purely from the *dex.File, so it is computed once per file and shared
+// read-only by every VM — across kernels and suite workers — that loads it;
+// re-serializing and re-decoding per process load dominated scenario
+// allocations.
+var decodedImages sync.Map // *dex.File -> [][]dex.Instr
 
-var decodedImages sync.Map // *dex.File -> *decodedImage
-
-func decodeImage(f *dex.File) *decodedImage {
-	if d, ok := decodedImages.Load(f); ok {
-		return d.(*decodedImage)
+func decodeImage(f *dex.File) [][]dex.Instr {
+	if pre, ok := decodedImages.Load(f); ok {
+		return pre.([][]dex.Instr)
 	}
-	dec := &decodedImage{
-		img: f.Serialize(),
-		pre: make([][]dex.Instr, len(f.Methods)),
-	}
+	img := f.Serialize()
+	pre := make([][]dex.Instr, len(f.Methods))
 	for i, m := range f.Methods {
 		off := f.CodeOffset(i)
-		dec.pre[i] = dex.DecodeCode(dec.img[off : off+uint64(4*len(m.Code))])
+		pre[i] = dex.DecodeCode(img[off : off+uint64(4*len(m.Code))])
 	}
-	got, _ := decodedImages.LoadOrStore(f, dec)
-	return got.(*decodedImage)
+	got, _ := decodedImages.LoadOrStore(f, pre)
+	return got.([][]dex.Instr)
 }
 
 // VM is one process's Dalvik instance.
@@ -113,6 +108,11 @@ type VM struct {
 	heapCommit   uint64 // bytes of HeapVMA currently resident (>= heapTop)
 	allocSinceGC uint64
 	gcRuns       uint64
+
+	// pages holds the object heap's bytes, keyed by page index within the
+	// arena: the only simulated memory a program reads back. An absent page
+	// reads as zero, and only a write materializes one.
+	pages map[uint64]*[mem.PageSize]byte
 
 	gcQueue      *kernel.MsgQueue[gcReq]
 	compileQueue *kernel.MsgQueue[compileReq]
@@ -151,6 +151,7 @@ func Attach(proc *kernel.Process, lm *loader.LinkMap, services bool) *VM {
 		Proc:       proc,
 		LibDVM:     lm.VMA("libdvm.so"),
 		JITEnabled: true,
+		pages:      make(map[uint64]*[mem.PageSize]byte),
 		compiled:   make(map[methodKey]bool),
 		hot:        make(map[methodKey]int),
 		dexes:      make(map[string]*LoadedDex),
@@ -201,26 +202,23 @@ func (vm *VM) spawnServices() {
 	})
 }
 
-// LoadDex maps file into the process as "<file name>@classes.dex", writes the
-// serialized image through the page cache (a real dalvik-cache image would
-// be mmapped; we charge the map-and-verify cost), and charges class-metadata
-// writes to dalvik-LinearAlloc.
+// LoadDex maps file's serialized image into the process as
+// "<file name>@classes.dex" (a real dalvik-cache image is mmapped; we charge
+// the map-and-verify cost) and charges class-metadata writes to
+// dalvik-LinearAlloc.
 func (vm *VM) LoadDex(ex *kernel.Exec, file *dex.File) *LoadedDex {
 	if d, ok := vm.dexes[file.Name]; ok {
 		return d
 	}
-	dec := decodeImage(file)
-	img := dec.img
 	name := file.Name + "@classes.dex"
-	v := vm.Proc.AS.MapAnywhere(mem.MmapBase, uint64(len(img)), name,
+	v := vm.Proc.AS.MapAnywhere(mem.MmapBase, file.Size(), name,
 		mem.PermRead, mem.ClassData)
-	copy(v.Bytes(), img)
-	d := &LoadedDex{File: file, VMA: v, pre: dec.pre}
+	d := &LoadedDex{File: file, VMA: v, pre: decodeImage(file)}
 	vm.dexes[file.Name] = d
 
 	// Class loading: walk the image (reads) and populate LinearAlloc
 	// metadata (writes).
-	words := uint64(len(img)) / 4
+	words := file.Size() / 4
 	ex.InCode(vm.LibDVM, func() {
 		ex.Do(kernel.Work{Fetch: 3, Reads: 1, Data: v}, words/4)
 		ex.Do(kernel.Work{Fetch: 2, Writes: 1, Data: vm.Linear}, 64*uint64(len(file.Methods))+words/16)
@@ -231,29 +229,27 @@ func (vm *VM) LoadDex(ex *kernel.Exec, file *dex.File) *LoadedDex {
 // Adopt wraps an already-mapped image (for example the loader-mapped
 // "framework.jar@classes.dex" region) as a LoadedDex backed by file, so
 // framework-bytecode interpretation reads the image the linker mapped. The
-// mapping must be at least file.Size() bytes; the serialized image is
-// written into it.
+// mapping must be at least file.Size() bytes.
 func (vm *VM) Adopt(file *dex.File, v *mem.VMA) *LoadedDex {
 	if d, ok := vm.dexes[file.Name]; ok {
 		return d
 	}
-	dec := decodeImage(file)
-	img := dec.img
-	if uint64(len(img)) > v.Size() {
-		panic(fmt.Sprintf("dalvik: image %s (%d bytes) larger than mapping %s", file.Name, len(img), v.Name))
+	if file.Size() > v.Size() {
+		panic(fmt.Sprintf("dalvik: image %s (%d bytes) larger than mapping %s", file.Name, file.Size(), v.Name))
 	}
-	copy(v.Slice(0, uint64(len(img))), img)
-	d := &LoadedDex{File: file, VMA: v, pre: dec.pre}
+	d := &LoadedDex{File: file, VMA: v, pre: decodeImage(file)}
 	vm.dexes[file.Name] = d
 	return d
 }
 
 // ForkVM builds the child-process view of parent's VM after a fork: the
-// child's address space already holds copies/aliases of every runtime arena
-// and dex image (zygote semantics), so the new VM simply rebinds to the
-// child's VMAs. JIT state is inherited warm, as zygote children inherit the
-// preloaded-class world. VM service threads are spawned fresh in the child
-// when services is true.
+// child's address space already maps every runtime arena and dex image, so
+// the new VM rebinds to the child's VMAs and takes a private copy of the
+// parent's heap pages (zygote's copy-on-write, settled at fork: the zygote
+// writes at most one page at boot). The child reads what the parent wrote,
+// and later writes on either side do not reach the other. JIT state is
+// inherited warm, as zygote children inherit the preloaded-class world. VM
+// service threads are spawned fresh in the child when services is true.
 func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 	k := child.Kernel()
 	find := func(name string) *mem.VMA {
@@ -271,9 +267,14 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 		JITVMA:     find(mem.RegionJITCache),
 		JITEnabled: parent.JITEnabled,
 		heapTop:    parent.heapTop,
+		pages:      make(map[uint64]*[mem.PageSize]byte, len(parent.pages)),
 		compiled:   make(map[methodKey]bool, len(parent.compiled)),
 		hot:        make(map[methodKey]int),
 		dexes:      make(map[string]*LoadedDex, len(parent.dexes)),
+	}
+	for i, p := range parent.pages {
+		cp := *p
+		vm.pages[i] = &cp
 	}
 	for k2, v := range parent.compiled {
 		vm.compiled[k2] = v
@@ -297,9 +298,6 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 	}
 	return vm
 }
-
-// GCRuns reports completed collection cycles (for tests and ablations).
-func (vm *VM) GCRuns() uint64 { return vm.gcRuns }
 
 // trimSlack is how much headroom above the live bump pointer a trim keeps
 // committed, so the next few allocations do not immediately fault pages
@@ -340,9 +338,6 @@ func (vm *VM) ForceCompile(d *LoadedDex, method string) {
 	vm.compiled[methodKey{dex: d.File.Name, method: method}] = true
 }
 
-// HeapUsed reports the current bump-pointer offset.
-func (vm *VM) HeapUsed() uint64 { return vm.heapTop }
-
 // --- managed heap ---
 
 // alloc carves n bytes from the dalvik heap, charging the zeroing writes,
@@ -377,27 +372,23 @@ func (vm *VM) AllocArray(ex *kernel.Exec, length int64) uint64 {
 		length = 0
 	}
 	off := vm.alloc(ex, 8+uint64(length)*4)
-	b := vm.HeapVMA.Slice(off, 8)
-	putU32(b, uint32(length))
-	for i := range b[4:] {
-		b[4+i] = 0
-	}
-	zero(vm.HeapVMA.Slice(off+8, uint64(length)*4))
+	vm.store32(off, uint32(length))
+	vm.zero(off+4, 4+uint64(length)*4)
 	return off
 }
 
 // AllocObject allocates an object with nFields int32 fields.
 func (vm *VM) AllocObject(ex *kernel.Exec, nFields int) uint64 {
 	off := vm.alloc(ex, 8+uint64(nFields)*4)
-	putU32(vm.HeapVMA.Slice(off, 4), uint32(nFields))
-	zero(vm.HeapVMA.Slice(off+8, uint64(nFields)*4))
+	vm.store32(off, uint32(nFields))
+	vm.zero(off+8, uint64(nFields)*4)
 	return off
 }
 
 // ArrayLen reads an array's length header.
 func (vm *VM) ArrayLen(ex *kernel.Exec, ref uint64) int64 {
 	ex.Read(vm.HeapVMA, 1)
-	return int64(getU32(vm.HeapVMA.Slice(ref, 4)))
+	return int64(vm.load32(ref))
 }
 
 // ArrayGet loads arr[idx]; out-of-bounds access panics (a thrown exception
@@ -405,32 +396,83 @@ func (vm *VM) ArrayLen(ex *kernel.Exec, ref uint64) int64 {
 func (vm *VM) ArrayGet(ex *kernel.Exec, ref uint64, idx int64) int64 {
 	vm.boundsCheck(ref, idx)
 	ex.Read(vm.HeapVMA, 1)
-	return int64(int32(getU32(vm.HeapVMA.Slice(ref+8+uint64(idx)*4, 4))))
+	return int64(int32(vm.load32(ref + 8 + uint64(idx)*4)))
 }
 
 // ArrayPut stores arr[idx] = v.
 func (vm *VM) ArrayPut(ex *kernel.Exec, ref uint64, idx, v int64) {
 	vm.boundsCheck(ref, idx)
 	ex.Write(vm.HeapVMA, 1)
-	putU32(vm.HeapVMA.Slice(ref+8+uint64(idx)*4, 4), uint32(int32(v)))
+	vm.store32(ref+8+uint64(idx)*4, uint32(int32(v)))
 }
 
 // FieldGet loads obj.field[i].
 func (vm *VM) FieldGet(ex *kernel.Exec, ref uint64, field int) int64 {
 	ex.Read(vm.HeapVMA, 1)
-	return int64(int32(getU32(vm.HeapVMA.Slice(ref+8+uint64(field)*4, 4))))
+	return int64(int32(vm.load32(ref + 8 + uint64(field)*4)))
 }
 
 // FieldPut stores obj.field[i] = v.
 func (vm *VM) FieldPut(ex *kernel.Exec, ref uint64, field int, v int64) {
 	ex.Write(vm.HeapVMA, 1)
-	putU32(vm.HeapVMA.Slice(ref+8+uint64(field)*4, 4), uint32(int32(v)))
+	vm.store32(ref+8+uint64(field)*4, uint32(int32(v)))
 }
 
 func (vm *VM) boundsCheck(ref uint64, idx int64) {
-	n := int64(getU32(vm.HeapVMA.Slice(ref, 4)))
+	n := int64(vm.load32(ref))
 	if idx < 0 || idx >= n {
 		panic(fmt.Sprintf("dalvik: index %d out of bounds (len %d)", idx, n))
+	}
+}
+
+// --- heap pages ---
+
+// checkHeap panics unless [off, off+n) lies inside the heap arena: an
+// access outside it is a model bug.
+func (vm *VM) checkHeap(off, n uint64) {
+	if n > HeapSize || off > HeapSize-n {
+		panic(fmt.Sprintf("dalvik: heap access [%d,%d) outside the %d-byte arena", off, off+n, HeapSize))
+	}
+}
+
+// load32 reads the little-endian word at heap offset off without
+// materializing a page. A word can straddle two pages: InterpBulk leaves
+// the bump pointer unaligned.
+func (vm *VM) load32(off uint64) uint32 {
+	vm.checkHeap(off, 4)
+	var v uint32
+	for i := range uint64(4) {
+		if p := vm.pages[(off+i)/mem.PageSize]; p != nil {
+			v |= uint32(p[(off+i)%mem.PageSize]) << (8 * i)
+		}
+	}
+	return v
+}
+
+// store32 writes the little-endian word at heap offset off.
+func (vm *VM) store32(off uint64, v uint32) {
+	vm.checkHeap(off, 4)
+	for i := range uint64(4) {
+		pi := (off + i) / mem.PageSize
+		p := vm.pages[pi]
+		if p == nil {
+			p = new([mem.PageSize]byte)
+			vm.pages[pi] = p
+		}
+		p[(off+i)%mem.PageSize] = byte(v >> (8 * i))
+	}
+}
+
+// zero clears [off, off+n) of the heap. Absent pages already read as zero,
+// so only materialized ones are touched.
+func (vm *VM) zero(off, n uint64) {
+	vm.checkHeap(off, n)
+	for end := off + n; off < end; {
+		next := min((off/mem.PageSize+1)*mem.PageSize, end)
+		if p := vm.pages[off/mem.PageSize]; p != nil {
+			clear(p[off%mem.PageSize : off%mem.PageSize+(next-off)])
+		}
+		off = next
 	}
 }
 
@@ -486,22 +528,5 @@ func (vm *VM) compilerLoop(ex *kernel.Exec) {
 		ex.Do(kernel.Work{Fetch: 7, Writes: 1, Data: vm.JITVMA}, emit)
 		vm.compiled[req.key] = true
 		vm.compilesDone++
-	}
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
 	}
 }

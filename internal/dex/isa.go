@@ -1,8 +1,10 @@
 // Package dex models the Dalvik executable side of the stack: a compact
 // register-based bytecode ISA, an assembler for it, a container format that
-// serializes to bytes (so interpreters genuinely fetch instruction words
-// from the dex mapping — data *reads* in the paper's accounting), a
-// verifier, and the dexopt optimization pass.
+// serializes to bytes, a verifier, and the dexopt optimization pass. The
+// interpreter decodes each file's code from its serialized image once and
+// dispatches over the pre-decoded instructions; it charges one dex-image
+// read per interpreted bytecode (data *reads* in the paper's accounting)
+// against the mapping sized by Size.
 //
 // The ISA is a faithful miniature of Dalvik's: 16 virtual registers per
 // frame, three-address arithmetic, array/field access, object allocation,
@@ -118,10 +120,10 @@ func DecodeInstr(b [4]byte) Instr {
 }
 
 // DecodeCode decodes a serialized code region (4 bytes per instruction, as
-// laid out by Serialize) into instructions. Interpreters call it once per
-// method at load time so the dispatch loop fetches pre-decoded instructions
-// instead of re-decoding the mapped image on every iteration; trailing bytes
-// short of a full instruction word are ignored.
+// laid out by Serialize) into instructions. The interpreter calls it once
+// per method of each file, so its dispatch loop runs over pre-decoded
+// instructions; trailing bytes short of a full instruction word are
+// ignored.
 func DecodeCode(b []byte) []Instr {
 	out := make([]Instr, len(b)/4)
 	for i := range out {
@@ -210,8 +212,9 @@ func (f *File) Size() uint64 {
 }
 
 // Serialize renders the container to bytes: header, method table, then
-// 4-byte instruction words. The exact layout only needs to be stable — the
-// interpreter reads instruction words out of the mapped image.
+// 4-byte instruction words. The exact layout only needs to be stable: the
+// interpreter decodes each method's code out of it once per file, and Size
+// is its length.
 func (f *File) Serialize() []byte {
 	out := make([]byte, 0, f.Size())
 	out = append(out, 'd', 'e', 'x', '\n', '0', '3', '5', 0)
@@ -234,8 +237,8 @@ func (f *File) Serialize() []byte {
 }
 
 // CodeOffset returns the byte offset of method index mi's code within the
-// serialized image; the interpreter uses it to fetch instruction words at
-// their true addresses.
+// serialized image, where the interpreter's one decode per file finds the
+// method's instruction words.
 func (f *File) CodeOffset(mi int) uint64 {
 	off := uint64(headerBytes + perMethodHeader*len(f.Methods))
 	for i := 0; i < mi; i++ {

@@ -119,7 +119,6 @@ func NewCompositor(proc *kernel.Process, lm *loader.LinkMap) *Compositor {
 		mem.RegionMspace, mem.PermRead|mem.PermWrite|mem.PermExec, mem.ClassRuntime)
 	c.ctrl = proc.AS.MapAnywhere(mem.MmapBase, 64<<10,
 		"ashmem/SurfaceFlinger", mem.PermRead|mem.PermWrite, mem.ClassShared)
-	c.ctrl.Shared = true
 	k.SpawnThread(proc, "SurfaceFlinger", "SurfaceFlinger", c.loop)
 	return c
 }
@@ -134,8 +133,8 @@ func (c *Compositor) CreateSurface(ex *kernel.Exec, owner *kernel.Process, name 
 	size := uint64(w) * uint64(h) * BytesPerPixel
 	s.Buf = owner.AS.MapAnywhere(mem.MmapBase, size, mem.RegionGralloc,
 		mem.PermRead|mem.PermWrite, mem.ClassShared)
-	s.Buf.Shared = true
-	s.sfBuf = c.Proc.AS.MapShared(mem.MmapBase, s.Buf, mem.PermRead)
+	s.sfBuf = c.Proc.AS.MapAnywhere(mem.MmapBase, s.Buf.Size(), s.Buf.Name,
+		mem.PermRead, s.Buf.Class)
 	// Registration: a binder-ish handshake into the control block.
 	ex.Syscall(1200, 200)
 	ex.Write(c.ctrl, 32)
@@ -200,18 +199,6 @@ func (c *Compositor) compose(ex *kernel.Exec) {
 			}, px)
 			ex.Do(kernel.Work{Fetch: 2, Writes: 1, Data: c.FB}, px/2)
 		})
-		// Touch a strip of real pixels so the data path is exercised
-		// end to end (the rest is accounted in bulk above).
-		rows := uint64(2)
-		strip := uint64(s.W) * rows * BytesPerPixel
-		if strip > s.sfBuf.Size() {
-			strip = s.sfBuf.Size()
-		}
-		src := s.sfBuf.Slice(0, strip)
-		dst := c.FB.Slice(0, strip)
-		for i := range src {
-			dst[i] = dst[i]/2 + src[i]/2
-		}
 		s.dirty = false
 	}
 	c.Frames++

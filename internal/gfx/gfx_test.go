@@ -22,23 +22,25 @@ func setup(t *testing.T) (*kernel.Kernel, *Compositor, *kernel.Process) {
 	return k, c, app
 }
 
+// TestCreateSurfaceSharesPixels: a surface's pixels are a gralloc-buffer
+// region in the app, aliased read-only into SurfaceFlinger's address space
+// under the same name and size.
 func TestCreateSurfaceSharesPixels(t *testing.T) {
 	k, c, app := setup(t)
 	var s *Surface
 	k.SpawnThread(app, "main", "main", func(ex *kernel.Exec) {
 		ex.PushCode(app.Layout.Text)
 		s = c.CreateSurface(ex, app, "win", 320, 240, 1)
-		s.Buf.Bytes()[5] = 0xCD
 	})
 	k.Run(5 * sim.Millisecond)
 	if s == nil {
 		t.Fatal("surface not created")
 	}
-	if s.sfBuf.Bytes()[5] != 0xCD {
-		t.Fatal("compositor alias does not see app pixels")
+	if s.Buf.Name != mem.RegionGralloc || app.AS.Find(s.Buf.Start) != s.Buf {
+		t.Fatalf("surface buffer %v is not the app's gralloc-buffer region", s.Buf)
 	}
-	if s.Buf.Name != mem.RegionGralloc {
-		t.Fatalf("surface buffer region = %q", s.Buf.Name)
+	if s.sfBuf.Name != mem.RegionGralloc || s.sfBuf.Size() != s.Buf.Size() || c.Proc.AS.Find(s.sfBuf.Start) != s.sfBuf {
+		t.Fatalf("compositor alias %v does not map the %d-byte buffer in SurfaceFlinger's space", s.sfBuf, s.Buf.Size())
 	}
 }
 

@@ -143,9 +143,11 @@ func (k *Kernel) NewKernelProcess(name string) *Process {
 	return p
 }
 
-// Fork clones parent into a child process named name, copying the address
-// space with zygote copy-on-write semantics (read-only and shared mappings
-// alias the parent's memory). The child starts with no threads.
+// Fork clones parent into a child process named name. The child's address
+// space maps the parent's VMAs (same names, ranges, permissions and
+// resident pages) and adds its resident pages to the machine-wide budget;
+// a forked Dalvik VM copies the heap words it inherits (dalvik.ForkVM). The
+// child starts with no threads.
 func (k *Kernel) Fork(parent *Process, name string) *Process {
 	child := &Process{
 		PID:    k.nextPID,

@@ -169,7 +169,6 @@ func (s *Server) addSession(id int32, kind int32, owner *kernel.Process) *sessio
 	sess.bitstream = s.Proc.Layout.MapAnon(s.Proc.AS, bitstreamSize)
 	sess.track = s.Proc.AS.MapAnywhere(mem.MmapBase, trackBufSize,
 		"ashmem/audio-track", mem.PermRead|mem.PermWrite, mem.ClassShared)
-	sess.track.Shared = true
 	s.sessions = append(s.sessions, sess)
 	switch kind {
 	case opOpenMP3:
@@ -249,11 +248,6 @@ func (s *Server) decodeMP3Frame(ex *kernel.Exec, sess *session) {
 	ex.StackWork(300_000)
 	// PCM out: 1152 samples × 2 ch × 2 B = one write per output word.
 	ex.Do(kernel.Work{Fetch: 2, Writes: 1, Data: sess.track}, mp3FrameSamples*2)
-	// Exercise the real byte path for a slice of the frame.
-	b := sess.track.Slice(0, 256)
-	for i := range b {
-		b[i] = byte(i) ^ b[i]
-	}
 }
 
 // videoDecodeLoop is a Stagefright AVC-class video decoder: per frame,
@@ -495,8 +489,8 @@ func (s *Server) StreamTrack(owner *kernel.Process) {
 	}
 	sess.track = s.Proc.AS.MapAnywhere(mem.MmapBase, trackBufSize,
 		"ashmem/audio-track", mem.PermRead|mem.PermWrite, mem.ClassShared)
-	sess.track.Shared = true
-	clientTrack := owner.AS.MapShared(mem.MmapBase, sess.track, mem.PermRead|mem.PermWrite)
+	clientTrack := owner.AS.MapAnywhere(mem.MmapBase, sess.track.Size(), sess.track.Name,
+		mem.PermRead|mem.PermWrite, sess.track.Class)
 	s.sessions = append(s.sessions, sess)
 	words := uint64(sampleRateHz) * 2 * 2 / 4 * uint64(mixPeriod) / uint64(sim.Second)
 	k.SpawnThread(owner, "AudioTrackThread", "AudioTrackThread", func(ex *kernel.Exec) {

@@ -127,9 +127,9 @@ func TestOpenUnknownKind(t *testing.T) {
 	}
 }
 
-// TestStopUnknownSession: a player op on an id the server never handed out
+// TestSeekUnknownSession: a player op on an id the server never handed out
 // fails with the server's -1 reply instead of touching a session.
-func TestStopUnknownSession(t *testing.T) {
+func TestSeekUnknownSession(t *testing.T) {
 	k, d, srv, client := setup(t)
 	ran := false
 	k.SpawnThread(client, "main", "main", func(ex *kernel.Exec) {

@@ -104,23 +104,6 @@ func (as *AddressSpace) MapAnywhere(hint Addr, size uint64, name string, perms P
 	return v
 }
 
-// MapShared installs a VMA aliasing the backing store of src (which may
-// belong to another address space), at the lowest free gap at or above hint.
-// The new VMA shares src's name, class, and bytes.
-func (as *AddressSpace) MapShared(hint Addr, src *VMA, perms Perm) *VMA {
-	// A frozen fork snapshot cannot be aliased: the first write on either
-	// side would thaw it into a private copy and the alias would diverge.
-	// ensure(0) thaws src (and creates its store if absent) before sharing;
-	// later in-place growth keeps every alias in sync because all aliases
-	// hold the same store struct.
-	src.ensure(0)
-	v := as.MapAnywhere(hint, src.Size(), src.Name, perms, src.Class)
-	v.Shared = true
-	v.store = src.store
-	src.Shared = true
-	return v
-}
-
 // Unmap removes the VMA. It is an error to unmap a VMA not in this space.
 func (as *AddressSpace) Unmap(v *VMA) error {
 	i := as.search(v.Start)
@@ -184,13 +167,9 @@ func (as *AddressSpace) FindByName(name string) *VMA {
 // Count reports the number of mappings.
 func (as *AddressSpace) Count() int { return len(as.vmas) }
 
-// Clone produces the child address space of a fork. Shared and read-only
-// VMAs alias the parent's backing store (zygote's copy-on-write model: text,
-// preloaded heaps); writable private VMAs are snapshotted copy-on-write: the
-// store is frozen and shared with the child, and the first Slice on either
-// side thaws it into a private copy (VMA.ensure). A fork therefore copies no
-// arena bytes at all — the zygote's preloaded-but-mostly-idle heaps cost
-// nothing until a side actually writes them.
+// Clone produces the child address space of a fork: the same VMAs (name,
+// range, permissions, class and resident pages) as fresh structs the child
+// owns, so the two sides map, unmap, discard and commit independently.
 func (as *AddressSpace) Clone() *AddressSpace {
 	child := NewAddressSpace(as.collector)
 	// One slab for all child VMA structs: address spaces here have dozens of
@@ -200,29 +179,10 @@ func (as *AddressSpace) Clone() *AddressSpace {
 	child.vmas = make([]*VMA, len(as.vmas))
 	for i, v := range as.vmas {
 		nv := &slab[i]
-		nv.Start = v.Start
-		nv.End = v.End
-		nv.Name = v.Name
-		nv.Perms = v.Perms
-		nv.Class = v.Class
-		nv.Region = v.Region
-		nv.Shared = v.Shared
-		nv.resident = v.resident
+		*nv = *v
 		if countable(nv) {
 			child.residentPages += nv.resident / PageSize
 		}
-		switch {
-		case v.Shared || v.Perms&PermWrite == 0:
-			nv.store = v.store
-		case v.store != nil && v.store.hi > 0:
-			// Freeze the touched snapshot and share it. Neither side may
-			// mutate a frozen store, so this is safe across repeated forks:
-			// untouched children all reference the same immutable snapshot.
-			v.store.frozen = true
-			nv.store = v.store
-		}
-		// A writable private store with hi == 0 has no touched bytes: the
-		// child starts unmaterialized, which reads identically (all zero).
 		child.vmas[i] = nv
 	}
 	return child

@@ -94,108 +94,53 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
-func TestSliceAndBytes(t *testing.T) {
-	as := newAS()
-	v := mustMap(t, as, 0x1000, 0x2000, "buf")
-	s := v.Slice(16, 4)
-	s[0] = 0xAB
-	if v.Bytes()[16] != 0xAB {
-		t.Fatal("slice views not aliased")
-	}
-}
-
-func TestSliceOutOfRangePanics(t *testing.T) {
-	as := newAS()
-	v := mustMap(t, as, 0x1000, 0x1000, "buf")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range slice did not panic")
-		}
-	}()
-	v.Slice(PageSize-1, 2)
-}
-
+// TestCloneSharingSemantics: a fork's child holds its own copy of every VMA,
+// with the parent's name, range, permissions, class and resident pages, so
+// a resident-page change on one side does not reach the other.
 func TestCloneSharingSemantics(t *testing.T) {
 	as := newAS()
-	ro := mustMapPerm(t, as, 0x1000, 0x1000, "libc.so", PermRead|PermExec)
-	rw := mustMap(t, as, 0x3000, 0x1000, "private")
-	sh := mustMap(t, as, 0x5000, 0x1000, "ashmem")
-	sh.Shared = true
-	rw.Bytes()[0] = 1
-	sh.Bytes()[0] = 2
-	ro.Bytes()[0] = 3
+	mustMapPerm(t, as, 0x1000, 0x1000, "libc.so", PermRead|PermExec)
+	rw := mustMap(t, as, 0x3000, 4*PageSize, "private")
+	if _, err := as.Map(0x9000, 0x1000, "ashmem", PermRead|PermWrite, ClassShared); err != nil {
+		t.Fatal(err)
+	}
 
 	child := as.Clone()
-	crw := child.FindByName("private")
-	csh := child.FindByName("ashmem")
-	cro := child.FindByName("libc.so")
-
-	crw.Bytes()[0] = 99
-	if rw.Bytes()[0] != 1 {
-		t.Fatal("private mapping leaked between parent and child")
+	for _, v := range as.vmas {
+		cv := child.Find(v.Start)
+		if cv == nil || cv == v {
+			t.Fatalf("child's %s is %v, want its own copy", v.Name, cv)
+		}
+		if cv.Name != v.Name || cv.Start != v.Start || cv.End != v.End || cv.Perms != v.Perms ||
+			cv.Class != v.Class || cv.Region != v.Region || cv.ResidentBytes() != v.ResidentBytes() {
+			t.Fatalf("child VMA %s %d %d B resident, parent %s %d %d B resident",
+				cv, cv.Class, cv.ResidentBytes(), v, v.Class, v.ResidentBytes())
+		}
 	}
-	csh.Bytes()[0] = 88
-	if sh.Bytes()[0] != 88 {
-		t.Fatal("shared mapping not shared")
-	}
-	if cro.Bytes()[0] != 3 {
-		t.Fatal("read-only mapping lost contents")
+	child.Discard(child.FindByName("private"), PageSize)
+	if rw.ResidentBytes() != 4*PageSize || as.ResidentPages() != 5 {
+		t.Fatalf("child's discard reached the parent: %d B resident, %d pages", rw.ResidentBytes(), as.ResidentPages())
 	}
 }
 
-// TestClonePrefixCopyPreservesContents pins the touched-prefix fork copy:
-// Clone copies a private store only up to its high-water mark (everything
-// beyond is guaranteed zero), and the result must still behave exactly like a
-// full deep copy — contents preserved, nothing shared.
-func TestClonePrefixCopyPreservesContents(t *testing.T) {
-	as := newAS()
-	rw := mustMap(t, as, 0x100000, 1<<20, "dalvik-heap")
-	// Touch only a small prefix; the rest of the arena stays virgin zero.
-	copy(rw.Slice(16, 4), []byte{1, 2, 3, 4})
-
-	child := as.Clone()
-	crw := child.FindByName("dalvik-heap")
-	if got := crw.Slice(16, 4); got[0] != 1 || got[3] != 4 {
-		t.Fatalf("touched prefix not copied: %v", got)
-	}
-	// Bytes beyond the parent's touched mark must read as zero in the child...
-	if got := crw.Slice(1<<19, 8); got[0] != 0 || got[7] != 0 {
-		t.Fatalf("untouched tail not zero in child: %v", got)
-	}
-	// ...and stay private: writes past the old mark must not cross the fork.
-	crw.Slice(1<<19, 1)[0] = 7
-	if rw.Slice(1<<19, 1)[0] != 0 {
-		t.Fatal("child write past the touched mark leaked into the parent")
-	}
-	rw.Slice(1<<18, 1)[0] = 9
-	if crw.Slice(1<<18, 1)[0] != 0 {
-		t.Fatal("parent write after fork leaked into the child")
-	}
-}
-
+// TestMapShared: a mapping shared between processes (a gralloc buffer and
+// its compositor alias) is one MapAnywhere per address space under the
+// source's size, name and class; it attributes to the same region and
+// counts resident once in each space that maps it writable.
 func TestMapShared(t *testing.T) {
 	c := stats.NewCollector()
 	a, b := NewAddressSpace(c), NewAddressSpace(c)
-	src := &VMA{}
-	la := NewLayout(a, 0x1000, 0x1000)
-	_ = la
 	srcV, err := a.Map(0x50000000, 0x1000, "gralloc-buffer", PermRead|PermWrite, ClassShared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcV.Bytes()[7] = 0x5A
-	dstV := b.MapShared(0x40000000, srcV, PermRead|PermWrite)
-	if dstV.Bytes()[7] != 0x5A {
-		t.Fatal("MapShared does not alias source bytes")
+	dstV := b.MapAnywhere(0x40000000, srcV.Size(), srcV.Name, PermRead|PermWrite, srcV.Class)
+	if dstV.Name != "gralloc-buffer" || dstV.Region != srcV.Region || dstV.Class != ClassShared {
+		t.Fatalf("alias %s class %d region %d, source region %d", dstV, dstV.Class, dstV.Region, srcV.Region)
 	}
-	dstV.Bytes()[7] = 0x66
-	if srcV.Bytes()[7] != 0x66 {
-		t.Fatal("MapShared writes not visible to source")
+	if a.ResidentPages() != 1 || b.ResidentPages() != 1 {
+		t.Fatalf("resident pages %d and %d, want one in each space", a.ResidentPages(), b.ResidentPages())
 	}
-	if dstV.Name != "gralloc-buffer" {
-		t.Fatalf("shared name = %q", dstV.Name)
-	}
-	_ = src
 }
 
 func TestLayoutSkeleton(t *testing.T) {

@@ -3,6 +3,11 @@
 // and every simulated access resolves to the VMA containing its address. The
 // VMA *name* ("libdvm.so", "dalvik-heap", "gralloc-buffer", "anonymous", ...)
 // is the unit of the paper's Figures 1 and 2.
+//
+// A VMA holds no bytes: it is a named, permissioned range with resident-page
+// accounting. The measurements are folds over attributed reference counts,
+// so simulated memory needs contents only where a program reads back what
+// it wrote, and the one such reader, Dalvik's object heap, keeps its own.
 package mem
 
 import (
@@ -42,9 +47,9 @@ func (p Perm) String() string {
 	return string(b)
 }
 
-// Class is a coarse taxonomy of regions used by reporting and by layout
-// decisions. The figures key on names, but the class drives behaviours such
-// as which regions fork shares versus copies.
+// Class is a coarse taxonomy of regions. The figures key on names; the
+// class tells the resident-page accounting which mappings never pin pages
+// (the kernel pseudo-region).
 type Class uint8
 
 // Region classes.
@@ -72,17 +77,11 @@ type VMA struct {
 	// hot path avoids string work.
 	Region stats.RegionID
 
-	// Shared marks mappings whose backing is shared across address spaces
-	// (and therefore across fork).
-	Shared bool
-
 	// resident is the number of bytes of the mapping currently backed by
 	// physical pages, as the owning AddressSpace accounts them. Only
 	// pressure-relevant mappings (writable, non-kernel) are tracked; it is
 	// maintained by AddressSpace.Map/Unmap/Discard/Commit.
 	resident uint64
-
-	store *store
 }
 
 // ResidentBytes reports how many bytes of the VMA the physical-page
@@ -100,111 +99,4 @@ func (v *VMA) Contains(addr Addr) bool { return addr >= v.Start && addr < v.End 
 // String renders the VMA in /proc/pid/maps style.
 func (v *VMA) String() string {
 	return fmt.Sprintf("%08x-%08x %s %s", v.Start, v.End, v.Perms, v.Name)
-}
-
-// Slice returns a mutable view of n bytes starting at byte offset off within
-// the VMA, materializing backing storage on first touch. Programs that do
-// real computation on simulated memory (decoders, rasterizers, interpreters)
-// operate on these views.
-//
-// Views are transient: growth (and thawing of a fork snapshot) replaces the
-// backing array, copying the touched prefix, so a view taken before an
-// intervening Slice call on the same store may alias stale — but
-// byte-identical — memory. Callers must re-Slice before writing after any
-// other Slice on the same store (see docs/ARCHITECTURE.md, "Hot path &
-// pooling").
-func (v *VMA) Slice(off, n uint64) []byte {
-	end := off + n
-	if end > v.Size() {
-		panic(fmt.Sprintf("mem: slice [%d,%d) outside %s of size %d", off, end, v.Name, v.Size()))
-	}
-	s := v.store
-	if s == nil || s.frozen || uint64(len(s.data)) < end {
-		s = v.ensure(end)
-	}
-	if end > s.hi {
-		s.hi = end
-	}
-	return s.data[off:end]
-}
-
-// Bytes returns a mutable view of the whole VMA.
-func (v *VMA) Bytes() []byte { return v.Slice(0, v.Size()) }
-
-// ensure gives v a private, writable store whose backing array covers at
-// least [0, end). It handles the two slow paths Slice kicks out to:
-//
-//   - a frozen store (snapshotted by a fork): replaced with a private copy
-//     of the touched prefix, leaving the snapshot untouched for the other
-//     side of the fork;
-//   - a backing array shorter than end: grown in place (the store struct is
-//     retained so shared mappings aliasing it observe the growth) with
-//     amortized doubling capped at the VMA size.
-//
-// Either way only data[:hi] is copied — data[hi:] is all-zero by the Slice
-// invariant, and fresh arrays are already zero.
-func (v *VMA) ensure(end uint64) *store {
-	s := v.store
-	if s == nil {
-		s = &store{}
-		v.store = s
-	}
-	if s.frozen {
-		// Thaw: this side of the fork touches the mapping first (or again);
-		// give it a private array covering end. The array never shrinks below
-		// the snapshot's: the snapshot's hi can exceed grownLen(end), and
-		// every byte below hi must survive the thaw.
-		want := grownLen(end, v.Size())
-		if n := uint64(len(s.data)); n > want {
-			want = n
-		}
-		data := make([]byte, want)
-		copy(data, s.data[:s.hi])
-		ns := &store{data: data, hi: s.hi}
-		v.store = ns
-		return ns
-	}
-	if uint64(len(s.data)) < end {
-		data := make([]byte, grownLen(end, v.Size()))
-		copy(data, s.data[:s.hi])
-		s.data = data
-	}
-	return s
-}
-
-// grownLen picks the new backing length for a store that must cover at least
-// need bytes of a VMA of size max: amortized doubling from a one-page floor,
-// capped at the mapping size.
-func grownLen(need, max uint64) uint64 {
-	if need >= max {
-		return max
-	}
-	n := uint64(PageSize)
-	for n < need {
-		n <<= 1
-	}
-	if n > max {
-		n = max
-	}
-	return n
-}
-
-// store is the byte backing of a VMA. Shared VMAs alias one store across
-// address spaces; private VMAs copy on write after fork.
-//
-// hi is the touched high-water mark: every mutable view of the backing is
-// handed out by Slice, which raises hi past the view's end, so data[hi:] is
-// guaranteed all-zero. The backing array is grown on demand (amortized
-// doubling, capped at the mapping size), so len(data) can be anywhere from 0
-// to the VMA size; untouched tail bytes read as zero once grown.
-//
-// frozen marks a snapshot shared between a forked parent and child: neither
-// data nor hi may be mutated while set. The first Slice on either side thaws
-// the mapping by installing a private copy of the touched prefix (see
-// VMA.ensure), which is exactly copy-on-write at store granularity — repeated
-// forks of untouched arenas copy nothing.
-type store struct {
-	data   []byte
-	hi     uint64
-	frozen bool
 }

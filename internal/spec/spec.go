@@ -338,9 +338,9 @@ func fillBzip2Block(buf []byte, iter uint64) {
 // stepBzip2 compresses one synthetic text block for real and accounts the
 // full-scale block volume.
 func stepBzip2(ex *kernel.Exec, env *Env) {
-	buf := env.Anon.Slice(0, bzip2BlockSize)
-	fillBzip2Block(buf, env.iter)
-	comp := Bzip2Compress(buf)
+	var block [bzip2BlockSize]byte
+	fillBzip2Block(block[:], env.iter)
+	comp := Bzip2Compress(block[:])
 	env.Checksum += uint64(len(comp))
 	// Account the full 256 KiB-block workload this miniature stands for:
 	// suffix sort reads, MTF table traffic, output writes.
