@@ -2,7 +2,6 @@ package android
 
 import (
 	"agave/internal/dalvik"
-	"agave/internal/dex"
 	"agave/internal/kernel"
 	"agave/internal/loader"
 	"agave/internal/mem"
@@ -19,8 +18,8 @@ import (
 //     zip central directory;
 //  2. the "package" service in system_server verifies the package;
 //  3. a fresh id.defcontainer process measures the container;
-//  4. a fresh dexopt process verifies + optimizes the classes.dex into an
-//     odex image.
+//  4. a fresh dexopt process reads the classes.dex, runs the verifier's
+//     passes over it and writes the optimized (odex) image.
 //
 // The returned Install completes when dexopt finishes.
 func (sys *System) InstallAPK(ex *kernel.Exec, a *App, pkgName string, apkBytes uint64) *Install {
@@ -51,8 +50,8 @@ func (sys *System) InstallAPK(ex *kernel.Exec, a *App, pkgName string, apkBytes 
 		ex.Do(kernel.Work{Fetch: 2, Reads: 1, Data: buf}, apkBytes/16)
 	})
 
-	// 4. dexopt: verify + optimize the embedded classes.dex.
-	sys.runDexopt(pkgName, apkBytes/3, done)
+	// 4. dexopt: verify and optimize the embedded classes.dex.
+	sys.runDexopt(apkBytes/3, done)
 	return done
 }
 
@@ -87,21 +86,17 @@ func zipScan(ex *kernel.Exec, a *App, apk *mem.VMA) {
 	ex.StackWork(4000)
 }
 
-// runDexopt forks the dexopt process and performs the optimization pass:
+// runDexopt starts the dexopt process and charges the optimization pass:
 // read every instruction word of the dex (several verifier passes), write
-// the odex image. dexSize approximates the classes.dex payload size.
-func (sys *System) runDexopt(pkgName string, dexSize uint64, done *Install) {
+// the odex image. dexSize approximates the classes.dex payload size. Only
+// the work is modelled: the app's bytecode, the stock program set every
+// StockDex file shares, already passed dex.Verify when dalvik.Assemble
+// built it.
+func (sys *System) runDexopt(dexSize uint64, done *Install) {
 	k := sys.K
 	dp := k.NewProcess("dexopt", 96*loader.KB, 512*loader.KB)
 	k.SpawnThread(dp, "dexopt", "dexopt", func(ex *kernel.Exec) {
 		ex.PushCode(dp.Layout.Text)
-		// Run the real verifier/optimizer over the app's bytecode to
-		// keep this path honest, then charge the volume work on the
-		// full image size.
-		f := dalvik.StockDex(pkgName)
-		if _, err := dex.Optimize(f); err != nil {
-			panic(err)
-		}
 		in := dp.Layout.MapAnon(dp.AS, dexSize)
 		out := dp.Layout.MapAnon(dp.AS, dexSize)
 		ex.BlockRead(in, dexSize)

@@ -298,16 +298,17 @@ func TestHeapAccessOutsideArenaPanics(t *testing.T) {
 	vm.load32(HeapSize - 3)
 }
 
-// TestForkVMCopiesHeapPages: a forked child reads what the zygote wrote
-// before the fork, and later writes on either side do not reach the other.
-func TestForkVMCopiesHeapPages(t *testing.T) {
+// TestForkVMStartsWithNoHeapPages: no child can read a heap word its zygote
+// wrote, so a fork copies no page, and later writes on either side do not
+// reach the other.
+func TestForkVMStartsWithNoHeapPages(t *testing.T) {
 	k := kernel.New(kernel.Config{Quantum: 50 * sim.Microsecond})
 	defer k.Shutdown()
 	zygote := bareVM(k, "zygote")
 	zygote.store32(64, 42)
 	child := ForkVM(zygote, k.Fork(zygote.Proc, "app"), false)
-	if got := child.load32(64); got != 42 {
-		t.Fatalf("child read %d, want the zygote's 42", got)
+	if n := len(child.pages); n != 0 {
+		t.Fatalf("child holds %d heap pages right after the fork, want 0", n)
 	}
 	child.store32(64, 7)
 	if got := zygote.load32(64); got != 42 {
@@ -317,4 +318,30 @@ func TestForkVMCopiesHeapPages(t *testing.T) {
 	if got := child.load32(68); got != 0 {
 		t.Fatalf("zygote's write reached the child: read %d", got)
 	}
+}
+
+// TestAllocOverStaleBytesReadsZero: an allocation writes its header and
+// zeroes every element or field a program can load, whatever the heap held
+// there before. ForkVM's empty child store relies on it.
+func TestAllocOverStaleBytesReadsZero(t *testing.T) {
+	harness(t, false, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
+		for off := vm.heapTop; off < vm.heapTop+512; off += 4 {
+			vm.store32(off, 0xffffffff)
+		}
+		arr := vm.AllocArray(ex, 16)
+		if n := vm.ArrayLen(ex, arr); n != 16 {
+			t.Errorf("ArrayLen = %d, want 16", n)
+		}
+		for i := range int64(16) {
+			if v := vm.ArrayGet(ex, arr, i); v != 0 {
+				t.Errorf("element %d reads %d over stale bytes", i, v)
+			}
+		}
+		obj := vm.AllocObject(ex, 8)
+		for f := range 8 {
+			if v := vm.FieldGet(ex, obj, f); v != 0 {
+				t.Errorf("field %d reads %d over stale bytes", f, v)
+			}
+		}
+	})
 }

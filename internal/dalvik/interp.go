@@ -8,13 +8,14 @@ import (
 )
 
 // This file is the Dalvik bytecode interpreter: one threaded dispatch loop
-// over pre-decoded code (see docs/ARCHITECTURE.md), indexing opTable with
-// one handler per opcode. The trace JIT is a cost model, not a second
-// executor: an interpreted bytecode charges interpCost libdvm.so fetches and
-// one dex-image read, a compiled one charges jitCost dalvik-jit-code-cache
-// fetches and no dex read. The stack counters, the flush boundary every
-// interpFlush bytecodes and the trace-discovery counter are the same in
-// both modes, so golden reports and the determinism sweep do not move.
+// over each method's []dex.Instr (see docs/ARCHITECTURE.md), indexing
+// opTable with one handler per opcode. The trace JIT is a cost model, not a
+// second executor: an interpreted bytecode charges interpCost libdvm.so
+// fetches and one dex-image read, a compiled one charges jitCost
+// dalvik-jit-code-cache fetches and no dex read. The stack counters, the
+// flush boundary every interpFlush bytecodes and the trace-discovery counter
+// are the same in both modes, so golden reports and the determinism sweep do
+// not move.
 
 // acct batches interpreter accounting so the per-bytecode hot path is plain
 // integer arithmetic; counters flush to the collector in quantum-sized
@@ -110,11 +111,10 @@ func (vm *VM) execMethod(ex *kernel.Exec, d *LoadedDex, mi int, args []int64, a 
 	return vm.run(fr)
 }
 
-// run executes fr's method from fr.pc: threaded dispatch over the
-// pre-decoded code, charging each bytecode under the activation's cost
-// model.
+// run executes fr's method from fr.pc: threaded dispatch over the method's
+// code, charging each bytecode under the activation's cost model.
 func (vm *VM) run(fr *frame) int64 {
-	code := fr.d.pre[fr.mi]
+	code := fr.m.Code
 	a, ex, d := fr.a, fr.ex, fr.d
 	for {
 		pc := fr.pc

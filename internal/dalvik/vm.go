@@ -11,7 +11,6 @@ package dalvik
 
 import (
 	"fmt"
-	"sync"
 
 	"agave/internal/dex"
 	"agave/internal/kernel"
@@ -57,39 +56,11 @@ const (
 // LoadedDex is a dex file mapped into the VM's address space. The mapping is
 // named after the package ("<name>@classes.dex"), matching how dalvik-cache
 // images appear in /proc/maps — each distinct name is one more region in the
-// paper's Figure 2 census.
+// paper's Figure 2 census. The interpreter runs the file's methods and
+// charges its bytecode reads to the mapping.
 type LoadedDex struct {
 	File *dex.File
 	VMA  *mem.VMA
-
-	// pre caches each method's code pre-decoded from the serialized image,
-	// so the interpreter's dispatch loop never decodes instruction words. It
-	// comes from the per-file decodedImages cache and is shared read-only by
-	// every VM loading the file; interpreted and compiled activations both
-	// dispatch over it.
-	pre [][]dex.Instr
-}
-
-// decodedImages caches the immutable, shareable part of a loaded dex: the
-// per-method code pre-decoded from the serialized image. It is derived
-// purely from the *dex.File, so it is computed once per file and shared
-// read-only by every VM — across kernels and suite workers — that loads it;
-// re-serializing and re-decoding per process load dominated scenario
-// allocations.
-var decodedImages sync.Map // *dex.File -> [][]dex.Instr
-
-func decodeImage(f *dex.File) [][]dex.Instr {
-	if pre, ok := decodedImages.Load(f); ok {
-		return pre.([][]dex.Instr)
-	}
-	img := f.Serialize()
-	pre := make([][]dex.Instr, len(f.Methods))
-	for i, m := range f.Methods {
-		off := f.CodeOffset(i)
-		pre[i] = dex.DecodeCode(img[off : off+uint64(4*len(m.Code))])
-	}
-	got, _ := decodedImages.LoadOrStore(f, pre)
-	return got.([][]dex.Instr)
 }
 
 // VM is one process's Dalvik instance.
@@ -202,10 +173,10 @@ func (vm *VM) spawnServices() {
 	})
 }
 
-// LoadDex maps file's serialized image into the process as
+// LoadDex maps a region of file.Size() bytes into the process as
 // "<file name>@classes.dex" (a real dalvik-cache image is mmapped; we charge
-// the map-and-verify cost) and charges class-metadata writes to
-// dalvik-LinearAlloc.
+// the map-and-verify cost of walking it, though no bytes are laid out) and
+// charges class-metadata writes to dalvik-LinearAlloc.
 func (vm *VM) LoadDex(ex *kernel.Exec, file *dex.File) *LoadedDex {
 	if d, ok := vm.dexes[file.Name]; ok {
 		return d
@@ -213,7 +184,7 @@ func (vm *VM) LoadDex(ex *kernel.Exec, file *dex.File) *LoadedDex {
 	name := file.Name + "@classes.dex"
 	v := vm.Proc.AS.MapAnywhere(mem.MmapBase, file.Size(), name,
 		mem.PermRead, mem.ClassData)
-	d := &LoadedDex{File: file, VMA: v, pre: decodeImage(file)}
+	d := &LoadedDex{File: file, VMA: v}
 	vm.dexes[file.Name] = d
 
 	// Class loading: walk the image (reads) and populate LinearAlloc
@@ -226,10 +197,10 @@ func (vm *VM) LoadDex(ex *kernel.Exec, file *dex.File) *LoadedDex {
 	return d
 }
 
-// Adopt wraps an already-mapped image (for example the loader-mapped
-// "framework.jar@classes.dex" region) as a LoadedDex backed by file, so
-// framework-bytecode interpretation reads the image the linker mapped. The
-// mapping must be at least file.Size() bytes.
+// Adopt wraps an already-mapped region (for example the loader-mapped
+// "framework.jar@classes.dex") as a LoadedDex running file, so
+// framework-bytecode interpretation charges its reads to the region the
+// linker mapped. The mapping must be at least file.Size() bytes.
 func (vm *VM) Adopt(file *dex.File, v *mem.VMA) *LoadedDex {
 	if d, ok := vm.dexes[file.Name]; ok {
 		return d
@@ -237,19 +208,22 @@ func (vm *VM) Adopt(file *dex.File, v *mem.VMA) *LoadedDex {
 	if file.Size() > v.Size() {
 		panic(fmt.Sprintf("dalvik: image %s (%d bytes) larger than mapping %s", file.Name, file.Size(), v.Name))
 	}
-	d := &LoadedDex{File: file, VMA: v, pre: decodeImage(file)}
+	d := &LoadedDex{File: file, VMA: v}
 	vm.dexes[file.Name] = d
 	return d
 }
 
 // ForkVM builds the child-process view of parent's VM after a fork: the
 // child's address space already maps every runtime arena and dex image, so
-// the new VM rebinds to the child's VMAs and takes a private copy of the
-// parent's heap pages (zygote's copy-on-write, settled at fork: the zygote
-// writes at most one page at boot). The child reads what the parent wrote,
-// and later writes on either side do not reach the other. JIT state is
-// inherited warm, as zygote children inherit the preloaded-class world. VM
-// service threads are spawned fresh in the child when services is true.
+// the new VM rebinds to the child's VMAs. It inherits the parent's bump
+// pointer but starts with no heap pages, because no child can read a word
+// the parent wrote: every reference a program holds comes from an
+// allocation in its own VM (Exec's arguments are counts at every call site,
+// and the zygote drops the ref its preload returns), and an allocation
+// writes its header and zeroes every element or field a program can load.
+// Writes on either side never reach the other. JIT state is inherited warm,
+// as zygote children inherit the preloaded-class world. VM service threads
+// are spawned fresh in the child when services is true.
 func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 	k := child.Kernel()
 	find := func(name string) *mem.VMA {
@@ -267,14 +241,10 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 		JITVMA:     find(mem.RegionJITCache),
 		JITEnabled: parent.JITEnabled,
 		heapTop:    parent.heapTop,
-		pages:      make(map[uint64]*[mem.PageSize]byte, len(parent.pages)),
+		pages:      make(map[uint64]*[mem.PageSize]byte),
 		compiled:   make(map[methodKey]bool, len(parent.compiled)),
 		hot:        make(map[methodKey]int),
 		dexes:      make(map[string]*LoadedDex, len(parent.dexes)),
-	}
-	for i, p := range parent.pages {
-		cp := *p
-		vm.pages[i] = &cp
 	}
 	for k2, v := range parent.compiled {
 		vm.compiled[k2] = v
@@ -287,7 +257,7 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 	for name, d := range parent.dexes {
 		nd := &dexSlab[di]
 		di++
-		*nd = LoadedDex{File: d.File, VMA: find(d.VMA.Name), pre: d.pre}
+		*nd = LoadedDex{File: d.File, VMA: find(d.VMA.Name)}
 		vm.dexes[name] = nd
 	}
 	vm.heapCommit = vm.HeapVMA.ResidentBytes()

@@ -34,9 +34,8 @@ func TestAssembleAndLookup(t *testing.T) {
 	if len(f.Methods) != 2 {
 		t.Fatalf("methods = %d, want 2", len(f.Methods))
 	}
-	m, ok := f.Method("main")
-	if !ok || m.In != 1 {
-		t.Fatalf("main lookup failed: %v %v", m, ok)
+	if mi := f.MethodIndex("main"); mi < 0 || f.Methods[mi].In != 1 {
+		t.Fatalf("main lookup failed: index %d", mi)
 	}
 	if f.MethodIndex("double") != 1 {
 		t.Fatalf("double index = %d", f.MethodIndex("double"))
@@ -51,7 +50,7 @@ func TestBranchResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := f.Method("main")
+	m := f.Methods[f.MethodIndex("main")]
 	// instr 2 is if_ge -> done (instr 6); rel = 6 - 3 = 3
 	if got := m.Code[2].Imm(); got != 3 {
 		t.Fatalf("if_ge rel = %d, want 3", got)
@@ -110,29 +109,6 @@ func TestVerifyRejectsZeroMethodFile(t *testing.T) {
 	}
 }
 
-func TestDecodeCodeMatchesDecodeInstr(t *testing.T) {
-	f := NewFile("t")
-	code := []Instr{
-		Instr{Op: OpConst, A: 1}.WithImm(7),
-		{Op: OpAdd, A: 2, B: 1, C: 1},
-		{Op: OpReturn, A: 2},
-	}
-	if err := f.Add(&Method{Name: "m", Code: code}); err != nil {
-		t.Fatal(err)
-	}
-	img := f.Serialize()
-	off := f.CodeOffset(0)
-	got := DecodeCode(img[off : off+uint64(4*len(code))])
-	if len(got) != len(code) {
-		t.Fatalf("decoded %d instrs, want %d", len(got), len(code))
-	}
-	for i := range code {
-		if got[i] != code[i] {
-			t.Errorf("instr %d: decoded %v, want %v", i, got[i], code[i])
-		}
-	}
-}
-
 func TestVerifyCatchesBadBranch(t *testing.T) {
 	f := NewFile("t")
 	bad := Instr{Op: OpGoto}.WithImm(100)
@@ -169,17 +145,6 @@ func TestVerifyCatchesBadInvokeArity(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundtripInstr(t *testing.T) {
-	fn := func(op uint8, a, b, c uint8) bool {
-		in := Instr{Op: Op(op), A: a, B: b, C: c}
-		out := DecodeInstr(in.Encode())
-		return in == out
-	}
-	if err := quick.Check(fn, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestImmRoundtripProperty(t *testing.T) {
 	fn := func(v int16) bool {
 		return Instr{Op: OpConst}.WithImm(v).Imm() == v
@@ -189,52 +154,25 @@ func TestImmRoundtripProperty(t *testing.T) {
 	}
 }
 
-func TestSerializeLayout(t *testing.T) {
+func TestSizeLayout(t *testing.T) {
 	f, err := Assemble("test", goodSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := f.Serialize()
-	if uint64(len(img)) != f.Size() {
-		t.Fatalf("image %d bytes, Size() says %d", len(img), f.Size())
+	instrs := 0
+	for _, m := range f.Methods {
+		instrs += len(m.Code)
 	}
-	if string(img[:4]) != "dex\n" {
-		t.Fatalf("magic = %q", img[:4])
-	}
-	// Instruction words for method 0 start at CodeOffset(0).
-	off := f.CodeOffset(0)
-	got := DecodeInstr([4]byte{img[off], img[off+1], img[off+2], img[off+3]})
-	if got.Op != OpConst {
-		t.Fatalf("first instr of main = %v", got)
-	}
-	// Method 1's code follows method 0's.
-	if f.CodeOffset(1) != off+uint64(4*len(f.Methods[0].Code)) {
-		t.Fatal("code offsets not contiguous")
+	if want := uint64(16 + 12*len(f.Methods) + 4*instrs); f.Size() != want {
+		t.Fatalf("Size() = %d, want %d", f.Size(), want)
 	}
 }
 
-func TestOptimizeTagsOdex(t *testing.T) {
-	f, err := Assemble("test", goodSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Optimize(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out[:4]) != "dey\n" {
-		t.Fatalf("odex magic = %q", out[:4])
-	}
-	if len(out) != len(f.Serialize()) {
-		t.Fatal("odex size mismatch")
-	}
-}
-
-func TestOptimizeRejectsBroken(t *testing.T) {
+func TestVerifyCatchesBadOpcode(t *testing.T) {
 	f := NewFile("t")
 	_ = f.Add(&Method{Name: "bad", Code: []Instr{{Op: Op(200)}, {Op: OpRetVoid}}})
-	if _, err := Optimize(f); err == nil {
-		t.Fatal("Optimize accepted invalid file")
+	if err := Verify(f); err == nil || !strings.Contains(err.Error(), "bad opcode") {
+		t.Fatalf("want bad-opcode error, got %v", err)
 	}
 }
 
@@ -261,7 +199,7 @@ func TestCommentsAndWhitespace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := f.Method("m")
+	m := f.Methods[f.MethodIndex("m")]
 	if len(m.Code) != 2 {
 		t.Fatalf("code len = %d, want 2", len(m.Code))
 	}

@@ -1,10 +1,10 @@
 // Package dex models the Dalvik executable side of the stack: a compact
-// register-based bytecode ISA, an assembler for it, a container format that
-// serializes to bytes, a verifier, and the dexopt optimization pass. The
-// interpreter decodes each file's code from its serialized image once and
-// dispatches over the pre-decoded instructions; it charges one dex-image
-// read per interpreted bytecode (data *reads* in the paper's accounting)
-// against the mapping sized by Size.
+// register-based bytecode ISA, an assembler for it, a container of methods,
+// and the verifier. A File is the only form of a program: the interpreter
+// dispatches over each Method's Code and charges one dex-image read per
+// interpreted bytecode (data *reads* in the paper's accounting) against a
+// mapping sized by Size, the layout a dalvik-cache image of the file would
+// have. Nothing lays those bytes out: no model reads them.
 //
 // The ISA is a faithful miniature of Dalvik's: 16 virtual registers per
 // frame, three-address arithmetic, array/field access, object allocation,
@@ -111,27 +111,6 @@ func (i Instr) WithImm(imm int16) Instr {
 	return i
 }
 
-// Encode packs the instruction into 4 bytes.
-func (i Instr) Encode() [4]byte { return [4]byte{byte(i.Op), i.A, i.B, i.C} }
-
-// DecodeInstr unpacks 4 bytes into an instruction.
-func DecodeInstr(b [4]byte) Instr {
-	return Instr{Op: Op(b[0]), A: b[1], B: b[2], C: b[3]}
-}
-
-// DecodeCode decodes a serialized code region (4 bytes per instruction, as
-// laid out by Serialize) into instructions. The interpreter calls it once
-// per method of each file, so its dispatch loop runs over pre-decoded
-// instructions; trailing bytes short of a full instruction word are
-// ignored.
-func DecodeCode(b []byte) []Instr {
-	out := make([]Instr, len(b)/4)
-	for i := range out {
-		out[i] = DecodeInstr([4]byte{b[4*i], b[4*i+1], b[4*i+2], b[4*i+3]})
-	}
-	return out
-}
-
 // String disassembles the instruction.
 func (i Instr) String() string {
 	switch i.Op {
@@ -178,15 +157,6 @@ func (f *File) Add(m *Method) error {
 	return nil
 }
 
-// Method looks a method up by name.
-func (f *File) Method(name string) (*Method, bool) {
-	i, ok := f.index[name]
-	if !ok {
-		return nil, false
-	}
-	return f.Methods[i], true
-}
-
 // MethodIndex returns the index of the named method, or -1.
 func (f *File) MethodIndex(name string) int {
 	i, ok := f.index[name]
@@ -196,57 +166,21 @@ func (f *File) MethodIndex(name string) int {
 	return i
 }
 
-// headerBytes is the serialized per-file header (magic + method count).
+// headerBytes is the per-file header of a dalvik-cache image (magic, method
+// count and image size).
 const headerBytes = 16
 
-// perMethodHeader is the serialized per-method header (code offset+len+in).
+// perMethodHeader is the per-method header of a dalvik-cache image (code
+// offset, length and argument count).
 const perMethodHeader = 12
 
-// Size reports the serialized byte size.
+// Size reports the byte size of the file's dalvik-cache image: the header,
+// the method table and one 4-byte word per instruction. It sizes the
+// "<name>@classes.dex" mapping and the class-loading walk over it.
 func (f *File) Size() uint64 {
 	n := uint64(headerBytes + perMethodHeader*len(f.Methods))
 	for _, m := range f.Methods {
 		n += uint64(4 * len(m.Code))
 	}
 	return n
-}
-
-// Serialize renders the container to bytes: header, method table, then
-// 4-byte instruction words. The exact layout only needs to be stable: the
-// interpreter decodes each method's code out of it once per file, and Size
-// is its length.
-func (f *File) Serialize() []byte {
-	out := make([]byte, 0, f.Size())
-	out = append(out, 'd', 'e', 'x', '\n', '0', '3', '5', 0)
-	out = appendU32(out, uint32(len(f.Methods)))
-	out = appendU32(out, uint32(f.Size()))
-	off := uint32(headerBytes + perMethodHeader*len(f.Methods))
-	for _, m := range f.Methods {
-		out = appendU32(out, off)
-		out = appendU32(out, uint32(len(m.Code)))
-		out = appendU32(out, uint32(m.In))
-		off += uint32(4 * len(m.Code))
-	}
-	for _, m := range f.Methods {
-		for _, ins := range m.Code {
-			e := ins.Encode()
-			out = append(out, e[:]...)
-		}
-	}
-	return out
-}
-
-// CodeOffset returns the byte offset of method index mi's code within the
-// serialized image, where the interpreter's one decode per file finds the
-// method's instruction words.
-func (f *File) CodeOffset(mi int) uint64 {
-	off := uint64(headerBytes + perMethodHeader*len(f.Methods))
-	for i := 0; i < mi; i++ {
-		off += uint64(4 * len(f.Methods[i].Code))
-	}
-	return off
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }

@@ -4,8 +4,8 @@ import "fmt"
 
 // Verify checks the structural validity of every method in the file: opcode
 // range, register bounds, branch targets inside the method, and invoke
-// indices referencing real methods. It mirrors the Dalvik verifier's role
-// (and dexopt runs it before optimizing).
+// indices referencing real methods. It mirrors the Dalvik verifier's role;
+// dalvik.Assemble runs it on every program the workloads load.
 func Verify(f *File) error {
 	// A dex image with no methods has nothing to execute: real dalvik
 	// rejects it at load, and accepting it here would hand interpreters a
@@ -82,20 +82,4 @@ func verifyRegs(m *Method, pc int, ins Instr) error {
 		}
 	}
 	return nil
-}
-
-// Optimize models dexopt's rewriting pass: it verifies the file and returns
-// an "odex" image (a serialized copy with the header tagged). The simulation
-// value is in the *work* dexopt performs — reading every instruction word
-// and writing the output image — which the android install flow charges to
-// the dexopt process.
-func Optimize(f *File) ([]byte, error) {
-	if err := Verify(f); err != nil {
-		return nil, err
-	}
-	img := f.Serialize()
-	out := make([]byte, len(img))
-	copy(out, img)
-	copy(out[:4], []byte{'d', 'e', 'y', '\n'}) // odex magic
-	return out, nil
 }

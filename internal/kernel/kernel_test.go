@@ -253,17 +253,30 @@ func TestMailboxRoundTripDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestForkSharesReadonlyCopiesPrivate: a fork takes a fresh PID. What the
-// child inherits is tested where it lives: its mappings in mem
-// (TestCloneSharingSemantics), its heap words in dalvik
-// (TestForkVMCopiesHeapPages).
-func TestForkSharesReadonlyCopiesPrivate(t *testing.T) {
-	k := newTestKernel()
+// TestForkTakesFreshPID: a fork takes a fresh PID and draws exactly the
+// child's resident pages from the machine-wide budget, and killing the child
+// returns them. What the child inherits is tested where it lives: its
+// mappings in mem (TestCloneSharingSemantics), its empty heap store in
+// dalvik (TestForkVMStartsWithNoHeapPages).
+func TestForkTakesFreshPID(t *testing.T) {
+	k := New(pressureConfig(200_000))
 	defer k.Shutdown()
 	parent := k.NewProcess("zygote", 1<<20, 1<<20)
+	before := k.FreePages()
 	child := k.Fork(parent, "benchmark")
 	if child.PID == parent.PID {
 		t.Fatal("fork reused pid")
+	}
+	pages := child.AS.ResidentPages()
+	if pages == 0 {
+		t.Fatal("forked child holds no resident pages")
+	}
+	if drawn := before - k.FreePages(); drawn != pages {
+		t.Fatalf("fork drew %d pages from the budget, want the child's %d", drawn, pages)
+	}
+	k.KillProcess(child)
+	if got := k.FreePages(); got != before {
+		t.Fatalf("free pages after killing the child = %d, want %d", got, before)
 	}
 }
 

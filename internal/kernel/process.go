@@ -107,23 +107,27 @@ func (t *Thread) String() string {
 // NewProcess creates a process with the canonical user address-space
 // skeleton (app binary text, heap, stack, kernel region).
 func (k *Kernel) NewProcess(name string, textSize, heapSize uint64) *Process {
-	p := k.newBareProcess(name)
+	p := k.addProcess(name, mem.NewAddressSpace(k.Stats))
 	p.Layout = mem.NewLayout(p.AS, textSize, heapSize)
 	return p
 }
 
-// newBareProcess creates a process with an empty address space (kernel
-// threads map only the kernel region).
-func (k *Kernel) newBareProcess(name string) *Process {
+// addProcess registers a process named name over address space as: a fresh
+// PID, the interned stats ID, OomNeverKill, the census and the live index.
+// The space reports later resident-page changes to the machine-wide budget,
+// which is charged now for the pages it already holds (none for a fresh
+// space).
+func (k *Kernel) addProcess(name string, as *mem.AddressSpace) *Process {
 	p := &Process{
 		PID:    k.nextPID,
 		Name:   name,
-		AS:     mem.NewAddressSpace(k.Stats),
+		AS:     as,
 		StatID: k.Stats.Proc(name),
 		OomAdj: OomNeverKill,
 		kern:   k,
 	}
-	p.AS.OnResident = k.addResidentPages
+	as.OnResident = k.addResidentPages
+	k.addResidentPages(int64(as.ResidentPages()))
 	k.nextPID++
 	k.procs = append(k.procs, p)
 	k.live = append(k.live, p)
@@ -133,7 +137,7 @@ func (k *Kernel) newBareProcess(name string) *Process {
 // NewKernelProcess creates a kernel-thread process (swapper, ata_sff/0):
 // only the kernel region is mapped and all execution is attributed to it.
 func (k *Kernel) NewKernelProcess(name string) *Process {
-	p := k.newBareProcess(name)
+	p := k.addProcess(name, mem.NewAddressSpace(k.Stats))
 	kv, err := p.AS.Map(mem.KernelVA, mem.KernelLen, mem.RegionKernel,
 		mem.PermRead|mem.PermWrite|mem.PermExec, mem.ClassKernel)
 	if err != nil {
@@ -146,20 +150,11 @@ func (k *Kernel) NewKernelProcess(name string) *Process {
 // Fork clones parent into a child process named name. The child's address
 // space maps the parent's VMAs (same names, ranges, permissions and
 // resident pages) and adds its resident pages to the machine-wide budget;
-// a forked Dalvik VM copies the heap words it inherits (dalvik.ForkVM). The
-// child starts with no threads.
+// a forked Dalvik VM starts with an empty heap store, since no child can
+// read a heap word its parent wrote (dalvik.ForkVM). The child starts with
+// no threads.
 func (k *Kernel) Fork(parent *Process, name string) *Process {
-	child := &Process{
-		PID:    k.nextPID,
-		Name:   name,
-		AS:     parent.AS.Clone(),
-		StatID: k.Stats.Proc(name),
-		OomAdj: OomNeverKill,
-		kern:   k,
-	}
-	child.AS.OnResident = k.addResidentPages
-	k.addResidentPages(int64(child.AS.ResidentPages()))
-	k.nextPID++
+	child := k.addProcess(name, parent.AS.Clone())
 	child.Layout = &mem.Layout{
 		Text:    child.AS.FindByName(mem.RegionAppBinary),
 		Heap:    child.AS.FindByName(mem.RegionHeap),
@@ -167,8 +162,6 @@ func (k *Kernel) Fork(parent *Process, name string) *Process {
 		Kernel:  child.AS.FindByName(mem.RegionKernel),
 		NextLib: parent.Layout.NextLib,
 	}
-	k.procs = append(k.procs, child)
-	k.live = append(k.live, child)
 	return child
 }
 
