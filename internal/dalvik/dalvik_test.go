@@ -170,6 +170,54 @@ func TestInterpBulkAttribution(t *testing.T) {
 	}
 }
 
+// bulkJITShare runs InterpBulk over 10,000 bytecodes, fewer than traceEvery,
+// and returns the percentage of them it charged to the JIT code cache. Only
+// a compiled activation or InterpBulk's warmed share fetches from the cache.
+func bulkJITShare(ex *kernel.Exec, vm *VM, d *LoadedDex) uint64 {
+	const n = 10_000
+	ex.FlushStats()
+	before := ex.K.Stats.ByRegion(stats.IFetch)[mem.RegionJITCache]
+	vm.InterpBulk(ex, d, n, false)
+	ex.FlushStats()
+	return (ex.K.Stats.ByRegion(stats.IFetch)[mem.RegionJITCache] - before) * 100 / (jitCost * n)
+}
+
+// TestCompiledTraceWarmsInterpBulk: once a discovered trace compiles,
+// InterpBulk runs 45% of its bytecodes from the JIT cache instead of 10%, a
+// child forked from that VM starts at 45%, and the trace leaves no key in
+// vm.compiled, which holds methods only.
+func TestCompiledTraceWarmsInterpBulk(t *testing.T) {
+	var zygote *VM
+	var d *LoadedDex
+	k := harness(t, true, func(ex *kernel.Exec, vm *VM, ld *LoadedDex) {
+		zygote, d = vm, ld
+		if got := bulkJITShare(ex, vm, d); got != 10 {
+			t.Errorf("JIT share before any compile = %d%%, want 10%%", got)
+		}
+		vm.InterpBulk(ex, d, traceEvery, false) // discovers one trace
+		ex.SleepFor(5 * sim.Millisecond)        // the Compiler thread compiles it
+		if got := vm.CompilesDone(); got != 1 {
+			t.Fatalf("%d compiles, want the one trace", got)
+		}
+		if got := bulkJITShare(ex, vm, d); got != 45 {
+			t.Errorf("JIT share after a trace compiled = %d%%, want 45%%", got)
+		}
+	})
+	if len(zygote.compiled) != 0 {
+		t.Errorf("vm.compiled holds %v after only a trace compiled, want no key", zygote.compiled)
+	}
+	child := ForkVM(zygote, k.Fork(zygote.Proc, "app"), false)
+	var share uint64
+	k.SpawnThread(child.Proc, "main", "main", func(ex *kernel.Exec) {
+		ex.PushCode(child.Proc.Layout.Text)
+		share = bulkJITShare(ex, child, child.dexes[d.File.Name])
+	})
+	k.Run(k.Clock.Now() + 100*sim.Millisecond)
+	if share != 45 {
+		t.Errorf("forked child's JIT share = %d%%, want 45%%", share)
+	}
+}
+
 func TestLoadDexChargesLinearAlloc(t *testing.T) {
 	k := harness(t, false, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {})
 	if got := k.Stats.ByRegion(stats.DataWrite)[mem.RegionLinearAlloc]; got == 0 {

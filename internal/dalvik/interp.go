@@ -320,9 +320,7 @@ func (vm *VM) noteHot(ex *kernel.Exec, d *LoadedDex, mi int, key methodKey, weig
 // JIT), keeping the Compiler thread warm. Both the dispatch loop's
 // per-bytecode counter and InterpBulk send through here.
 func (vm *VM) sendTrace(ex *kernel.Exec, d *LoadedDex, mi int) {
-	vm.compileQueue.Send(ex, compileReq{d: d, mi: mi, key: methodKey{
-		dex: d.File.Name, method: fmt.Sprintf("%s#trace%d", d.File.Methods[mi].Name, vm.compilesDone),
-	}})
+	vm.compileQueue.Send(ex, compileReq{d: d, mi: mi, trace: true})
 }
 
 // InterpBulk models sustained interpretation of framework/library bytecode
@@ -342,7 +340,7 @@ func (vm *VM) InterpBulk(ex *kernel.Exec, d *LoadedDex, bytecodes uint64, heavyA
 	if vm.JITEnabled {
 		// Warmed fraction of execution running from the code cache.
 		jitShare = 45
-		if len(vm.compiled) == 0 {
+		if len(vm.compiled) == 0 && !vm.traced {
 			jitShare = 10
 		}
 	}

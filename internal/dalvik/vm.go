@@ -88,7 +88,12 @@ type VM struct {
 	gcQueue      *kernel.MsgQueue[gcReq]
 	compileQueue *kernel.MsgQueue[compileReq]
 
-	compiled      map[methodKey]bool
+	compiled map[methodKey]bool
+	// traced records that a discovered trace has compiled; only
+	// InterpBulk's warmed share reads it. A trace takes no key in compiled:
+	// a "<method>#trace<n>" key could never equal a method's, because
+	// dex.Assemble cuts every line at '#' before it reads a .method name.
+	traced        bool
 	hot           map[methodKey]int
 	jitTop        uint64
 	sinceTrace    uint64
@@ -103,10 +108,13 @@ type methodKey struct {
 	method string
 }
 
+// compileReq asks the Compiler thread for method mi of d: the method
+// itself under key, or, with trace set, a trace discovered starting in it.
 type compileReq struct {
-	d   *LoadedDex
-	mi  int
-	key methodKey
+	d     *LoadedDex
+	mi    int
+	key   methodKey
+	trace bool
 }
 
 type gcReq struct {
@@ -240,6 +248,7 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 		Linear:     find(mem.RegionLinearAlloc),
 		JITVMA:     find(mem.RegionJITCache),
 		JITEnabled: parent.JITEnabled,
+		traced:     parent.traced,
 		heapTop:    parent.heapTop,
 		pages:      make(map[uint64]*[mem.PageSize]byte),
 		compiled:   make(map[methodKey]bool, len(parent.compiled)),
@@ -496,7 +505,11 @@ func (vm *VM) compilerLoop(ex *kernel.Exec) {
 		}
 		vm.jitTop += emit * 4
 		ex.Do(kernel.Work{Fetch: 7, Writes: 1, Data: vm.JITVMA}, emit)
-		vm.compiled[req.key] = true
+		if req.trace {
+			vm.traced = true
+		} else {
+			vm.compiled[req.key] = true
+		}
 		vm.compilesDone++
 	}
 }

@@ -27,7 +27,6 @@ type mcfArc struct {
 type mcfGraph struct {
 	off  [mcfNodes + 1]int32
 	arcs [mcfArcs]mcfArc
-	dist [mcfNodes]int64
 }
 
 func (g *mcfGraph) init(seed uint64) {
@@ -59,32 +58,40 @@ func (g *mcfGraph) init(seed uint64) {
 	g.off[mcfNodes] = n
 }
 
-func stepMCF(ex *kernel.Exec, env *Env) {
-	if env.mcf == nil {
-		env.mcf = &mcfGraph{}
-		env.mcf.init(42)
+// relax runs two Bellman-Ford rounds from node 0, keeping the distances in
+// dist, and returns how many arcs relaxed.
+func (g *mcfGraph) relax(dist *[mcfNodes]int64) int {
+	for i := range dist {
+		dist[i] = 1 << 40
 	}
-	g := env.mcf
-	for i := range g.dist {
-		g.dist[i] = 1 << 40
-	}
-	g.dist[0] = 0
+	dist[0] = 0
 	relaxed := 0
-	// Two Bellman-Ford rounds. dist[u] is reread per arc: a negative
-	// self-loop lowers it mid-list.
+	// dist[u] is reread per arc: a negative self-loop lowers it mid-list.
 	for round := 0; round < 2; round++ {
 		for u := 0; u < mcfNodes; u++ {
 			for _, arc := range g.arcs[g.off[u]:g.off[u+1]] {
-				if nd := g.dist[u] + int64(arc.cost); nd < g.dist[arc.to] {
-					g.dist[arc.to] = nd
+				if nd := dist[u] + int64(arc.cost); nd < dist[arc.to] {
+					dist[arc.to] = nd
 					relaxed++
 				}
 			}
 		}
 	}
-	env.Checksum += uint64(relaxed)
-	// Account the full-size working set traversal: node/arc structure
-	// reads dominate, nearly all in the anonymous arena.
+	return relaxed
+}
+
+// mcfTerms builds the run's graph, which every lane reads and none writes,
+// and gives each step's term: the relaxation count. A lane owns its dist.
+func mcfTerms(n int) func(lane int, iter uint64) uint64 {
+	g := &mcfGraph{}
+	g.init(42)
+	dist := make([][mcfNodes]int64, n)
+	return func(lane int, _ uint64) uint64 { return uint64(g.relax(&dist[lane])) }
+}
+
+// chargeMCF accounts the full-size working set traversal: node/arc
+// structure reads dominate, nearly all in the anonymous arena.
+func chargeMCF(ex *kernel.Exec, env *Env) {
 	ex.Do(kernel.Work{Fetch: 6, Reads: 3, Data: env.Anon}, 260_000)
 	ex.Do(kernel.Work{Fetch: 2, Writes: 1, Data: env.Anon}, 40_000)
 	ex.StackWork(8_000)
@@ -97,12 +104,16 @@ const (
 	hmmSeqLen = 256
 )
 
-func stepHmmer(ex *kernel.Exec, env *Env) {
+// hmmerTerms gives each step's term: the best Viterbi score of its
+// synthetic sequence. The row buffers live on the lane's stack.
+func hmmerTerms(int) func(lane int, iter uint64) uint64 { return hmmerTerm }
+
+func hmmerTerm(_ int, iter uint64) uint64 {
 	// Genuine Viterbi pass: match/insert/delete recurrences over two row
 	// buffers that swap roles each position.
 	var rowA, rowB [hmmStates]int32
 	prev, cur := &rowA, &rowB
-	seed := env.iter*2862933555777941757 + 3037000493
+	seed := iter*2862933555777941757 + 3037000493
 	for i := range prev {
 		prev[i] = int32(i % 7)
 	}
@@ -121,8 +132,12 @@ func stepHmmer(ex *kernel.Exec, env *Env) {
 		prev, cur = cur, prev
 		best = max(best, del)
 	}
-	env.Checksum += uint64(uint32(best))
-	// The DP matrix traffic of the full-scale model (heap-resident).
+	return uint64(uint32(best))
+}
+
+// chargeHmmer accounts the DP matrix traffic of the full-scale model
+// (heap-resident).
+func chargeHmmer(ex *kernel.Exec, env *Env) {
 	heap := env.Proc.Layout.Heap
 	ex.Do(kernel.Work{Fetch: 9, Reads: 3, Writes: 1, Data: heap}, 220_000)
 	ex.StackWork(30_000)
@@ -209,12 +224,19 @@ func stepSjeng(ex *kernel.Exec, env *Env) {
 
 const quantumQubits = 12 // 4096-amplitude state vector
 
-func stepQuantum(ex *kernel.Exec, env *Env) {
-	n := 1 << quantumQubits
+// quantumTerms gives each step's term: the state's norm after the step's
+// gates. A lane owns its amplitude vector.
+func quantumTerms(n int) func(lane int, iter uint64) uint64 {
+	amps := make([][1 << quantumQubits]int32, n)
+	return func(lane int, iter uint64) uint64 { return quantumTerm(&amps[lane], iter) }
+}
+
+func quantumTerm(amp *[1 << quantumQubits]int32, iter uint64) uint64 {
+	n := len(amp)
 	// Genuine gate applications over a real amplitude array (fixed-point).
-	amp := make([]int32, n)
+	clear(amp[:])
 	amp[0] = 1 << 14
-	target := uint(env.iter % quantumQubits)
+	target := uint(iter % quantumQubits)
 	bit := 1 << target
 	// Hadamard on `target`: butterfly over the state vector.
 	for i := 0; i < n; i++ {
@@ -235,9 +257,12 @@ func stepQuantum(ex *kernel.Exec, env *Env) {
 	for _, a := range amp {
 		sum += int64(a) * int64(a)
 	}
-	env.Checksum += uint64(sum)
-	// Full-scale register (libquantum uses millions of amplitudes in the
-	// anonymous arena): streaming read-modify-write sweeps.
+	return uint64(sum)
+}
+
+// chargeQuantum accounts the full-scale register (libquantum uses millions
+// of amplitudes in the anonymous arena): streaming read-modify-write sweeps.
+func chargeQuantum(ex *kernel.Exec, env *Env) {
 	ex.Do(kernel.Work{Fetch: 7, Reads: 2, Writes: 2, Data: env.Anon}, 350_000)
 	ex.StackWork(5_000)
 }

@@ -6,6 +6,12 @@
 // memory layout: one process named "benchmark", instruction fetches from the
 // app binary, data in heap/anonymous/stack — the "simple" profile the
 // paper's figures contrast against Android's.
+//
+// The miniatures of bzip2, mcf, hmmer and libquantum depend on nothing but
+// their step number and the run's immutable inputs, so their steps are
+// computed ahead of the simulated thread on lookahead lanes, one per
+// GOMAXPROCS, and folded in step order (see lanes). Results do not depend on
+// the lane count.
 package spec
 
 import (
@@ -26,8 +32,17 @@ type Benchmark struct {
 	// (the "anonymous" region of the paper's Figure 2).
 	AnonBytes uint64
 	// Step runs one unit of work; the main loop repeats it until the
-	// simulation deadline.
+	// simulation deadline. It charges the unit's simulated references. For
+	// sjeng and specrand, whose units depend on earlier ones, it also
+	// computes the unit and folds its result into Env.Checksum.
 	Step func(ex *kernel.Exec, env *Env)
+	// terms is set for the kernels whose units depend only on their step
+	// number and the run's immutable inputs. Given a lane count n, it
+	// builds those inputs and the scratch of n lanes, and returns the
+	// unit's computation: step iter's checksum term, on the given lane's
+	// scratch. Launch folds each term into Env.Checksum before Step
+	// charges the unit.
+	terms func(n int) func(lane int, iter uint64) uint64
 }
 
 // Env is the memory environment a SPEC kernel runs in.
@@ -39,8 +54,7 @@ type Env struct {
 	// dead-code eliminated and tests can assert determinism.
 	Checksum uint64
 
-	// per-benchmark persistent state (built on first step)
-	mcf   *mcfGraph
+	// sjeng's transposition table, kept across steps (built on first step)
 	sjeng *sjengTT
 }
 
@@ -57,19 +71,19 @@ func ByName(name string) (*Benchmark, error) {
 	switch name {
 	case "401.bzip2":
 		return &Benchmark{Name: name, TextSize: 256 * 1024, InputBytes: 4 << 20,
-			AnonBytes: 8 << 20, Step: stepBzip2}, nil
+			AnonBytes: 8 << 20, Step: chargeBzip2, terms: bzip2Terms}, nil
 	case "429.mcf":
 		return &Benchmark{Name: name, TextSize: 64 * 1024, InputBytes: 2 << 20,
-			AnonBytes: 24 << 20, Step: stepMCF}, nil
+			AnonBytes: 24 << 20, Step: chargeMCF, terms: mcfTerms}, nil
 	case "456.hmmer":
 		return &Benchmark{Name: name, TextSize: 320 * 1024, InputBytes: 1 << 20,
-			AnonBytes: 0, Step: stepHmmer}, nil
+			AnonBytes: 0, Step: chargeHmmer, terms: hmmerTerms}, nil
 	case "458.sjeng":
 		return &Benchmark{Name: name, TextSize: 192 * 1024, InputBytes: 64 * 1024,
 			AnonBytes: 12 << 20, Step: stepSjeng}, nil
 	case "462.libquantum":
 		return &Benchmark{Name: name, TextSize: 48 * 1024, InputBytes: 16 * 1024,
-			AnonBytes: 16 << 20, Step: stepQuantum}, nil
+			AnonBytes: 16 << 20, Step: chargeQuantum, terms: quantumTerms}, nil
 	case "999.specrand":
 		return &Benchmark{Name: name, TextSize: 16 * 1024, InputBytes: 4 * 1024,
 			AnonBytes: 0, Step: stepSpecrand}, nil
@@ -79,8 +93,10 @@ func ByName(name string) (*Benchmark, error) {
 
 // Launch creates the benchmark process (named "benchmark", as in the
 // paper's process legends) and starts its main thread: read the input from
-// storage, then iterate Step until the simulation deadline. It returns the
-// environment so tests can inspect the checksum.
+// storage, then iterate Step until the simulation deadline. A lane kernel
+// starts its lanes at the first step and folds each step's term before
+// Step charges it; the lanes stop when the thread is killed (Shutdown). It
+// returns the environment so tests can inspect the checksum.
 func Launch(k *kernel.Kernel, b *Benchmark) *Env {
 	p := k.NewProcess("benchmark", b.TextSize, 4<<20)
 	env := &Env{Proc: p}
@@ -98,7 +114,16 @@ func Launch(k *kernel.Kernel, b *Benchmark) *Env {
 			ex.BlockRead(in, chunk)
 			remaining -= chunk
 		}
+		if b.terms == nil {
+			for {
+				b.Step(ex, env)
+				env.iter++
+			}
+		}
+		ls := startLanes(b.terms)
+		defer ls.stop()
 		for {
+			env.Checksum += ls.next(env.iter)
 			b.Step(ex, env)
 			env.iter++
 		}
@@ -108,49 +133,53 @@ func Launch(k *kernel.Kernel, b *Benchmark) *Env {
 
 // --- 401.bzip2: block compression (BWT + MTF + RLE) ---
 
-// Bzip2Block compresses a block with a real Burrows–Wheeler transform,
-// move-to-front coding and run-length encoding; Decompress inverts it. The
-// simulation runs these for real on small blocks, and tests assert the
-// round trip.
+// Bzip2Compress compresses a block with a real Burrows–Wheeler transform,
+// move-to-front coding and run-length encoding. It runs bzip2Encode, the
+// codec every bzip2 step runs on its lane's scratch, on fresh buffers; the
+// tests invert it.
 func Bzip2Compress(block []byte) []byte {
-	bwt, idx := bwtForward(block)
-	mtf := mtfEncode(bwt)
-	out := rleEncode(mtf)
-	hdr := []byte{byte(idx), byte(idx >> 8), byte(idx >> 16), byte(idx >> 24)}
-	return append(hdr, out...)
+	n := len(block)
+	return bzip2Encode(make([]byte, 0, bzip2EncodedMax(n)), block,
+		make([]byte, n), make([]int32, bwtWorkLen(n)))
 }
 
-// Bzip2Decompress inverts Bzip2Compress.
-func Bzip2Decompress(data []byte) ([]byte, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("spec: short bzip2 block")
-	}
-	idx := int(data[0]) | int(data[1])<<8 | int(data[2])<<16 | int(data[3])<<24
-	mtf, err := rleDecode(data[4:])
-	if err != nil {
-		return nil, err
-	}
-	bwt := mtfDecode(mtf)
-	return bwtInverse(bwt, idx)
+// bzip2Encode appends the compressed block to dst: the BWT's primary index
+// in 4 little-endian bytes, then the RLE of the MTF of the BWT. last (len
+// block bytes) and work (bwtWorkLen(len(block)) entries) are scratch. With
+// bzip2EncodedMax(len(block)) bytes free in dst it allocates nothing.
+func bzip2Encode(dst, block, last []byte, work []int32) []byte {
+	idx := bwtForward(last, block, work)
+	mtfEncode(last)
+	dst = append(dst, byte(idx), byte(idx>>8), byte(idx>>16), byte(idx>>24))
+	return rleEncode(dst, last)
 }
 
-// bwtForward returns the last column of the block's sorted cyclic rotations
-// and the row of rotation 0. It sorts the rotations by prefix doubling: once
-// class ranks every rotation by its first h bytes, one stable counting sort
-// by (class[r], class[r+h]) pairs orders them by their first 2h bytes.
+// bzip2EncodedMax bounds bzip2Encode's output for an n-byte block: the index,
+// then at worst a (byte, run) pair per byte.
+func bzip2EncodedMax(n int) int { return 4 + 2*n }
+
+// bwtWorkLen is the scratch bwtForward needs for an n-byte block: four
+// arrays of n rotations plus a counting-sort histogram of at least the 256
+// byte classes.
+func bwtWorkLen(n int) int { return 4*n + max(n, 256) }
+
+// bwtForward writes the last column of the block's sorted cyclic rotations
+// into out (len(s) bytes) and returns the row of rotation 0. work is scratch
+// of bwtWorkLen(len(s)) entries. It sorts the rotations by prefix doubling:
+// once class ranks every rotation by its first h bytes, one stable counting
+// sort by (class[r], class[r+h]) pairs orders them by their first 2h bytes.
 // Rotations still sharing a class after n bytes are identical (a periodic
 // block); they come out by index ascending.
-func bwtForward(s []byte) ([]byte, int) {
+func bwtForward(out, s []byte, work []int32) int {
 	n := len(s)
-	out := make([]byte, n)
 	if n == 0 {
-		return out, 0
+		return 0
 	}
-	order := make([]int32, n) // rotations sorted by class
-	shifted := make([]int32, n)
-	class := make([]int32, n)
-	nextClass := make([]int32, n)
-	count := make([]int32, max(n, 256))
+	order := work[:n] // rotations sorted by class
+	shifted := work[n : 2*n]
+	class := work[2*n : 3*n]
+	nextClass := work[3*n : 4*n]
+	count := work[4*n : bwtWorkLen(n)]
 
 	for i, c := range s {
 		shifted[i] = int32(i)
@@ -189,7 +218,7 @@ func bwtForward(s []byte) ([]byte, int) {
 		}
 		out[i] = s[r-1]
 	}
-	return out, primary
+	return primary
 }
 
 // sortRotations stably counting-sorts the rotations listed in src by class
@@ -232,95 +261,34 @@ func rankRotations(rank, order, class []int32, h int32) int32 {
 	return runs
 }
 
-func bwtInverse(l []byte, primary int) ([]byte, error) {
-	n := len(l)
-	if n == 0 && primary == 0 {
-		return []byte{}, nil // the empty block: no rotations
-	}
-	if primary < 0 || primary >= n {
-		return nil, fmt.Errorf("spec: bad BWT index %d", primary)
-	}
-	var count [256]int
-	for _, c := range l {
-		count[c]++
-	}
-	var base [256]int
-	sum := 0
-	for c := 0; c < 256; c++ {
-		base[c] = sum
-		sum += count[c]
-	}
-	next := make([]int, n)
-	var seen [256]int
-	for i, c := range l {
-		next[base[c]+seen[c]] = i
-		seen[c]++
-	}
-	out := make([]byte, n)
-	p := next[primary]
-	for i := 0; i < n; i++ {
-		out[i] = l[p]
-		p = next[p]
-	}
-	return out, nil
-}
-
-func mtfEncode(s []byte) []byte {
+// mtfEncode move-to-front codes s in place: each byte becomes its position
+// in a recency list of all 256 byte values.
+func mtfEncode(s []byte) {
 	var tbl [256]byte
 	for i := range tbl {
 		tbl[i] = byte(i)
 	}
-	out := make([]byte, len(s))
 	for i, c := range s {
 		var j int
 		for j = 0; tbl[j] != c; j++ {
 		}
-		out[i] = byte(j)
+		s[i] = byte(j)
 		copy(tbl[1:j+1], tbl[:j])
 		tbl[0] = c
 	}
-	return out
 }
 
-func mtfDecode(s []byte) []byte {
-	var tbl [256]byte
-	for i := range tbl {
-		tbl[i] = byte(i)
-	}
-	out := make([]byte, len(s))
-	for i, j := range s {
-		c := tbl[j]
-		out[i] = c
-		copy(tbl[1:int(j)+1], tbl[:int(j)])
-		tbl[0] = c
-	}
-	return out
-}
-
-func rleEncode(s []byte) []byte {
-	var out []byte
+// rleEncode appends s to dst as (byte, run length) pairs, runs capped at 255.
+func rleEncode(dst, s []byte) []byte {
 	for i := 0; i < len(s); {
 		j := i
 		for j < len(s) && s[j] == s[i] && j-i < 255 {
 			j++
 		}
-		out = append(out, s[i], byte(j-i))
+		dst = append(dst, s[i], byte(j-i))
 		i = j
 	}
-	return out
-}
-
-func rleDecode(s []byte) ([]byte, error) {
-	if len(s)%2 != 0 {
-		return nil, fmt.Errorf("spec: odd RLE stream")
-	}
-	var out []byte
-	for i := 0; i < len(s); i += 2 {
-		for k := 0; k < int(s[i+1]); k++ {
-			out = append(out, s[i])
-		}
-	}
-	return out, nil
+	return dst
 }
 
 // bzip2BlockSize is the size of the block each bzip2 step compresses for real.
@@ -335,15 +303,28 @@ func fillBzip2Block(buf []byte, iter uint64) {
 	}
 }
 
-// stepBzip2 compresses one synthetic text block for real and accounts the
-// full-scale block volume.
-func stepBzip2(ex *kernel.Exec, env *Env) {
-	var block [bzip2BlockSize]byte
-	fillBzip2Block(block[:], env.iter)
-	comp := Bzip2Compress(block[:])
-	env.Checksum += uint64(len(comp))
-	// Account the full 256 KiB-block workload this miniature stands for:
-	// suffix sort reads, MTF table traffic, output writes.
+// bzip2Lane is one lane's scratch for a bzip2 step: the block, its BWT
+// (MTF-coded in place), the compressed output and the BWT's work arrays.
+type bzip2Lane struct {
+	block, last [bzip2BlockSize]byte
+	out         [4 + 2*bzip2BlockSize]byte // bzip2EncodedMax(bzip2BlockSize)
+	work        [4*bzip2BlockSize + max(bzip2BlockSize, 256)]int32
+}
+
+// bzip2Terms gives each step's term: the compressed size of its synthetic
+// text block.
+func bzip2Terms(n int) func(lane int, iter uint64) uint64 {
+	scratch := make([]bzip2Lane, n)
+	return func(lane int, iter uint64) uint64 {
+		l := &scratch[lane]
+		fillBzip2Block(l.block[:], iter)
+		return uint64(len(bzip2Encode(l.out[:0], l.block[:], l.last[:], l.work[:])))
+	}
+}
+
+// chargeBzip2 accounts the full 256 KiB-block workload a bzip2 step's
+// miniature stands for: suffix sort reads, MTF table traffic, output writes.
+func chargeBzip2(ex *kernel.Exec, env *Env) {
 	heap := env.Proc.Layout.Heap
 	ex.Do(kernel.Work{Fetch: 10, Reads: 2, Data: env.Anon}, 300_000)
 	ex.Do(kernel.Work{Fetch: 4, Reads: 1, Writes: 1, Data: heap}, 120_000)
