@@ -190,7 +190,7 @@ func BenchmarkScenarioGenerated(b *testing.B) {
 // BenchmarkScenarioDense is the hot-path stress gate: a 50-app generated
 // session at 10x the default event density with memory pressure and input
 // gestures on — every mailbox and pooled structure (binder transactions,
-// cpu contexts, batched stats flushes) cycling at full rate. It
+// cpu contexts) and the collector's row slot tables cycling at full rate. It
 // exists so per-tick costs that hide in the 10-app session surface in CI,
 // and it runs once under -race in the test job to shake out pool-reuse
 // races.

@@ -153,7 +153,7 @@ func (sys *System) NewApp(cfg AppConfig) *App {
 		a.Assets = append(a.Assets, v)
 	}
 	a.VM = dalvik.ForkVM(sys.ZygoteVM, a.Proc, true)
-	a.Looper = NewLooper(k, cfg.Process+"."+cfg.Label)
+	a.Looper = NewLooper(k, "looper.main")
 	if cfg.AsyncWorkers > 0 {
 		a.Tasks = NewAsyncPool(a.Proc, cfg.AsyncWorkers)
 	}

@@ -37,7 +37,7 @@ type Looper struct {
 
 // NewLooper prepares a looper backed by the kernel's mailbox primitive.
 func NewLooper(k *kernel.Kernel, name string) *Looper {
-	return &Looper{q: kernel.NewMsgQueue[Message](k, "looper."+name)}
+	return &Looper{q: kernel.NewMsgQueue[Message](k, name)}
 }
 
 // Post enqueues a message from the calling thread, stamping its enqueue
@@ -90,7 +90,7 @@ func asyncTaskName(i int) string {
 // NewAsyncPool spawns n workers in proc.
 func NewAsyncPool(proc *kernel.Process, n int) *AsyncPool {
 	k := proc.Kernel()
-	p := &AsyncPool{q: kernel.NewMsgQueue[func(*kernel.Exec)](k, proc.Name+".asynctask")}
+	p := &AsyncPool{q: kernel.NewMsgQueue[func(*kernel.Exec)](k, "asynctask")}
 	for i := 0; i < n; i++ {
 		name := asyncTaskName(i)
 		k.SpawnThread(proc, name, "AsyncTask", func(ex *kernel.Exec) {

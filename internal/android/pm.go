@@ -24,7 +24,7 @@ import (
 // The returned Install completes when dexopt finishes.
 func (sys *System) InstallAPK(ex *kernel.Exec, a *App, pkgName string, apkBytes uint64) *Install {
 	k := sys.K
-	done := &Install{wq: k.NewWaitQueue("install." + pkgName)}
+	done := &Install{wq: k.NewWaitQueue("install")}
 
 	// 1. Read the APK and parse the zip central directory in the client.
 	apkBuf := a.Proc.Layout.MapAnon(a.Proc.AS, apkBytes)

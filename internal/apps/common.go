@@ -13,10 +13,8 @@ import (
 // "other (169 items)" in Figure 2 — without inventing regions that receive
 // no references.
 func touchLibraries(ex *kernel.Exec, a *android.App, intensity uint64) {
-	names := a.LinkMap.Names()
-	for i, name := range names {
-		v := a.LinkMap.VMA(name)
-		w := intensity / uint64(i+2) // Zipf by deterministic map order
+	for i, v := range a.LinkMap.Libraries() {
+		w := intensity / uint64(i+2) // Zipf by name order
 		if w == 0 {
 			w = 1
 		}

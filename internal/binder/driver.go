@@ -147,7 +147,7 @@ func (d *Driver) Register(proc *kernel.Process, name string, nThreads int, h Han
 	s := &Service{
 		Proc:    proc,
 		Handler: h,
-		queue:   kernel.NewMsgQueue[*Transaction](d.k, "binder."+name),
+		queue:   kernel.NewMsgQueue[*Transaction](d.k, "binder.service"),
 	}
 	d.services[name] = s
 	d.bufferFor(proc)

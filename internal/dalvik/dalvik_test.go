@@ -175,17 +175,15 @@ func TestInterpBulkAttribution(t *testing.T) {
 // a compiled activation or InterpBulk's warmed share fetches from the cache.
 func bulkJITShare(ex *kernel.Exec, vm *VM, d *LoadedDex) uint64 {
 	const n = 10_000
-	ex.FlushStats()
 	before := ex.K.Stats.ByRegion(stats.IFetch)[mem.RegionJITCache]
 	vm.InterpBulk(ex, d, n, false)
-	ex.FlushStats()
 	return (ex.K.Stats.ByRegion(stats.IFetch)[mem.RegionJITCache] - before) * 100 / (jitCost * n)
 }
 
 // TestCompiledTraceWarmsInterpBulk: once a discovered trace compiles,
 // InterpBulk runs 45% of its bytecodes from the JIT cache instead of 10%, a
-// child forked from that VM starts at 45%, and the trace leaves no key in
-// vm.compiled, which holds methods only.
+// child forked from that VM starts at 45%, and the trace sets no method's
+// compiled bit.
 func TestCompiledTraceWarmsInterpBulk(t *testing.T) {
 	var zygote *VM
 	var d *LoadedDex
@@ -203,8 +201,10 @@ func TestCompiledTraceWarmsInterpBulk(t *testing.T) {
 			t.Errorf("JIT share after a trace compiled = %d%%, want 45%%", got)
 		}
 	})
-	if len(zygote.compiled) != 0 {
-		t.Errorf("vm.compiled holds %v after only a trace compiled, want no key", zygote.compiled)
+	for mi, m := range d.jit {
+		if m.compiled {
+			t.Errorf("method %s compiled after only a trace compiled", d.File.Methods[mi].Name)
+		}
 	}
 	child := ForkVM(zygote, k.Fork(zygote.Proc, "app"), false)
 	var share uint64
@@ -326,9 +326,26 @@ func TestHeapUnwrittenWordReadsZero(t *testing.T) {
 		t.Fatalf("unwritten word read %#x", got)
 	}
 	vm.zero(HeapSize/2, 4*mem.PageSize)
-	if len(vm.pages) != 0 {
-		t.Fatalf("reading and zeroing unwritten memory materialized %d pages", len(vm.pages))
+	if n := heapTables(vm); n != 0 {
+		t.Fatalf("reading and zeroing unwritten memory materialized %d pages and leaves", n)
 	}
+}
+
+// heapTables counts the heap pages and page-table leaves vm has
+// materialized.
+func heapTables(vm *VM) int {
+	n := 0
+	for _, l := range vm.pages {
+		if l != nil {
+			n++
+			for _, p := range l {
+				if p != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // TestHeapAccessOutsideArenaPanics: the arena's last word is addressable,
@@ -355,8 +372,8 @@ func TestForkVMStartsWithNoHeapPages(t *testing.T) {
 	zygote := bareVM(k, "zygote")
 	zygote.store32(64, 42)
 	child := ForkVM(zygote, k.Fork(zygote.Proc, "app"), false)
-	if n := len(child.pages); n != 0 {
-		t.Fatalf("child holds %d heap pages right after the fork, want 0", n)
+	if n := heapTables(child); n != 0 {
+		t.Fatalf("child holds %d heap pages and leaves right after the fork, want 0", n)
 	}
 	child.store32(64, 7)
 	if got := zygote.load32(64); got != 42 {
@@ -392,4 +409,85 @@ func TestAllocOverStaleBytesReadsZero(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSameNamedMethodsWarmUpIndependently: JIT state belongs to a method of
+// one dex file, so two dex files that both define sumLoop count hotness and
+// compile apart.
+func TestSameNamedMethodsWarmUpIndependently(t *testing.T) {
+	var a, b *LoadedDex
+	var compiles uint64
+	harness(t, true, func(ex *kernel.Exec, vm *VM, _ *LoadedDex) {
+		a = vm.LoadDex(ex, StockDex("alpha"))
+		b = vm.LoadDex(ex, StockDex("beta"))
+		vm.Exec(ex, a, "sumLoop", 30) // 31 counts: one compile request
+		ex.SleepFor(5 * sim.Millisecond)
+		vm.Exec(ex, b, "sumLoop", 10) // 11 counts: below the threshold
+		ex.SleepFor(5 * sim.Millisecond)
+		compiles = vm.CompilesDone()
+	})
+	mi := a.method("sumLoop")
+	if !a.jit[mi].compiled || b.jit[mi].compiled {
+		t.Fatalf("compiled: alpha %v, beta %v; want only alpha's sumLoop", a.jit[mi].compiled, b.jit[mi].compiled)
+	}
+	if got := b.jit[mi].hot; got != 11 {
+		t.Fatalf("beta's sumLoop hotness = %d, want its own 11", got)
+	}
+	if compiles != 1 {
+		t.Fatalf("%d compiles, want alpha's sumLoop only", compiles)
+	}
+}
+
+// TestForkVMInheritsCompiledBitsNotHotness: a ForkVM child starts with its
+// parent's compiled methods and no hotness, in JIT state of its own.
+func TestForkVMInheritsCompiledBitsNotHotness(t *testing.T) {
+	var parent *VM
+	var d *LoadedDex
+	k := harness(t, false, func(ex *kernel.Exec, vm *VM, ld *LoadedDex) {
+		parent, d = vm, ld
+		vm.ForceCompile(d, "sumLoop")
+		vm.Exec(ex, d, "fillArray", 5)
+	})
+	fill := d.method("fillArray")
+	if d.jit[fill].hot == 0 {
+		t.Fatal("the parent's fillArray gained no hotness")
+	}
+	child := ForkVM(parent, k.Fork(parent.Proc, "app"), false)
+	cd := child.dexes[d.File.Name]
+	for mi, m := range cd.jit {
+		if m.compiled != d.jit[mi].compiled || m.hot != 0 {
+			t.Errorf("child's %s: compiled %v hot %d, want compiled %v hot 0",
+				d.File.Methods[mi].Name, m.compiled, m.hot, d.jit[mi].compiled)
+		}
+	}
+	child.ForceCompile(cd, "fillArray")
+	if d.jit[fill].compiled {
+		t.Fatal("compiling the child's fillArray compiled the parent's")
+	}
+}
+
+// TestForceCompileSetsOneMethod: ForceCompile sets exactly the named
+// method's compiled bit, and an unknown name panics as it does in Exec.
+func TestForceCompileSetsOneMethod(t *testing.T) {
+	panicOf := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	var execPanic, forcePanic any
+	var d *LoadedDex
+	harness(t, false, func(ex *kernel.Exec, vm *VM, ld *LoadedDex) {
+		d = ld
+		vm.ForceCompile(d, "scanArray")
+		execPanic = panicOf(func() { vm.Exec(ex, d, "noSuchMethod") })
+		forcePanic = panicOf(func() { vm.ForceCompile(d, "noSuchMethod") })
+	})
+	for mi, m := range d.jit {
+		if name := d.File.Methods[mi].Name; m.compiled != (name == "scanArray") {
+			t.Errorf("%s compiled = %v after ForceCompile(scanArray)", name, m.compiled)
+		}
+	}
+	if forcePanic == nil || forcePanic != execPanic {
+		t.Fatalf("ForceCompile of an unknown method panicked with %v, want Exec's %v", forcePanic, execPanic)
+	}
 }

@@ -39,25 +39,23 @@ type frame struct {
 	ret        int64
 	returned   bool
 
-	// jit selects the compiled cost model for this activation. It starts as
-	// vm.compiled at entry and, once set, stays set until return.
+	// jit selects the compiled cost model for this activation: the method's
+	// compiled bit at entry, and once set, set until return.
 	jit bool
 
 	// yielded is set by any handler that may have released the simulated
 	// CPU (heap traffic, invokes, accounting flushes, compile-queue sends).
-	// The VM's compiled map can only change while another simulated thread
-	// runs, and the scheduler is strict-handoff, so an interpreted
-	// activation re-reads the map only after instructions that set this
-	// flag; a read after every bytecode would see the same values.
+	// A compiled bit can only change while another simulated thread runs,
+	// and the scheduler is strict-handoff, so an interpreted activation
+	// re-reads its method's bit only after instructions that set this flag;
+	// a read after every bytecode would see the same values.
 	yielded bool
 
 	vm    *VM
 	ex    *kernel.Exec
 	d     *LoadedDex
 	a     *acct
-	m     *dex.Method
 	mi    int
-	key   methodKey
 	depth int
 }
 
@@ -70,12 +68,8 @@ type frame struct {
 // traffic hits the thread stack, and array/field/alloc traffic hits
 // dalvik-heap.
 func (vm *VM) Exec(ex *kernel.Exec, d *LoadedDex, method string, args ...int64) int64 {
-	mi := d.File.MethodIndex(method)
-	if mi < 0 {
-		panic(fmt.Sprintf("dalvik: no method %q in %s", method, d.File.Name))
-	}
 	a := &acct{}
-	ret := vm.execMethod(ex, d, mi, args, a, 0)
+	ret := vm.execMethod(ex, d, d.method(method), args, a, 0)
 	vm.flush(ex, a)
 	return ret
 }
@@ -100,13 +94,11 @@ func (vm *VM) execMethod(ex *kernel.Exec, d *LoadedDex, mi int, args []int64, a 
 	if depth > 64 {
 		panic("dalvik: interpreter recursion too deep")
 	}
-	m := d.File.Methods[mi]
-	key := methodKey{dex: d.File.Name, method: m.Name}
-	vm.noteHot(ex, d, mi, key, 1)
+	vm.noteHot(ex, d, mi)
 
 	// The compiled read is not gated on JITEnabled: a VM with the JIT off
 	// still runs the methods it inherited compiled under the JIT costs.
-	fr := &frame{vm: vm, ex: ex, d: d, a: a, m: m, mi: mi, key: key, depth: depth, jit: vm.compiled[key]}
+	fr := &frame{vm: vm, ex: ex, d: d, a: a, mi: mi, depth: depth, jit: d.jit[mi].compiled}
 	copy(fr.regs[:], args)
 	return vm.run(fr)
 }
@@ -114,12 +106,12 @@ func (vm *VM) execMethod(ex *kernel.Exec, d *LoadedDex, mi int, args []int64, a 
 // run executes fr's method from fr.pc: threaded dispatch over the method's
 // code, charging each bytecode under the activation's cost model.
 func (vm *VM) run(fr *frame) int64 {
-	code := fr.m.Code
+	code := fr.d.File.Methods[fr.mi].Code
 	a, ex, d := fr.a, fr.ex, fr.d
 	for {
 		pc := fr.pc
 		if pc < 0 || pc >= len(code) {
-			panic(fmt.Sprintf("dalvik: pc %d out of range in %s", pc, fr.m.Name))
+			panic(fmt.Sprintf("dalvik: pc %d out of range in %s", pc, d.File.Methods[fr.mi].Name))
 		}
 		ins := code[pc]
 
@@ -156,7 +148,7 @@ func (vm *VM) run(fr *frame) int64 {
 			fr.yielded = false
 			// A method compiled mid-execution switches attribution at the
 			// next loop head, like a real trace JIT entering compiled code.
-			fr.jit = vm.compiled[fr.key]
+			fr.jit = d.jit[fr.mi].compiled
 		}
 	}
 }
@@ -182,7 +174,7 @@ func opBad(fr *frame, ins dex.Instr) {
 func branch(fr *frame, off int) {
 	fr.pc += off
 	if off < 0 && fr.vm.JITEnabled && !fr.jit {
-		fr.vm.noteHot(fr.ex, fr.d, fr.mi, fr.key, 1)
+		fr.vm.noteHot(fr.ex, fr.d, fr.mi)
 		fr.yielded = true
 	}
 }
@@ -303,15 +295,17 @@ func init() {
 
 // --- hotness and trace discovery ---
 
-// noteHot counts an invoke; crossing the threshold enqueues a compile.
-func (vm *VM) noteHot(ex *kernel.Exec, d *LoadedDex, mi int, key methodKey, weight int) {
-	if !vm.JITEnabled || vm.compiled[key] {
+// noteHot counts an invoke or taken backedge of method mi of d; crossing
+// the threshold enqueues a compile.
+func (vm *VM) noteHot(ex *kernel.Exec, d *LoadedDex, mi int) {
+	m := &d.jit[mi]
+	if !vm.JITEnabled || m.compiled {
 		return
 	}
-	vm.hot[key] += weight
-	if vm.hot[key] >= hotThreshold {
-		vm.hot[key] = 0
-		vm.compileQueue.Send(ex, compileReq{d: d, mi: mi, key: key})
+	m.hot++
+	if m.hot >= hotThreshold {
+		m.hot = 0
+		vm.compileQueue.Send(ex, compileReq{d: d, mi: mi})
 	}
 }
 
@@ -340,7 +334,7 @@ func (vm *VM) InterpBulk(ex *kernel.Exec, d *LoadedDex, bytecodes uint64, heavyA
 	if vm.JITEnabled {
 		// Warmed fraction of execution running from the code cache.
 		jitShare = 45
-		if len(vm.compiled) == 0 && !vm.traced {
+		if !vm.warm {
 			jitShare = 10
 		}
 	}

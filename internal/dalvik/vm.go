@@ -61,6 +61,27 @@ const (
 type LoadedDex struct {
 	File *dex.File
 	VMA  *mem.VMA
+
+	// jit holds this VM's JIT state of each of File's methods, indexed by
+	// method index.
+	jit []methodJIT
+}
+
+// methodJIT counts a method's invokes and taken backedges since its last
+// compile request, and records whether it has compiled.
+type methodJIT struct {
+	hot      int32
+	compiled bool
+}
+
+// method returns the index of the named method of d, and panics if d has
+// no such method.
+func (d *LoadedDex) method(name string) int {
+	mi := d.File.MethodIndex(name)
+	if mi < 0 {
+		panic(fmt.Sprintf("dalvik: no method %q in %s", name, d.File.Name))
+	}
+	return mi
 }
 
 // VM is one process's Dalvik instance.
@@ -80,21 +101,18 @@ type VM struct {
 	allocSinceGC uint64
 	gcRuns       uint64
 
-	// pages holds the object heap's bytes, keyed by page index within the
-	// arena: the only simulated memory a program reads back. An absent page
-	// reads as zero, and only a write materializes one.
-	pages map[uint64]*[mem.PageSize]byte
+	// pages holds the object heap's bytes, the only simulated memory a
+	// program reads back, as a two-level table indexed by page index within
+	// the arena. An absent page reads as zero, and only a write materializes
+	// one (and its leaf).
+	pages [HeapSize / mem.PageSize / leafPages]*heapLeaf
 
 	gcQueue      *kernel.MsgQueue[gcReq]
 	compileQueue *kernel.MsgQueue[compileReq]
 
-	compiled map[methodKey]bool
-	// traced records that a discovered trace has compiled; only
-	// InterpBulk's warmed share reads it. A trace takes no key in compiled:
-	// a "<method>#trace<n>" key could never equal a method's, because
-	// dex.Assemble cuts every line at '#' before it reads a .method name.
-	traced        bool
-	hot           map[methodKey]int
+	// warm records that a method or a trace has compiled in this VM or its
+	// fork parent; only InterpBulk's warmed share reads it.
+	warm          bool
 	jitTop        uint64
 	sinceTrace    uint64
 	compilesDone  uint64
@@ -103,17 +121,11 @@ type VM struct {
 	heapWorkerWq  *kernel.WaitQueue
 }
 
-type methodKey struct {
-	dex    string
-	method string
-}
-
 // compileReq asks the Compiler thread for method mi of d: the method
-// itself under key, or, with trace set, a trace discovered starting in it.
+// itself, or, with trace set, a trace discovered starting in it.
 type compileReq struct {
 	d     *LoadedDex
 	mi    int
-	key   methodKey
 	trace bool
 }
 
@@ -130,9 +142,6 @@ func Attach(proc *kernel.Process, lm *loader.LinkMap, services bool) *VM {
 		Proc:       proc,
 		LibDVM:     lm.VMA("libdvm.so"),
 		JITEnabled: true,
-		pages:      make(map[uint64]*[mem.PageSize]byte),
-		compiled:   make(map[methodKey]bool),
-		hot:        make(map[methodKey]int),
 		dexes:      make(map[string]*LoadedDex),
 	}
 	vm.HeapVMA = proc.AS.MapAnywhere(mem.MmapBase, HeapSize, mem.RegionDalvikHeap,
@@ -143,8 +152,8 @@ func Attach(proc *kernel.Process, lm *loader.LinkMap, services bool) *VM {
 		mem.PermRead|mem.PermWrite|mem.PermExec, mem.ClassRuntime)
 	vm.heapTop = 16 // offset 0 is reserved so 0 can mean null
 	vm.heapCommit = vm.HeapVMA.Size()
-	vm.gcQueue = kernel.NewMsgQueue[gcReq](k, proc.Name+".gc")
-	vm.compileQueue = kernel.NewMsgQueue[compileReq](k, proc.Name+".jit")
+	vm.gcQueue = kernel.NewMsgQueue[gcReq](k, "dalvik.gc")
+	vm.compileQueue = kernel.NewMsgQueue[compileReq](k, "dalvik.jit")
 	if services {
 		vm.spawnServices()
 	}
@@ -163,7 +172,7 @@ func (vm *VM) spawnServices() {
 	// immediately and wake rarely (HeapWorker runs finalizers after GC).
 	k.SpawnThread(vm.Proc, "HeapWorker", "HeapWorker", func(ex *kernel.Exec) {
 		ex.PushCode(vm.LibDVM)
-		wq := k.NewWaitQueue(vm.Proc.Name + ".heapworker")
+		wq := k.NewWaitQueue("dalvik.heapworker")
 		vm.heapWorkerWq = wq
 		for {
 			ex.Wait(wq)
@@ -173,11 +182,11 @@ func (vm *VM) spawnServices() {
 	})
 	k.SpawnThread(vm.Proc, "Signal Catcher", "Signal Catcher", func(ex *kernel.Exec) {
 		ex.PushCode(vm.LibDVM)
-		ex.Wait(k.NewWaitQueue(vm.Proc.Name + ".sigcatch"))
+		ex.Wait(k.NewWaitQueue("dalvik.sigcatch"))
 	})
 	k.SpawnThread(vm.Proc, "JDWP", "JDWP", func(ex *kernel.Exec) {
 		ex.PushCode(vm.LibDVM)
-		ex.Wait(k.NewWaitQueue(vm.Proc.Name + ".jdwp"))
+		ex.Wait(k.NewWaitQueue("dalvik.jdwp"))
 	})
 }
 
@@ -192,8 +201,7 @@ func (vm *VM) LoadDex(ex *kernel.Exec, file *dex.File) *LoadedDex {
 	name := file.Name + "@classes.dex"
 	v := vm.Proc.AS.MapAnywhere(mem.MmapBase, file.Size(), name,
 		mem.PermRead, mem.ClassData)
-	d := &LoadedDex{File: file, VMA: v}
-	vm.dexes[file.Name] = d
+	d := vm.Adopt(file, v)
 
 	// Class loading: walk the image (reads) and populate LinearAlloc
 	// metadata (writes).
@@ -216,7 +224,7 @@ func (vm *VM) Adopt(file *dex.File, v *mem.VMA) *LoadedDex {
 	if file.Size() > v.Size() {
 		panic(fmt.Sprintf("dalvik: image %s (%d bytes) larger than mapping %s", file.Name, file.Size(), v.Name))
 	}
-	d := &LoadedDex{File: file, VMA: v}
+	d := &LoadedDex{File: file, VMA: v, jit: make([]methodJIT, len(file.Methods))}
 	vm.dexes[file.Name] = d
 	return d
 }
@@ -230,8 +238,9 @@ func (vm *VM) Adopt(file *dex.File, v *mem.VMA) *LoadedDex {
 // and the zygote drops the ref its preload returns), and an allocation
 // writes its header and zeroes every element or field a program can load.
 // Writes on either side never reach the other. JIT state is inherited warm,
-// as zygote children inherit the preloaded-class world. VM service threads
-// are spawned fresh in the child when services is true.
+// as zygote children inherit the preloaded-class world: the child starts
+// with the parent's compiled methods and no hotness. VM service threads are
+// spawned fresh in the child when services is true.
 func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 	k := child.Kernel()
 	find := func(name string) *mem.VMA {
@@ -248,15 +257,9 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 		Linear:     find(mem.RegionLinearAlloc),
 		JITVMA:     find(mem.RegionJITCache),
 		JITEnabled: parent.JITEnabled,
-		traced:     parent.traced,
+		warm:       parent.warm,
 		heapTop:    parent.heapTop,
-		pages:      make(map[uint64]*[mem.PageSize]byte),
-		compiled:   make(map[methodKey]bool, len(parent.compiled)),
-		hot:        make(map[methodKey]int),
 		dexes:      make(map[string]*LoadedDex, len(parent.dexes)),
-	}
-	for k2, v := range parent.compiled {
-		vm.compiled[k2] = v
 	}
 	// One slab allocation covers every rebound dex view; which slab slot a
 	// given dex lands in follows map order, but each entry's content depends
@@ -266,12 +269,15 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 	for name, d := range parent.dexes {
 		nd := &dexSlab[di]
 		di++
-		*nd = LoadedDex{File: d.File, VMA: find(d.VMA.Name)}
+		*nd = LoadedDex{File: d.File, VMA: find(d.VMA.Name), jit: make([]methodJIT, len(d.jit))}
+		for i, m := range d.jit {
+			nd.jit[i].compiled = m.compiled
+		}
 		vm.dexes[name] = nd
 	}
 	vm.heapCommit = vm.HeapVMA.ResidentBytes()
-	vm.gcQueue = kernel.NewMsgQueue[gcReq](k, child.Name+".gc")
-	vm.compileQueue = kernel.NewMsgQueue[compileReq](k, child.Name+".jit")
+	vm.gcQueue = kernel.NewMsgQueue[gcReq](k, "dalvik.gc")
+	vm.compileQueue = kernel.NewMsgQueue[compileReq](k, "dalvik.jit")
 	if services {
 		vm.spawnServices()
 	}
@@ -312,9 +318,11 @@ func (vm *VM) CompilesDone() uint64 { return vm.compilesDone }
 
 // ForceCompile marks method in d as JIT-compiled without charging any
 // compiler work, so tests and benchmarks can drive the compiled cost model
-// deterministically. Real promotion goes through the Compiler thread.
+// deterministically; it panics if d has no such method, as Exec does. Real
+// promotion goes through the Compiler thread.
 func (vm *VM) ForceCompile(d *LoadedDex, method string) {
-	vm.compiled[methodKey{dex: d.File.Name, method: method}] = true
+	d.jit[d.method(method)].compiled = true
+	vm.warm = true
 }
 
 // --- managed heap ---
@@ -406,6 +414,12 @@ func (vm *VM) boundsCheck(ref uint64, idx int64) {
 
 // --- heap pages ---
 
+// leafPages is how many consecutive heap pages one heapLeaf maps.
+const leafPages = 64
+
+// heapLeaf is one second-level table of VM.pages.
+type heapLeaf [leafPages]*[mem.PageSize]byte
+
 // checkHeap panics unless [off, off+n) lies inside the heap arena: an
 // access outside it is a model bug.
 func (vm *VM) checkHeap(off, n uint64) {
@@ -421,11 +435,19 @@ func (vm *VM) load32(off uint64) uint32 {
 	vm.checkHeap(off, 4)
 	var v uint32
 	for i := range uint64(4) {
-		if p := vm.pages[(off+i)/mem.PageSize]; p != nil {
+		if p := vm.page((off + i) / mem.PageSize); p != nil {
 			v |= uint32(p[(off+i)%mem.PageSize]) << (8 * i)
 		}
 	}
 	return v
+}
+
+// page returns heap page pi, or nil if nothing has written it.
+func (vm *VM) page(pi uint64) *[mem.PageSize]byte {
+	if l := vm.pages[pi/leafPages]; l != nil {
+		return l[pi%leafPages]
+	}
+	return nil
 }
 
 // store32 writes the little-endian word at heap offset off.
@@ -433,12 +455,15 @@ func (vm *VM) store32(off uint64, v uint32) {
 	vm.checkHeap(off, 4)
 	for i := range uint64(4) {
 		pi := (off + i) / mem.PageSize
-		p := vm.pages[pi]
-		if p == nil {
-			p = new([mem.PageSize]byte)
-			vm.pages[pi] = p
+		l := &vm.pages[pi/leafPages]
+		if *l == nil {
+			*l = new(heapLeaf)
 		}
-		p[(off+i)%mem.PageSize] = byte(v >> (8 * i))
+		p := &(*l)[pi%leafPages]
+		if *p == nil {
+			*p = new([mem.PageSize]byte)
+		}
+		(*p)[(off+i)%mem.PageSize] = byte(v >> (8 * i))
 	}
 }
 
@@ -448,7 +473,7 @@ func (vm *VM) zero(off, n uint64) {
 	vm.checkHeap(off, n)
 	for end := off + n; off < end; {
 		next := min((off/mem.PageSize+1)*mem.PageSize, end)
-		if p := vm.pages[off/mem.PageSize]; p != nil {
+		if p := vm.page(off / mem.PageSize); p != nil {
 			clear(p[off%mem.PageSize : off%mem.PageSize+(next-off)])
 		}
 		off = next
@@ -505,11 +530,10 @@ func (vm *VM) compilerLoop(ex *kernel.Exec) {
 		}
 		vm.jitTop += emit * 4
 		ex.Do(kernel.Work{Fetch: 7, Writes: 1, Data: vm.JITVMA}, emit)
-		if req.trace {
-			vm.traced = true
-		} else {
-			vm.compiled[req.key] = true
+		if !req.trace {
+			req.d.jit[req.mi].compiled = true
 		}
+		vm.warm = true
 		vm.compilesDone++
 	}
 }

@@ -41,56 +41,16 @@ type Exec struct {
 	// lives in the Exec itself and only pathological nesting spills to the
 	// heap via append.
 	codeBuf [8]*mem.VMA
-
-	// pend batches this thread's counter deltas so the hot accounting path
-	// is a linear scan of a few inline entries instead of a Collector map
-	// update per Add. The scheduler flushes the buffer every time the
-	// thread's quantum ends (see Kernel.Run), so whenever host code runs —
-	// between Run calls, where the engine resets or reads the collector —
-	// every off-CPU thread's counts are fully flushed. Deltas merge by
-	// (region, kind); proc and thread are fixed per Exec.
-	pend  [8]pendEntry
-	pendN int
-}
-
-// pendEntry is one merged, not-yet-flushed counter delta of Exec.pend.
-type pendEntry struct {
-	region stats.RegionID
-	kind   stats.Kind
-	n      uint64
 }
 
 // Now reports the simulated time. Time advances only between quanta, so
 // within one quantum Now is constant.
 func (ex *Exec) Now() sim.Ticks { return ex.K.Clock.Now() }
 
+// account adds n accesses of class kind against region to the thread's
+// collector row, so the collector is exact at every instant.
 func (ex *Exec) account(region stats.RegionID, kind stats.Kind, n uint64) {
-	if n == 0 {
-		return
-	}
-	for i := 0; i < ex.pendN; i++ {
-		if ex.pend[i].region == region && ex.pend[i].kind == kind {
-			ex.pend[i].n += n
-			return
-		}
-	}
-	if ex.pendN == len(ex.pend) {
-		ex.FlushStats()
-	}
-	ex.pend[ex.pendN] = pendEntry{region: region, kind: kind, n: n}
-	ex.pendN++
-}
-
-// FlushStats drains the batched counter deltas into the collector. The
-// scheduler calls it at every quantum end; callers that read the collector
-// from inside a running thread (none do today) would need to flush first.
-func (ex *Exec) FlushStats() {
-	for i := 0; i < ex.pendN; i++ {
-		e := &ex.pend[i]
-		ex.K.Stats.AddRow(ex.row, e.region, e.kind, e.n)
-		*e = pendEntry{}
-	}
-	ex.pendN = 0
+	ex.K.Stats.AddRow(ex.row, region, kind, n)
 }
 
 // charge consumes n ticks as whole chunks followed by a remainder of at
@@ -180,18 +140,10 @@ func (ex *Exec) Fetch(n uint64) {
 // Read records n data reads against v's region. Data references ride along
 // with instructions, so they consume no extra ticks; pair them with Fetch
 // (or use Do/Copy which handle both).
-func (ex *Exec) Read(v *mem.VMA, n uint64) {
-	if n != 0 {
-		ex.account(v.Region, stats.DataRead, n)
-	}
-}
+func (ex *Exec) Read(v *mem.VMA, n uint64) { ex.account(v.Region, stats.DataRead, n) }
 
 // Write records n data writes against v's region.
-func (ex *Exec) Write(v *mem.VMA, n uint64) {
-	if n != 0 {
-		ex.account(v.Region, stats.DataWrite, n)
-	}
-}
+func (ex *Exec) Write(v *mem.VMA, n uint64) { ex.account(v.Region, stats.DataWrite, n) }
 
 // Work describes one iteration of a homogeneous inner loop.
 type Work struct {

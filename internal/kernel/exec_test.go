@@ -128,3 +128,44 @@ func TestSyscallFetchSplit(t *testing.T) {
 		t.Fatalf("syscall data = %d, want 300", d)
 	}
 }
+
+// TestCollectorExactWithinQuantum: accounting adds straight into the
+// collector, so a thread reading it between two fetches of one quantum sees
+// both, with no flush at the quantum's end.
+func TestCollectorExactWithinQuantum(t *testing.T) {
+	var first, second uint64
+	var moved bool
+	execHarness(t, func(ex *Exec, p *Process) {
+		start := ex.Now()
+		ex.Fetch(10)
+		first = ex.K.Stats.ByProcess(stats.IFetch)["benchmark"]
+		ex.Fetch(20)
+		second = ex.K.Stats.ByProcess(stats.IFetch)["benchmark"]
+		moved = ex.Now() != start
+	})
+	if moved {
+		t.Fatal("the fetches spanned two quanta")
+	}
+	if first != 10 || second != 30 {
+		t.Fatalf("collector read %d then %d inside one quantum, want 10 then 30", first, second)
+	}
+}
+
+// TestAccountingIntoTouchedCellsDoesNotAllocate: once a thread has touched
+// a (region, kind) cell, Fetch, Read and Write into it allocate nothing.
+func TestAccountingIntoTouchedCellsDoesNotAllocate(t *testing.T) {
+	allocs := -1.0
+	execHarness(t, func(ex *Exec, p *Process) {
+		heap := p.Layout.Heap
+		access := func() {
+			ex.Fetch(1)
+			ex.Read(heap, 1)
+			ex.Write(heap, 1)
+		}
+		access()
+		allocs = testing.AllocsPerRun(100, access)
+	})
+	if allocs != 0 {
+		t.Fatalf("Fetch, Read and Write into touched cells allocated %.1f times per run, want 0", allocs)
+	}
+}

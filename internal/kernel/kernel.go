@@ -61,7 +61,7 @@ type Kernel struct {
 	// Swapper is the idle process (pid 0); idle time charges references
 	// to it, which is why it appears in the paper's Figures 3 and 4.
 	Swapper *Process
-	swapT   *Thread
+	swapRow stats.RowID // the collector row idle charges
 
 	// Disk is the block storage device serviced by the ata_sff/0 kernel
 	// thread.
@@ -89,15 +89,16 @@ func New(cfg Config) *Kernel {
 		nextTID: 0,
 	}
 	k.Swapper = k.NewKernelProcess("swapper")
-	k.swapT = &Thread{
+	swapT := &Thread{
 		TID:    k.nextTID,
 		Name:   "swapper",
 		Proc:   k.Swapper,
 		State:  StateRunnable,
 		StatID: k.Stats.Thread("swapper"),
 	}
+	k.swapRow = k.Stats.Row(k.Swapper.StatID, swapT.StatID)
 	k.nextTID++
-	k.Swapper.Threads = append(k.Swapper.Threads, k.swapT)
+	k.Swapper.Threads = append(k.Swapper.Threads, swapT)
 	k.Disk = newBlockDevice(k)
 	if k.LMKEnabled() {
 		k.startLMK()
@@ -214,11 +215,6 @@ func (k *Kernel) Run(deadline sim.Ticks) {
 		}
 		t.State = StateRunning
 		y := t.ctx.Run(k.Cfg.Quantum)
-		// Flush the thread's batched stats deltas while it is off-CPU: the
-		// collector is exact at every quantum boundary, so host code running
-		// between Run calls (engine resets, report reads) sees counts
-		// identical to unbatched accounting.
-		t.exec.FlushStats()
 		k.Clock.Advance(y.Used)
 		switch y.Reason {
 		default:
@@ -255,8 +251,8 @@ func (k *Kernel) idle(deadline sim.Ticks) {
 	refs := uint64(idleTicks / idleRefDivisor)
 	if refs > 0 {
 		kv := k.Swapper.Layout.Kernel
-		k.Stats.Add(k.Swapper.StatID, k.swapT.StatID, kv.Region, stats.IFetch, refs)
-		k.Stats.Add(k.Swapper.StatID, k.swapT.StatID, kv.Region, stats.DataRead, refs/4)
+		k.Stats.AddRow(k.swapRow, kv.Region, stats.IFetch, refs)
+		k.Stats.AddRow(k.swapRow, kv.Region, stats.DataRead, refs/4)
 	}
 	k.Clock.Set(next)
 }

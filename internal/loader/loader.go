@@ -163,6 +163,9 @@ func MediaServerSet() []string {
 // its text mapping.
 type LinkMap struct {
 	vmas map[string]*mem.VMA
+	// libs holds the same mappings in name order, built by the first
+	// Libraries call.
+	libs []*mem.VMA
 }
 
 // Load maps every named library into as (using layout's bump pointer) and
@@ -216,12 +219,16 @@ func (lm *LinkMap) VMA(name string) *mem.VMA {
 	return v
 }
 
-// Names lists mapped library names, sorted for deterministic iteration.
-func (lm *LinkMap) Names() []string {
-	out := make([]string, 0, len(lm.vmas))
-	for n := range lm.vmas {
-		out = append(out, n)
+// Libraries lists the mapped libraries in name order, for deterministic
+// iteration. The list is built on the first call, so processes that never
+// walk their libraries never sort them; the caller must not modify it.
+func (lm *LinkMap) Libraries() []*mem.VMA {
+	if lm.libs == nil {
+		lm.libs = make([]*mem.VMA, 0, len(lm.vmas))
+		for _, v := range lm.vmas {
+			lm.libs = append(lm.libs, v)
+		}
+		sort.Slice(lm.libs, func(i, j int) bool { return lm.libs[i].Name < lm.libs[j].Name })
 	}
-	sort.Strings(out)
-	return out
+	return lm.libs
 }

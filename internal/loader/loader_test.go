@@ -103,9 +103,12 @@ func TestRebindFindsInherited(t *testing.T) {
 func TestNamesSorted(t *testing.T) {
 	as, layout := newSpace()
 	lm := Load(as, layout, []string{"libz.so", "libc.so", "libm.so"})
-	names := lm.Names()
+	var names []string
+	for _, v := range lm.Libraries() {
+		names = append(names, v.Name)
+	}
 	if len(names) != 3 || names[0] != "libc.so" || names[1] != "libm.so" || names[2] != "libz.so" {
-		t.Fatalf("Names() = %v", names)
+		t.Fatalf("Libraries() in order %v", names)
 	}
 }
 

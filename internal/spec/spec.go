@@ -133,20 +133,12 @@ func Launch(k *kernel.Kernel, b *Benchmark) *Env {
 
 // --- 401.bzip2: block compression (BWT + MTF + RLE) ---
 
-// Bzip2Compress compresses a block with a real Burrows–Wheeler transform,
-// move-to-front coding and run-length encoding. It runs bzip2Encode, the
-// codec every bzip2 step runs on its lane's scratch, on fresh buffers; the
-// tests invert it.
-func Bzip2Compress(block []byte) []byte {
-	n := len(block)
-	return bzip2Encode(make([]byte, 0, bzip2EncodedMax(n)), block,
-		make([]byte, n), make([]int32, bwtWorkLen(n)))
-}
-
-// bzip2Encode appends the compressed block to dst: the BWT's primary index
-// in 4 little-endian bytes, then the RLE of the MTF of the BWT. last (len
-// block bytes) and work (bwtWorkLen(len(block)) entries) are scratch. With
-// bzip2EncodedMax(len(block)) bytes free in dst it allocates nothing.
+// bzip2Encode compresses a block with a real Burrows–Wheeler transform,
+// move-to-front coding and run-length encoding, appending to dst the BWT's
+// primary index in 4 little-endian bytes, then the RLE of the MTF of the
+// BWT. last (len block bytes) and work (bwtWorkLen(len(block)) entries) are
+// scratch. With bzip2EncodedMax(len(block)) bytes free in dst it allocates
+// nothing.
 func bzip2Encode(dst, block, last []byte, work []int32) []byte {
 	idx := bwtForward(last, block, work)
 	mtfEncode(last)

@@ -35,6 +35,14 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// Bzip2Compress runs bzip2Encode, the codec every bzip2 step runs on its
+// lane's scratch, on fresh buffers.
+func Bzip2Compress(block []byte) []byte {
+	n := len(block)
+	return bzip2Encode(make([]byte, 0, bzip2EncodedMax(n)), block,
+		make([]byte, n), make([]int32, bwtWorkLen(n)))
+}
+
 // Bzip2Decompress inverts Bzip2Compress. The decode side runs only here:
 // the simulation compresses and never decompresses.
 func Bzip2Decompress(data []byte) ([]byte, error) {

@@ -6,10 +6,10 @@
 // matrix.
 //
 // Names are interned to small integer IDs, and each (process, thread group)
-// pair to a row, so a counter cell's key is one packed uint64 and the hot
-// accounting path is one integer-keyed map update. Thread names are
-// registered by *group* name (for example, all "AsyncTask #N" pool workers
-// account as "AsyncTask"), matching how the paper's Table I ranks threads.
+// pair to a row whose region-indexed slot table finds its counters, so the
+// hot accounting path is two slice indexes. Thread names are registered by
+// *group* name (for example, all "AsyncTask #N" pool workers account as
+// "AsyncTask"), matching how the paper's Table I ranks threads.
 package stats
 
 import (
@@ -116,13 +116,17 @@ type Collector struct {
 	threads *interner
 	regions *interner
 
-	// rows interns (process, thread group) pairs; rowKeys[id] unpacks one.
-	// Rows outlive Reset, so a row cached before it stays valid.
-	rows    map[rowKey]RowID
-	rowKeys []rowKey
+	// rowIDs interns (process, thread group) pairs into rows. Rows outlive
+	// Reset, so a row cached before it stays valid.
+	rowIDs map[rowKey]RowID
+	rows   []row
 
-	// counts holds one cell per (row, region, kind), keyed by cell.
-	counts map[uint64]uint64
+	// cells holds the counters of every (row, region) pair added to so far,
+	// in first-touch order.
+	cells []cell
+
+	// slotBuf is the rest of the chunk that rows' slot tables are cut from.
+	slotBuf []int32
 }
 
 type rowKey struct {
@@ -130,19 +134,23 @@ type rowKey struct {
 	thread ThreadID
 }
 
-// cell packs a counter cell's coordinates into its map key,
-// row<<32 | region<<2 | kind. The region field has 30 bits, so the packing
-// holds until a collector interns 2^30 region names.
-func cell(row RowID, r RegionID, k Kind) uint64 {
-	return uint64(row)<<32 | uint64(r)<<2 | uint64(k)
+// row is one (process, thread group) pair. slot[r] is 1 + the index in
+// cells of the pair's counters against region r, or 0 while it has none.
+type row struct {
+	key  rowKey
+	slot []int32
 }
 
-func cellRegion(key uint64) RegionID { return RegionID(key >> 2 & (1<<30 - 1)) }
+// cell holds one (row, region) pair's counters, one per access class; a
+// cell Reset zeroed is invisible to every read.
+type cell struct {
+	row    RowID
+	region RegionID
+	n      [numKinds]uint64
+}
 
-func cellKind(key uint64) Kind { return Kind(key & 3) }
-
-// cellRow unpacks the (process, thread group) pair of a cell key.
-func (c *Collector) cellRow(key uint64) rowKey { return c.rowKeys[key>>32] }
+// slotChunk is how many slot-table entries a collector allocates at once.
+const slotChunk = 4096
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
@@ -150,8 +158,7 @@ func NewCollector() *Collector {
 		procs:   newInterner(),
 		threads: newInterner(),
 		regions: newInterner(),
-		rows:    make(map[rowKey]RowID),
-		counts:  make(map[uint64]uint64),
+		rowIDs:  make(map[rowKey]RowID),
 	}
 }
 
@@ -178,72 +185,94 @@ func (c *Collector) RegionName(id RegionID) string { return c.regions.name(int32
 // calls AddRow.
 func (c *Collector) Row(p ProcID, t ThreadID) RowID {
 	k := rowKey{p, t}
-	if id, ok := c.rows[k]; ok {
+	if id, ok := c.rowIDs[k]; ok {
 		return id
 	}
-	id := RowID(len(c.rowKeys))
-	c.rows[k] = id
-	c.rowKeys = append(c.rowKeys, k)
+	id := RowID(len(c.rows))
+	c.rowIDs[k] = id
+	c.rows = append(c.rows, row{key: k})
 	return id
 }
 
 // Add records n accesses of class k issued by (proc p, thread t) against
 // region r.
 func (c *Collector) Add(p ProcID, t ThreadID, r RegionID, k Kind, n uint64) {
-	if n == 0 {
-		return
-	}
 	c.AddRow(c.Row(p, t), r, k, n)
 }
 
-// AddRow is Add for a pair already interned by Row.
-func (c *Collector) AddRow(row RowID, r RegionID, k Kind, n uint64) {
+// AddRow is Add for a pair already interned by Row. Adding 0 changes
+// nothing.
+func (c *Collector) AddRow(id RowID, r RegionID, k Kind, n uint64) {
+	if slot := c.rows[id].slot; int(r) < len(slot) && slot[r] != 0 {
+		c.cells[slot[r]-1].n[k] += n
+		return
+	}
+	c.addCell(id, r, k, n)
+}
+
+// addCell is AddRow's first add against region r for row id. If the row's
+// slot table stops short of r, the row moves to one cut from the current
+// chunk that spans every region interned so far.
+func (c *Collector) addCell(id RowID, r RegionID, k Kind, n uint64) {
 	if n == 0 {
 		return
 	}
-	c.counts[cell(row, r, k)] += n
+	rw := &c.rows[id]
+	if int(r) >= len(rw.slot) {
+		m := max(int(r)+1, len(c.regions.names))
+		if m > len(c.slotBuf) {
+			c.slotBuf = make([]int32, max(m, slotChunk))
+		}
+		copy(c.slotBuf, rw.slot)
+		rw.slot, c.slotBuf = c.slotBuf[:m:m], c.slotBuf[m:]
+	}
+	cl := cell{row: id, region: r}
+	cl.n[k] = n
+	c.cells = append(c.cells, cl)
+	rw.slot[r] = int32(len(c.cells))
+}
+
+// each calls f for every non-zero counter of the given classes.
+func (c *Collector) each(kinds []Kind, f func(cl *cell, k Kind, n uint64)) {
+	sel := selectKinds(kinds)
+	for i := range c.cells {
+		cl := &c.cells[i]
+		for k, n := range cl.n {
+			if n != 0 && sel[k] {
+				f(cl, Kind(k), n)
+			}
+		}
+	}
 }
 
 // Total reports the number of accesses across the given classes (all classes
 // when none are given).
 func (c *Collector) Total(kinds ...Kind) uint64 {
-	sel := selectKinds(kinds)
 	var sum uint64
-	for k, v := range c.counts {
-		if sel[cellKind(k)] {
-			sum += v
-		}
-	}
+	c.each(kinds, func(_ *cell, _ Kind, n uint64) { sum += n })
 	return sum
 }
 
 // fold sums the counts of the given classes into a map keyed by name(cell).
-func (c *Collector) fold(kinds []Kind, name func(key uint64) string) map[string]uint64 {
-	sel := selectKinds(kinds)
+func (c *Collector) fold(kinds []Kind, name func(cl *cell) string) map[string]uint64 {
 	out := make(map[string]uint64)
-	for k, v := range c.counts {
-		if sel[cellKind(k)] {
-			out[name(k)] += v
-		}
-	}
+	c.each(kinds, func(cl *cell, _ Kind, n uint64) { out[name(cl)] += n })
 	return out
 }
 
-func (c *Collector) regionOf(key uint64) string { return c.RegionName(cellRegion(key)) }
-
 // ByRegion folds counts of the given classes by region name.
 func (c *Collector) ByRegion(kinds ...Kind) map[string]uint64 {
-	return c.fold(kinds, c.regionOf)
+	return c.fold(kinds, func(cl *cell) string { return c.RegionName(cl.region) })
 }
 
 // ByProcess folds counts of the given classes by process name.
 func (c *Collector) ByProcess(kinds ...Kind) map[string]uint64 {
-	return c.fold(kinds, func(key uint64) string { return c.ProcName(c.cellRow(key).proc) })
+	return c.fold(kinds, func(cl *cell) string { return c.ProcName(c.rows[cl.row].key.proc) })
 }
 
 // ByThread folds counts of the given classes by thread group name.
 func (c *Collector) ByThread(kinds ...Kind) map[string]uint64 {
-	return c.fold(kinds, func(key uint64) string { return c.ThreadName(c.cellRow(key).thread) })
+	return c.fold(kinds, func(cl *cell) string { return c.ThreadName(c.rows[cl.row].key.thread) })
 }
 
 // RegionCount reports how many distinct regions received at least one access
@@ -251,27 +280,33 @@ func (c *Collector) ByThread(kinds ...Kind) map[string]uint64 {
 // per-application scalar metrics. The seen table is a dense bool slice over
 // the region ID space: region IDs are small and dense by construction.
 func (c *Collector) RegionCount(kinds ...Kind) int {
-	sel := selectKinds(kinds)
 	seen := make([]bool, len(c.regions.names))
 	n := 0
-	for k, v := range c.counts {
-		if r := cellRegion(k); v > 0 && sel[cellKind(k)] && !seen[r] {
-			seen[r] = true
+	c.each(kinds, func(cl *cell, _ Kind, _ uint64) {
+		if !seen[cl.region] {
+			seen[cl.region] = true
 			n++
 		}
-	}
+	})
 	return n
 }
 
-// Cells reports the number of distinct counter cells currently held.
-func (c *Collector) Cells() int { return len(c.counts) }
+// Cells reports the number of distinct non-zero (row, region, kind) counters
+// currently held.
+func (c *Collector) Cells() int {
+	n := 0
+	c.each(nil, func(*cell, Kind, uint64) { n++ })
+	return n
+}
 
-// Reset clears all counts but keeps interned names and rows — and, because
-// clear preserves the map's buckets, the counter table stays preallocated at its
-// high-water size. A warmed collector's next measurement interval therefore
-// inserts into a table that already fits the cells the warmup populated,
-// which is exactly the engine's reset-after-boot pattern.
-func (c *Collector) Reset() { clear(c.counts) }
+// Reset zeroes every count in place and keeps interned names, rows, cells
+// and slot tables, so a row cached before it stays valid and the measured
+// interval adds into the cells the engine's warm-up created.
+func (c *Collector) Reset() {
+	for i := range c.cells {
+		c.cells[i].n = [numKinds]uint64{}
+	}
+}
 
 // Entry is one cell of the counter matrix in name (not ID) space.
 type Entry struct {
@@ -288,20 +323,17 @@ type Entry struct {
 // spaces differ — this is the comparison the suite determinism tests and the
 // JSON export are built on.
 func (c *Collector) Entries() []Entry {
-	out := make([]Entry, 0, len(c.counts))
-	for k, v := range c.counts {
-		if v == 0 {
-			continue
-		}
-		rk := c.cellRow(k)
+	out := make([]Entry, 0, c.Cells())
+	c.each(nil, func(cl *cell, k Kind, n uint64) {
+		rk := c.rows[cl.row].key
 		out = append(out, Entry{
 			Proc:   c.ProcName(rk.proc),
 			Thread: c.ThreadName(rk.thread),
-			Region: c.RegionName(cellRegion(k)),
-			Kind:   cellKind(k),
-			Count:  v,
+			Region: c.RegionName(cl.region),
+			Kind:   k,
+			Count:  n,
 		})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Proc != b.Proc {

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"sort"
 	"strings"
@@ -366,4 +368,133 @@ func TestAggMerge(t *testing.T) {
 	if got != serial {
 		t.Fatalf("merge into empty = %+v, want %+v", got, serial)
 	}
+}
+
+// TestCollectorMatchesMapReference drives a seeded random mix of Row, AddRow
+// and Reset into a Collector and into a plain map keyed by (row, region,
+// kind), and compares every read before and after each Reset and at the
+// end. Regions are interned as the mix first names them, so rows' slot
+// tables grow throughout, and the cells a Reset zeroes must stay invisible
+// to every read.
+func TestCollectorMatchesMapReference(t *testing.T) {
+	type key struct {
+		proc, thread, region string
+		kind                 Kind
+	}
+	rng := rand.New(rand.NewPCG(7, 32))
+	procs := []string{"zygote", "system_server", "com.android.music", "mediaserver", "swapper"}
+	threads := []string{"main", "Binder Thread", "GC", "Compiler"}
+	regions := make([]string, 60)
+	for i := range regions {
+		regions[i] = fmt.Sprintf("lib%02d.so", i)
+	}
+	c := NewCollector()
+	ref := map[key]uint64{}
+	type rowName struct{ proc, thread string }
+	var rows []RowID
+	var names []rowName
+
+	kindSets := [][]Kind{nil, {IFetch}, {DataRead}, {DataWrite}, DataKinds}
+	compare := func(when string) {
+		t.Helper()
+		var want []Entry
+		for k, n := range ref {
+			if n != 0 {
+				want = append(want, Entry{k.proc, k.thread, k.region, k.kind, n})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.Proc != b.Proc {
+				return a.Proc < b.Proc
+			}
+			if a.Thread != b.Thread {
+				return a.Thread < b.Thread
+			}
+			if a.Region != b.Region {
+				return a.Region < b.Region
+			}
+			return a.Kind < b.Kind
+		})
+		if got := c.Entries(); !reflect.DeepEqual(got, append([]Entry{}, want...)) {
+			t.Fatalf("%s: Entries =\n%v\nwant\n%v", when, got, want)
+		}
+		// A fresh collector fed only the non-zero counts, in reverse, has
+		// no zero cells and another interning order.
+		fresh := NewCollector()
+		for i := len(want) - 1; i >= 0; i-- {
+			e := want[i]
+			fresh.Add(fresh.Proc(e.Proc), fresh.Thread(e.Thread), fresh.Region(e.Region), e.Kind, e.Count)
+		}
+		if c.Fingerprint() != fresh.Fingerprint() {
+			t.Fatalf("%s: Fingerprint differs from a collector holding the same counts", when)
+		}
+		if got := c.Cells(); got != len(want) {
+			t.Fatalf("%s: Cells = %d, want %d", when, got, len(want))
+		}
+		for _, kinds := range kindSets {
+			sel := selectKinds(kinds)
+			var total uint64
+			byRegion, byProc, byThread := map[string]uint64{}, map[string]uint64{}, map[string]uint64{}
+			for _, e := range want {
+				if sel[e.Kind] {
+					total += e.Count
+					byRegion[e.Region] += e.Count
+					byProc[e.Proc] += e.Count
+					byThread[e.Thread] += e.Count
+				}
+			}
+			if got := c.Total(kinds...); got != total {
+				t.Fatalf("%s: Total(%v) = %d, want %d", when, kinds, got, total)
+			}
+			for _, f := range []struct {
+				name string
+				got  map[string]uint64
+				want map[string]uint64
+			}{
+				{"ByRegion", c.ByRegion(kinds...), byRegion},
+				{"ByProcess", c.ByProcess(kinds...), byProc},
+				{"ByThread", c.ByThread(kinds...), byThread},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Fatalf("%s: %s(%v) = %v, want %v", when, f.name, kinds, f.got, f.want)
+				}
+			}
+			if got := c.RegionCount(kinds...); got != len(byRegion) {
+				t.Fatalf("%s: RegionCount(%v) = %d, want %d", when, kinds, got, len(byRegion))
+			}
+		}
+	}
+
+	const ops = 20_000
+	resets := 0
+	for op := 0; op < ops; op++ {
+		switch x := rng.IntN(1000); {
+		case x == 0:
+			compare(fmt.Sprintf("before Reset %d", resets+1))
+			c.Reset()
+			for k := range ref {
+				ref[k] = 0
+			}
+			resets++
+			compare(fmt.Sprintf("after Reset %d", resets))
+		case x < 20 || len(rows) == 0:
+			n := rowName{procs[rng.IntN(len(procs))], threads[rng.IntN(len(threads))]}
+			rows = append(rows, c.Row(c.Proc(n.proc), c.Thread(n.thread)))
+			names = append(names, n)
+		default:
+			i := rng.IntN(len(rows))
+			// Early ops name low regions only, so later ones keep interning
+			// regions past existing rows' slot tables.
+			region := regions[rng.IntN(1+op*len(regions)/ops)]
+			kind := Kind(rng.IntN(int(numKinds)))
+			n := uint64(rng.IntN(5))
+			c.AddRow(rows[i], c.Region(region), kind, n)
+			ref[key{names[i].proc, names[i].thread, region, kind}] += n
+		}
+	}
+	if resets == 0 {
+		t.Fatal("the mix never reset the collector")
+	}
+	compare("at the end")
 }
