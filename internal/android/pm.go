@@ -89,9 +89,9 @@ func zipScan(ex *kernel.Exec, a *App, apk *mem.VMA) {
 // runDexopt starts the dexopt process and charges the optimization pass:
 // read every instruction word of the dex (several verifier passes), write
 // the odex image. dexSize approximates the classes.dex payload size. Only
-// the work is modelled: the app's bytecode, the stock program set every
-// StockDex file shares, already passed dex.Verify when dalvik.Assemble
-// built it.
+// the work is modelled: the app's bytecode is a renamed view of the stock
+// program set (dalvik.StockDex), which passed dex.Verify once, when the
+// process first assembled it.
 func (sys *System) runDexopt(dexSize uint64, done *Install) {
 	k := sys.K
 	dp := k.NewProcess("dexopt", 96*loader.KB, 512*loader.KB)

@@ -1,8 +1,10 @@
 package dalvik
 
 import (
+	"fmt"
 	"testing"
 
+	"agave/internal/dex"
 	"agave/internal/kernel"
 	"agave/internal/loader"
 	"agave/internal/mem"
@@ -267,6 +269,42 @@ func TestStockDexVerifies(t *testing.T) {
 	f := StockDex("x")
 	if len(f.Methods) < 7 {
 		t.Fatalf("stock dex has %d methods", len(f.Methods))
+	}
+	if err := dex.Verify(f); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStockDexAssemblesOnce: every app's stock file is a renamed view of one
+// set assembled per process, so a name's first call assembles nothing.
+func TestStockDexAssemblesOnce(t *testing.T) {
+	a, b := StockDex("alpha"), StockDex("beta")
+	if a.Name != "alpha" || b.Name != "beta" {
+		t.Fatalf("names %q and %q, want alpha and beta", a.Name, b.Name)
+	}
+	if len(a.Methods) != len(b.Methods) {
+		t.Fatalf("alpha has %d methods, beta %d", len(a.Methods), len(b.Methods))
+	}
+	for i, m := range a.Methods {
+		if b.Methods[i] != m {
+			t.Fatalf("alpha and beta hold separate copies of method %d (%s)", i, m.Name)
+		}
+	}
+	names := make([]string, 101) // AllocsPerRun calls once more than its runs
+	for i := range names {
+		names[i] = fmt.Sprintf("first-call-%d", i)
+	}
+	var f *dex.File
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		f = StockDex(names[n])
+		n++
+	})
+	if f.Name != names[100] {
+		t.Fatalf("last view is named %q, want %q", f.Name, names[100])
+	}
+	if allocs > 2 {
+		t.Fatalf("a new name's first StockDex call allocated %.1f times, want at most 2: it assembled", allocs)
 	}
 }
 

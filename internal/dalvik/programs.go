@@ -10,9 +10,9 @@ import (
 // Stock bytecode programs the Agave workload models run on the interpreter.
 // Each exercises a different reference mix: pure ALU loops, array
 // scans/fills (dalvik-heap reads/writes), object allocation churn (GC
-// pressure), and call-heavy code (frame traffic). Apps assemble these into
-// their own dex image so each application contributes a distinctly named
-// "<app>@classes.dex" region, as on a real device.
+// pressure), and call-heavy code (frame traffic). Each app loads them under
+// its own name (StockDex), so each application contributes a distinctly
+// named "<app>@classes.dex" region, as on a real device.
 const stockSource = `
 ; sum of 0..n-1 — pure ALU/branch loop
 .method sumLoop 1
@@ -130,26 +130,24 @@ done:
 .end
 `
 
-// stockDexes caches the assembled stock program set per application name.
-// The source is a compile-time constant and dex.File is immutable once
-// assembled, so the same *dex.File can be shared by every kernel (including
-// parallel suite workers) that launches an app of that name — assembling
-// per launch was the single largest allocation source in a scenario run.
-var stockDexes sync.Map // app name -> *dex.File
-
-// StockDex assembles the stock program set into a dex file named after the
-// owning application. Results are cached per name; callers must treat the
-// returned file as read-only.
-func StockDex(appName string) *dex.File {
-	if f, ok := stockDexes.Load(appName); ok {
-		return f.(*dex.File)
-	}
-	f, err := Assemble(appName, stockSource)
+// stockDex is the stock program set, assembled and verified once per
+// process. Every StockDex file is a renamed view of it.
+var stockDex = sync.OnceValue(func() *dex.File {
+	f, err := Assemble("stock", stockSource)
 	if err != nil {
 		panic(fmt.Sprintf("dalvik: stock programs failed to assemble: %v", err))
 	}
-	got, _ := stockDexes.LoadOrStore(appName, f)
-	return got.(*dex.File)
+	return f
+})
+
+// StockDex returns the stock program set as a dex file named after the
+// owning application. The set is assembled and verified once per process;
+// each call returns a renamed read-only view of it that shares its methods
+// and index, so every kernel (parallel suite workers included) runs the same
+// *dex.Method values. Those carry no per-VM state: JIT state lives in each
+// LoadedDex.
+func StockDex(appName string) *dex.File {
+	return stockDex().Named(appName)
 }
 
 // Assemble wraps dex.Assemble and verifies the result, so every program

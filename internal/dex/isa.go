@@ -157,6 +157,13 @@ func (f *File) Add(m *Method) error {
 	return nil
 }
 
+// Named returns a view of f under another name that shares f's methods and
+// index. Both must be treated as read-only from then on: adding a method to
+// either would corrupt the other.
+func (f *File) Named(name string) *File {
+	return &File{Name: name, Methods: f.Methods, index: f.index}
+}
+
 // MethodIndex returns the index of the named method, or -1.
 func (f *File) MethodIndex(name string) int {
 	i, ok := f.index[name]

@@ -13,8 +13,11 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Kind labels a memory access class.
@@ -317,14 +320,71 @@ type Entry struct {
 	Count  uint64
 }
 
-// Entries returns every non-zero cell of the counter matrix in canonical
-// order (proc, thread, region, kind ascending by name). Two collectors with
-// equal Entries hold bit-identical statistics even if their interned ID
-// spaces differ — this is the comparison the suite determinism tests and the
-// JSON export are built on.
+// ranks returns each interned name's position in byte-wise name order,
+// indexed by ID, and the IDs in that order. Interned names are distinct, so
+// the order has no ties.
+func (in *interner) ranks() (rank, byRank []int32) {
+	byRank = make([]int32, len(in.names))
+	for i := range byRank {
+		byRank[i] = int32(i)
+	}
+	slices.SortFunc(byRank, func(a, b int32) int { return strings.Compare(in.names[a], in.names[b]) })
+	rank = make([]int32, len(byRank))
+	for r, id := range byRank {
+		rank[id] = int32(r)
+	}
+	return rank, byRank
+}
+
+// eachCanonical calls f for every non-zero counter in canonical order:
+// process, thread group and region name, then kind, ascending. Each name
+// table is sorted once; cells then sort by integer keys, a row's rank in
+// (process, thread) name order above the region's rank, which the row's
+// slot table turns back into the cell.
+func (c *Collector) eachCanonical(f func(cl *cell, k Kind, n uint64)) {
+	procRank, _ := c.procs.ranks()
+	threadRank, _ := c.threads.ranks()
+	regionRank, regionByRank := c.regions.ranks()
+	rowByRank := make([]int32, len(c.rows))
+	for i := range rowByRank {
+		rowByRank[i] = int32(i)
+	}
+	slices.SortFunc(rowByRank, func(a, b int32) int {
+		ka, kb := c.rows[a].key, c.rows[b].key
+		if d := cmp.Compare(procRank[ka.proc], procRank[kb.proc]); d != 0 {
+			return d
+		}
+		return cmp.Compare(threadRank[ka.thread], threadRank[kb.thread])
+	})
+	rowRank := make([]int32, len(rowByRank))
+	for r, id := range rowByRank {
+		rowRank[id] = int32(r)
+	}
+	keys := make([]uint64, 0, len(c.cells))
+	for i := range c.cells {
+		if cl := &c.cells[i]; cl.n != [numKinds]uint64{} {
+			keys = append(keys, uint64(rowRank[cl.row])<<32|uint64(regionRank[cl.region]))
+		}
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		cl := &c.cells[c.rows[rowByRank[key>>32]].slot[regionByRank[uint32(key)]]-1]
+		for k, n := range cl.n {
+			if n != 0 {
+				f(cl, Kind(k), n)
+			}
+		}
+	}
+}
+
+// Entries returns every non-zero counter of the matrix in canonical order
+// (proc, thread, region, kind ascending by name), the order Fingerprint
+// hashes. Two collectors with equal Entries hold bit-identical statistics
+// even if their interned ID spaces differ — this is the comparison the
+// determinism tests are built on.
 func (c *Collector) Entries() []Entry {
 	out := make([]Entry, 0, c.Cells())
-	c.each(nil, func(cl *cell, k Kind, n uint64) {
+	c.eachCanonical(func(cl *cell, k Kind, n uint64) {
 		rk := c.rows[cl.row].key
 		out = append(out, Entry{
 			Proc:   c.ProcName(rk.proc),
@@ -334,50 +394,47 @@ func (c *Collector) Entries() []Entry {
 			Count:  n,
 		})
 	})
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		if a.Thread != b.Thread {
-			return a.Thread < b.Thread
-		}
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		return a.Kind < b.Kind
-	})
 	return out
 }
 
 // Fingerprint folds the canonical entry list into one FNV-1a hash: equal
-// fingerprints mean bit-identical attributed counters. It is independent of
-// interning order, so serial and parallel runs of the same seed compare
-// equal.
+// fingerprints mean bit-identical attributed counters. Each entry mixes its
+// process, thread and region names, each followed by 0xff, then its kind and
+// count as 8 little-endian bytes each. It is independent of interning
+// order, so serial and parallel runs of the same seed compare equal.
 func (c *Collector) Fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime64
-		}
-		h = (h ^ 0xff) * prime64 // field separator
+	h := uint64(fnvOffset64)
+	c.eachCanonical(func(cl *cell, k Kind, n uint64) {
+		rk := c.rows[cl.row].key
+		h = fnvName(h, c.ProcName(rk.proc))
+		h = fnvName(h, c.ThreadName(rk.thread))
+		h = fnvName(h, c.RegionName(cl.region))
+		h = fnvU64(h, uint64(k))
+		h = fnvU64(h, n)
+	})
+	return h
+}
+
+// 64-bit FNV-1a parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvName mixes the bytes of s and a 0xff field separator into h. A pure
+// function of h keeps h in a register, which a closure over h does not.
+func fnvName(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
-	mixU64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xff)) * prime64
-			v >>= 8
-		}
-	}
-	for _, e := range c.Entries() {
-		mix(e.Proc)
-		mix(e.Thread)
-		mix(e.Region)
-		mixU64(uint64(e.Kind))
-		mixU64(e.Count)
+	return (h ^ 0xff) * fnvPrime64
+}
+
+// fnvU64 mixes v into h as 8 little-endian bytes.
+func fnvU64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
 	}
 	return h
 }

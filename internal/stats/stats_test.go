@@ -375,20 +375,32 @@ func TestAggMerge(t *testing.T) {
 // kind), and compares every read before and after each Reset and at the
 // end. Regions are interned as the mix first names them, so rows' slot
 // tables grow throughout, and the cells a Reset zeroes must stay invisible
-// to every read.
+// to every read. No name table is interned in name order, and some names
+// are byte prefixes of others, so the canonical order must come from the
+// names themselves.
 func TestCollectorMatchesMapReference(t *testing.T) {
 	type key struct {
 		proc, thread, region string
 		kind                 Kind
 	}
 	rng := rand.New(rand.NewPCG(7, 32))
-	procs := []string{"zygote", "system_server", "com.android.music", "mediaserver", "swapper"}
-	threads := []string{"main", "Binder Thread", "GC", "Compiler"}
+	procs := []string{"zygote", "system_server", "com.android.music:remote", "system",
+		"mediaserver", "com.android.music", "swapper"}
+	threads := []string{"main", "Binder Thread", "GC", "Binder", "Compiler", "GC Daemon"}
+	// The mix names low indices first, so regions intern in roughly
+	// descending name order.
 	regions := make([]string, 60)
 	for i := range regions {
-		regions[i] = fmt.Sprintf("lib%02d.so", i)
+		regions[i] = fmt.Sprintf("lib%02d.so", len(regions)-1-i)
 	}
+	copy(regions[1:], []string{"mspace-ab", "mspace-a", "mspace", "ms"})
 	c := NewCollector()
+	for _, p := range procs {
+		c.Proc(p)
+	}
+	for _, th := range threads {
+		c.Thread(th)
+	}
 	ref := map[key]uint64{}
 	type rowName struct{ proc, thread string }
 	var rows []RowID
@@ -418,6 +430,25 @@ func TestCollectorMatchesMapReference(t *testing.T) {
 		})
 		if got := c.Entries(); !reflect.DeepEqual(got, append([]Entry{}, want...)) {
 			t.Fatalf("%s: Entries =\n%v\nwant\n%v", when, got, want)
+		}
+		// FNV-1a over the sorted list: each name then 0xff, then kind and
+		// count as 8 little-endian bytes each.
+		const prime = 1099511628211
+		h := uint64(14695981039346656037)
+		for _, e := range want {
+			for _, name := range []string{e.Proc, e.Thread, e.Region} {
+				for _, b := range append([]byte(name), 0xff) {
+					h = (h ^ uint64(b)) * prime
+				}
+			}
+			for _, v := range []uint64{uint64(e.Kind), e.Count} {
+				for i := 0; i < 8; i++ {
+					h = (h ^ (v >> (8 * i) & 0xff)) * prime
+				}
+			}
+		}
+		if got := c.Fingerprint(); got != h {
+			t.Fatalf("%s: Fingerprint = %016x, want %016x", when, got, h)
 		}
 		// A fresh collector fed only the non-zero counts, in reverse, has
 		// no zero cells and another interning order.
